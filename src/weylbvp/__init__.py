@@ -1,7 +1,7 @@
 """weylbvp: elliptic boundary value problems with spectral-parameter-dependent
 boundary conditions, solved through boundary triples, Weyl functions and a
-selfadjoint linearization in a product space (finite-dimensional, dense
-linear algebra).
+selfadjoint linearization in a product space (finite-dimensional linear
+algebra: banded LU for the Dirichlet operator, dense elsewhere).
 """
 
 __version__ = "1.0.0"

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     NonPositiveCoefficient,
@@ -70,12 +71,41 @@ class DiscreteElliptic:
     def default_eta(self) -> float:
         return float(self.dirichlet_eigs[0]) - 1.0
 
+    @cached_property
+    def banded_l_ii(self) -> tuple[tuple[int, int], np.ndarray]:
+        """((lower, upper), ab): the bandwidths of ``l_ii``, read off its
+        nonzero pattern, and its diagonals in ``scipy.linalg.solve_banded``
+        storage, ab[upper + i - j, j] = l_ii[i, j].
+        """
+        rows, cols = np.nonzero(self.l_ii)
+        lower = int(np.max(rows - cols, initial=0))
+        upper = int(np.max(cols - rows, initial=0))
+        n = self.n_interior
+        ab = np.zeros((lower + upper + 1, n))
+        for k in range(-lower, upper + 1):
+            ab[upper - k, max(k, 0):n + min(k, 0)] = np.diagonal(self.l_ii, k)
+        return (lower, upper), ab
+
+    def dirichlet_solve(self, lam: complex, rhs: np.ndarray) -> np.ndarray:
+        """(L_II - lam)^{-1} rhs for a vector or matrix rhs, by banded LU."""
+        bands, ab = self.banded_l_ii
+        shifted = ab.astype(np.result_type(ab, lam))
+        shifted[bands[1]] -= lam               # the main diagonal
+        return scipy.linalg.solve_banded(bands, shifted, rhs, overwrite_ab=True)
+
     def eta_extension(self, eta: float) -> np.ndarray:
         """E_eta with (L_II - eta) E_eta + L_IB = 0."""
+        # every boundary node must couple to the interior (a disconnected node
+        # would make its trace coordinate meaningless); note that in 2D the two
+        # neighbors of a corner alias the same interior row, so full column rank
+        # is structurally impossible and is not required by the construction
+        colnorm = np.linalg.norm(self.l_ib, axis=0)
+        if np.any(colnorm <= 1e-12 * max(1.0, float(colnorm.max(initial=0.0)))):
+            raise RankDeficientCoupling("a boundary node is disconnected from the interior")
         if np.min(np.abs(self.dirichlet_eigs - eta)) < 1e-10 * max(
                 1.0, float(np.max(np.abs(self.dirichlet_eigs)))):
             raise SpectrumPoint(f"eta={eta} lies in the Dirichlet spectrum")
-        return -np.linalg.solve(self.l_ii - eta * np.eye(self.n_interior), self.l_ib)
+        return -self.dirichlet_solve(eta, self.l_ib)
 
 
 def build_1d(n: int, p=1.0, a=0.0, interval=(0.0, 1.0)) -> DiscreteElliptic:
@@ -198,16 +228,12 @@ class EllipticTriple:
 
     def gamma(self, lam: complex) -> np.ndarray:
         """(I + (lam - eta)(T_D - lam)^{-1}) E_eta."""
-        td = self.de.l_ii
-        n = self.de.n_interior
-        sol = np.linalg.solve(td - lam * np.eye(n), self.extension)
+        sol = self.de.dirichlet_solve(lam, self.extension)
         return self.extension + (lam - self.eta) * sol
 
     def weyl(self, lam: complex) -> np.ndarray:
         """h^d (eta - lam) L_BI (T_D - lam)^{-1} E_eta."""
-        td = self.de.l_ii
-        n = self.de.n_interior
-        sol = np.linalg.solve(td - lam * np.eye(n), self.extension)
+        sol = self.de.dirichlet_solve(lam, self.extension)
         return self.weight * (self.eta - lam) * (self.de.l_bi @ sol)
 
     def recover_parameters(self, f: np.ndarray, g: np.ndarray):
@@ -224,13 +250,6 @@ def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticT
     """Build the boundary triple of a discrete elliptic operator."""
     if eta is None:
         eta = de.default_eta()
-    # every boundary node must couple to the interior (a disconnected node
-    # would make its trace coordinate meaningless); note that in 2D the two
-    # neighbors of a corner alias the same interior row, so full column rank
-    # is structurally impossible and is not required by the construction
-    colnorm = np.linalg.norm(de.l_ib, axis=0)
-    if np.any(colnorm <= 1e-12 * max(1.0, float(colnorm.max(initial=0.0)))):
-        raise RankDeficientCoupling("a boundary node is disconnected from the interior")
     ext = de.eta_extension(eta)
     n, nb = de.n_interior, de.n_boundary
     w = de.weight

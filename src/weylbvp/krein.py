@@ -236,15 +236,19 @@ class LinearRelation:
         """Matrix of (A - lam)^{-1}; raises SpectrumPoint if not boundedly invertible."""
         n = self.space.dim
         c = self.second - lam * self.first
-        s = np.linalg.svd(c, compute_uv=False) if c.size else np.zeros(0)
+        # one SVD gives both the range check and the pseudoinverse
+        u, s, vh = np.linalg.svd(c, full_matrices=False) if c.size \
+            else (None, np.zeros(0), None)
         # the basis is orthonormal, so norm(C) <= 1 + |lam| is the natural scale
         scale = 1.0 + abs(lam)
         if s.size < n or s[n - 1] <= scale / COND_LIMIT:
             raise SpectrumPoint(f"ran(A - {lam}) is not all of H")
-        res = self.first @ np.linalg.pinv(c, rcond=rtol)
+        keep = s > rtol * s[0]                 # the cutoff of pinv(c, rcond=rtol)
+        res = (self.first @ vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
         # a nonzero kernel of (A - lam) shows up as an unreachable first component
+        # (relative to max(1, norm(first)), which is 1 for an orthonormal basis)
         defect = np.linalg.norm(res @ c - self.first, 2)
-        if defect > 1e-8 * max(1.0, np.linalg.norm(self.first, 2)):
+        if defect > 1e-8:
             raise SpectrumPoint(f"ker(A - {lam}) is nontrivial")
         return res
 

@@ -18,7 +18,7 @@ from .errors import (
     SpectrumPoint,
 )
 from .krein import COND_LIMIT, KreinSpace
-from .elliptic import DiscreteElliptic, EllipticTriple, elliptic_triple
+from .elliptic import DiscreteElliptic, EllipticTriple
 from .opfunc import PoleOrSpectrum, RationalNevanlinna
 from .realize import realize_rational
 from .triple import BoundaryTriple
@@ -66,7 +66,7 @@ def _problem_residuals(et: EllipticTriple, tau, lam: complex,
     w = de.weight
     top = de.l_ib
     bot = tau.eval(lam) + w * (de.l_bi @ et.extension)
-    rhs_top = g - (de.l_ii - lam * np.eye(de.n_interior)) @ f
+    rhs_top = g - (de.l_ii @ f - lam * f)
     rhs_bot = w * (de.l_bi @ f)
     y, *_ = np.linalg.lstsq(np.vstack([top, bot]),
                             np.concatenate([rhs_top, rhs_bot]), rcond=None)
@@ -82,19 +82,22 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     f = (T_D-lam)^{-1}g - gamma(lam)(M(lam)+tau(lam))^{-1} gamma(conj lam)^* g.
     """
     de = et.de
-    n = de.n_interior
     if np.min(np.abs(de.dirichlet_eigs - lam)) < 1e-12 * max(
             1.0, float(np.max(np.abs(de.dirichlet_eigs)))):
         raise SpectrumPoint(f"lambda={lam} lies in the Dirichlet spectrum")
-    mt = et.weyl(lam) + tau.eval(lam)
+    g = np.asarray(g, dtype=complex)
+    # one factorization of T_D - lam serves the base solve, gamma(lam) and
+    # M(lam); gamma(conj lam) = conj gamma(lam) because T_D and E_eta are real
+    sol = de.dirichlet_solve(lam, np.column_stack([g, et.extension]))
+    base, rd = sol[:, 0], sol[:, 1:]
+    gam = et.extension + (lam - et.eta) * rd
+    mt = de.weight * (et.eta - lam) * (de.l_bi @ rd) + tau.eval(lam)
     s = np.linalg.svd(mt, compute_uv=False)
     smin, scale = float(s[-1]), float(s[0])
     if smin <= U_THRESHOLD * max(scale, 1e-300):
         raise OutsideU(lam, smin, scale)
-    g = np.asarray(g, dtype=complex)
-    base = np.linalg.solve(de.l_ii - lam * np.eye(n), g)
-    gamma_bar_star = de.weight * et.gamma(np.conj(lam)).conj().T
-    f = base - et.gamma(lam) @ np.linalg.solve(mt, gamma_bar_star @ g)
+    gamma_bar_star = de.weight * gam.T
+    f = base - gam @ np.linalg.solve(mt, gamma_bar_star @ g)
     r1, r2 = _problem_residuals(et, tau, lam, f, g)
     return SolveReport(lam=lam, in_u=True, f=f,
                        pde_residual=r1, bc_residual=r2, sigma_min=smin)
@@ -208,7 +211,9 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
 def build_linearization_rational(de: DiscreteElliptic, tau: RationalNevanlinna,
                                  eta: float | None = None) -> Linearization:
     """Explicit block operator on C^{n_I} x (C^{n_B})^m for a rational tau."""
-    et = elliptic_triple(de, eta)
+    if eta is None:
+        eta = de.default_eta()
+    ext = de.eta_extension(eta)
     nb, m = de.n_boundary, tau.terms
     if tau.boundary_dim != nb:
         raise DimensionMismatch("tau must act on the boundary space")
@@ -217,7 +222,6 @@ def build_linearization_rational(de: DiscreteElliptic, tau: RationalNevanlinna,
     b1is = np.linalg.inv(roots[0])
     n = de.n_interior
     w = de.weight
-    ext = et.extension
     td = de.l_ii
 
     size = n + m * nb
@@ -228,7 +232,7 @@ def build_linearization_rational(de: DiscreteElliptic, tau: RationalNevanlinna,
 
     ey = ext @ b1is                        # maps k_1 to the extension of y
     a[:n, :n] = td
-    a[:n, blk(0)] = (et.eta * ext - td @ ext) @ b1is
+    a[:n, blk(0)] = (eta * ext - td @ ext) @ b1is
     a[blk(0), :n] = b1is @ (w * de.l_bi)
     a[blk(0), blk(0)] = -b1is @ (w * de.l_bi @ ey) - b1is @ tau.alpha[0] @ b1is
     for i in range(1, m):

@@ -205,8 +205,12 @@ def verify_triple_identities(bt: BoundaryTriple, samples, lambda0: complex | Non
         lambda0 = next(s for s in samples if abs(complex(s).imag) > 0)
     rng = np.random.default_rng(seed)
     n = bt.state.dim
-    data = {lam: bt.weyl_data(lam) for lam in set(samples) | {lambda0}}
-    res0 = {lam: bt.a0.resolvent(lam) for lam in data}
+    # one resolvent per point serves as weyl_data's rho(A_0) check and as the
+    # (A_0 - lam)^{-1} of the identities; conj(lam) is needed for gambar
+    res0, data = {}, {}
+    for lam in set(samples) | {lambda0} | {np.conj(s) for s in samples}:
+        res0[lam] = bt.a0.resolvent(lam)
+        data[lam] = bt.weyl_data(lam, check_resolvent=False)
     out = {"id1": 0.0, "gambar": 0.0, "id2": 0.0, "rep": 0.0}
 
     wd0 = data[lambda0]
@@ -219,8 +223,7 @@ def verify_triple_identities(bt: BoundaryTriple, samples, lambda0: complex | Non
         # gambar at a random vector h
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         el = np.concatenate([res0[lam] @ h, h + lam * (res0[lam] @ h)])
-        lhs = bt.gamma_plus(data[np.conj(lam)].gamma_mat if np.conj(lam) in data
-                            else bt.gamma(np.conj(lam))) @ h
+        lhs = bt.gamma_plus(data[np.conj(lam)].gamma_mat) @ h
         rhs = (bt.g1 @ bt.coords(el)).ravel()
         out["gambar"] = max(out["gambar"], _rel(lhs - rhs, lhs, rhs))
         # representation of M via the fixed lambda0

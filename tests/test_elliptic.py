@@ -1,14 +1,20 @@
 """Finite-difference discretizations and their boundary triples."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from weylbvp import (
     ConstantFunction,
     NonPositiveCoefficient,
+    RankDeficientCoupling,
+    RationalNevanlinna,
     SpectrumPoint,
     build_1d,
     build_2d,
+    build_linearization_rational,
     direct_solve,
     elliptic_triple,
     krein_resolve,
@@ -67,6 +73,42 @@ def test_dirichlet_resolvent_positive():
 
 
 # ---------------------------------------------------------------------------
+# banded Dirichlet resolvent
+
+# non-square grids (h = 0.2 in both directions) pin which grid size sets the
+# bandwidth: interior nodes are numbered x-fastest, so it is nx
+BANDED_PROBLEMS = {
+    "1d-variable-p": (lambda: build_1d(25, p=lambda x: 1 + 0.5 * np.sin(np.pi * x),
+                                       a=lambda x: x), (1, 1)),
+    "2d-6x6": (lambda: build_2d(6, 6), (6, 6)),
+    "2d-4x6": (lambda: build_2d(4, 6, rect=(0.0, 1.0, 0.0, 1.4)), (4, 4)),
+    "2d-6x4": (lambda: build_2d(6, 4, rect=(0.0, 1.4, 0.0, 1.0)), (6, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BANDED_PROBLEMS))
+def test_banded_bandwidths(name):
+    build, bands = BANDED_PROBLEMS[name]
+    assert build().banded_l_ii[0] == bands
+
+
+@pytest.mark.parametrize("name", sorted(BANDED_PROBLEMS))
+def test_dirichlet_solve_matches_dense(name):
+    de = BANDED_PROBLEMS[name][0]()
+    n = de.n_interior
+    rng = np.random.default_rng(11)
+    # below the spectrum, between eigenvalues, and off the real axis
+    for lam in (2.5, 100.5, 1 + 1j, -0.5 - 2j):
+        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        mat = rng.standard_normal((n, 3))
+        for rhs in (vec, mat):
+            ref = np.linalg.solve(de.l_ii - lam * np.eye(n), rhs)
+            got = de.dirichlet_solve(lam, rhs)
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
 # extension
 
 
@@ -98,6 +140,18 @@ def test_eta_extension_rejects_spectrum():
         de.eta_extension(float(de.dirichlet_eigs[0]))
 
 
+def test_disconnected_boundary_node_rejected():
+    de = build_1d(10)
+    l_ib = de.l_ib.copy()
+    l_ib[:, 1] = 0.0
+    cut = dataclasses.replace(de, l_ib=l_ib, l_bi=l_ib.T.copy())
+    tau = RationalNevanlinna(alpha=(np.zeros((2, 2)),), beta=(np.eye(2),))
+    with pytest.raises(RankDeficientCoupling):
+        elliptic_triple(cut)
+    with pytest.raises(RankDeficientCoupling):
+        build_linearization_rational(cut, tau)
+
+
 # ---------------------------------------------------------------------------
 # triple
 
@@ -127,6 +181,24 @@ def test_weyl_closed_form(et1d, et2d):
         for lam in (1 + 1j, 0.5 - 0.75j):
             m1, m2 = et.bt.weyl(lam), et.weyl(lam)
             assert np.linalg.norm(m1 - m2, 2) <= 1e-9 * max(1.0, np.linalg.norm(m2, 2))
+
+
+def test_weyl_matches_dense_closed_form(et1d, et2d):
+    for et in (et1d, et2d):
+        de = et.de
+        n = de.n_interior
+        for lam in (1 + 1j, 0.5 - 0.75j, -3.0):
+            sol = np.linalg.solve(de.l_ii - lam * np.eye(n), et.extension)
+            ref = de.weight * (et.eta - lam) * (de.l_bi @ sol)
+            assert np.linalg.norm(et.weyl(lam) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_gamma_conjugate_symmetry(et1d, et2d):
+    for et in (et1d, et2d):
+        for lam in (0.8 + 1.1j, -2.0 - 0.5j):
+            gam = et.gamma(lam)
+            assert np.linalg.norm(et.gamma(np.conj(lam)) - gam.conj()) \
+                <= 1e-12 * np.linalg.norm(gam)
 
 
 def test_weyl_conjugate_symmetry(et1d):
@@ -168,6 +240,20 @@ def test_direct_solve_large_theta_approaches_dirichlet(et1d):
         errs.append(np.linalg.norm(f - fd))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1e-4 * np.linalg.norm(fd)
+
+
+def test_krein_resolve_factors_once(et1d, monkeypatch):
+    calls = []
+    banded = scipy.linalg.solve_banded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return banded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", counting)
+    tau = RationalNevanlinna(alpha=(np.zeros((2, 2)),), beta=(np.eye(2),))
+    krein_resolve(et1d, tau, 0.4 + 1.5j, np.ones(30))
+    assert len(calls) == 1
 
 
 def test_direct_solve_matches_krein(et1d):

@@ -88,6 +88,25 @@ def test_gamma_weyl_identities(elliptic_bt, rational_bt):
             assert val <= 1e-9, f"{name}: {val}"
 
 
+def test_identities_one_resolvent_per_point(elliptic_bt, monkeypatch):
+    # (A_0 - lam)^{-1} is computed once per sample and once per conjugate
+    # sample; it doubles as the rho(A_0) check of the Weyl data
+    from weylbvp import LinearRelation
+
+    calls = []
+    resolvent = LinearRelation.resolvent
+
+    def counted(self, lam, *args, **kwargs):
+        calls.append(lam)
+        return resolvent(self, lam, *args, **kwargs)
+
+    monkeypatch.setattr(LinearRelation, "resolvent", counted)
+    pts = sample_points(count=4)
+    report = verify_triple_identities(elliptic_bt, pts)
+    assert max(report.values()) <= 1e-9
+    assert len(calls) == len(set(calls)) == len(set(pts) | {np.conj(p) for p in pts})
+
+
 def test_weyl_symmetry(elliptic_bt):
     lam = 0.7 + 1.3j
     m1 = elliptic_bt.weyl(np.conj(lam))
