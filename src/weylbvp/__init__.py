@@ -9,7 +9,6 @@ __version__ = "1.0.0"
 from .errors import (
     BetaOneSingular,
     ConfigError,
-    CouplingRankDeficient,
     DimensionMismatch,
     InsufficientSamples,
     MathDomainError,

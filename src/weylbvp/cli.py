@@ -2,8 +2,8 @@
 solve/eigen/realize/verify/demo pipelines, and emit a JSON report plus
 CSV tables.
 
-Exit codes: 0 success, 1 configuration error, 2 mathematical-domain error
-or failed verification, 3 internal error.
+Exit codes: 0 success, 1 configuration error (malformed input or flags),
+2 mathematical-domain error or failed verification, 3 internal error.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, MathDomainError, WeylbvpError
-from .krein import KreinSpace, LinearRelation
+from .krein import LinearRelation
 from .opfunc import (
     ConstantFunction,
     RationalNevanlinna,
@@ -31,7 +30,7 @@ from .opfunc import (
 )
 from .realize import realize, verify_realization
 from .elliptic import DiscreteElliptic, build_1d, build_2d, direct_solve, elliptic_triple
-from .serialize import decode_matrix, decode_scalar, encode_matrix, encode_triple
+from .serialize import decode_matrix, decode_scalar, decode_space, encode_triple
 from .solver import (
     build_linearization,
     build_linearization_rational,
@@ -89,7 +88,11 @@ def make_coefficient(spec, names):
             raise ConfigError(f"cannot parse coefficient expression: {exc}") from exc
 
         def fn(*args):
-            return float(_eval_node(tree, dict(zip(names, args))))
+            try:
+                return float(_eval_node(tree, dict(zip(names, args))))
+            except (ArithmeticError, ValueError, TypeError) as exc:
+                # division by zero, overflow, a math domain error, a bad call
+                raise ConfigError(f"coefficient {spec!r} at {args}: {exc}") from exc
 
         fn(*([0.5] * len(names)))  # validate eagerly
         return fn
@@ -147,9 +150,10 @@ def parse_tau(cfg, boundary_dim: int | None):
     if kind == "constant":
         return ConstantFunction(theta=_coeff_matrix(cfg.get("theta", 0.0), g))
     if kind == "representation":
-        gram = decode_matrix(cfg["gram"]) if "gram" in cfg else None
-        j = decode_matrix(cfg["J"]) if "J" in cfg else None
-        space = KreinSpace(int(cfg["dim"]), gram=gram, j=j)
+        space = decode_space(cfg)
+        if "gamma" not in cfg:
+            raise ConfigError("representation tau needs 'gamma'")
+        gamma = decode_matrix(cfg["gamma"])
         if "a0_graph" in cfg:
             a0 = LinearRelation.from_graph(space, decode_matrix(cfg["a0_graph"]))
         elif "a0_span" in cfg:
@@ -158,10 +162,10 @@ def parse_tau(cfg, boundary_dim: int | None):
             raise ConfigError("representation tau needs 'a0_graph' or 'a0_span'")
         return RepresentationForm(
             space=space, a0=a0,
-            gamma=decode_matrix(cfg["gamma"]),
+            gamma=gamma,
             lambda0=decode_scalar(cfg.get("lambda0", [0.0, 1.0])),
             c=decode_matrix(cfg["C"]) if "C" in cfg
-            else np.zeros((decode_matrix(cfg["gamma"]).shape[1],) * 2),
+            else np.zeros((gamma.shape[1],) * 2),
         )
     raise ConfigError(f"unknown tau kind '{kind}'")
 
@@ -365,16 +369,13 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
                rng.standard_normal(de.n_interior)
                + 1j * rng.standard_normal(de.n_interior)) for k in range(8)]
 
-    def check_pair(pair):
-        lam, g = pair
+    oracle = 0.0
+    for lam, g in probes:
         f1 = krein_resolve(et, tau, lam, g).f
         f2 = direct_solve(et, tau, lam, g)
         f3 = compressed_resolvent(lin, lam, g)
         scale = max(1.0, float(np.linalg.norm(f1)))
-        return max(np.linalg.norm(f1 - f2), np.linalg.norm(f1 - f3)) / scale
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        oracle = max(pool.map(check_pair, probes))
+        oracle = max(oracle, max(np.linalg.norm(f1 - f2), np.linalg.norm(f1 - f3)) / scale)
     suites["oracle_agreement"] = float(oracle)
     if oracle > 1e-10:
         failures.append(f"oracle disagreement {oracle:.3e}")
@@ -453,8 +454,16 @@ ACTIONS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed flag is a configuration error (exit 1); argparse's own
+    exit code 2 is the one this command gives mathematical-domain errors."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="weylbvp",
         description="Solve elliptic boundary value problems with "
                     "spectral-parameter-dependent boundary conditions.")
@@ -463,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pipeline to run (overrides the config's 'action')")
     p.add_argument("--out", type=Path, default=Path("out"),
                    help="output directory (default: ./out)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep width")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for randomized inputs")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
@@ -472,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = {}
         if args.config is not None:
             try:

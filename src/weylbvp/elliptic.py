@@ -45,9 +45,15 @@ class DiscreteElliptic:
     l_ii: np.ndarray = field(repr=False)
     l_ib: np.ndarray = field(repr=False)
     l_bi: np.ndarray = field(repr=False)
-    l_bb: np.ndarray = field(repr=False)
     interior_coords: np.ndarray = field(repr=False)
     boundary_coords: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        # the one check of both builders: a coefficient sample that is not
+        # finite, or one so large that the stencil overflows, ends here
+        if not (np.all(np.isfinite(self.l_ii)) and np.all(np.isfinite(self.l_ib))):
+            raise NonPositiveCoefficient(
+                "coefficient samples and stencil entries must be finite")
 
     @property
     def n_interior(self) -> int:
@@ -64,9 +70,6 @@ class DiscreteElliptic:
     @cached_property
     def dirichlet_eigs(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.l_ii)
-
-    def dirichlet_operator(self) -> np.ndarray:
-        return self.l_ii.copy()
 
     def default_eta(self) -> float:
         return float(self.dirichlet_eigs[0]) - 1.0
@@ -122,11 +125,11 @@ def build_1d(n: int, p=1.0, a=0.0, interval=(0.0, 1.0)) -> DiscreteElliptic:
     phalf = np.array([psamp(x0 + h * (k + 0.5)) for k in range(n + 1)], dtype=float)
     if np.any(phalf <= 0):
         raise NonPositiveCoefficient("diffusion coefficient p must be positive")
-    avals = np.array([asamp(x) for x in xs], dtype=float)
+    avals = np.array([asamp(x) for x in xs[1:-1]], dtype=float)
 
     l_ii = np.zeros((n, n))
     for i in range(n):           # interior node i+1
-        l_ii[i, i] = (phalf[i] + phalf[i + 1]) / h**2 + avals[i + 1]
+        l_ii[i, i] = (phalf[i] + phalf[i + 1]) / h**2 + avals[i]
         if i > 0:
             l_ii[i, i - 1] = -phalf[i] / h**2
         if i < n - 1:
@@ -134,10 +137,9 @@ def build_1d(n: int, p=1.0, a=0.0, interval=(0.0, 1.0)) -> DiscreteElliptic:
     l_ib = np.zeros((n, 2))
     l_ib[0, 0] = -phalf[0] / h**2
     l_ib[-1, 1] = -phalf[n] / h**2
-    l_bb = np.diag([phalf[0] / h**2 + avals[0], phalf[n] / h**2 + avals[n + 1]])
     return DiscreteElliptic(
         dim=1, shape=(n,), spacing=h,
-        l_ii=l_ii, l_ib=l_ib, l_bi=l_ib.T.copy(), l_bb=l_bb,
+        l_ii=l_ii, l_ib=l_ib, l_bi=l_ib.T.copy(),
         interior_coords=xs[1:-1].reshape(-1, 1),
         boundary_coords=np.array([[x0], [x1]]),
     )
@@ -197,13 +199,12 @@ def build_2d(nx: int, ny: int, a11=1.0, a22=1.0, a=0.0,
                     l_ii[row, idx(ii, jj)] = val
                 else:
                     l_ib[row, bindex[(ii, jj)]] = val
-    l_bb = np.diag([sa(xpos(i), ypos(j)) for _, i, j in blist])
     icoords = np.array([[xpos(i), ypos(j)]
                         for j in range(1, ny + 1) for i in range(1, nx + 1)])
     bcoords = np.array([[xpos(i), ypos(j)] for _, i, j in blist])
     return DiscreteElliptic(
         dim=2, shape=(nx, ny), spacing=h,
-        l_ii=l_ii, l_ib=l_ib, l_bi=l_ib.T.copy(), l_bb=l_bb,
+        l_ii=l_ii, l_ib=l_ib, l_bi=l_ib.T.copy(),
         interior_coords=icoords, boundary_coords=bcoords,
     )
 
@@ -235,15 +236,6 @@ class EllipticTriple:
         """h^d (eta - lam) L_BI (T_D - lam)^{-1} E_eta."""
         sol = self.de.dirichlet_solve(lam, self.extension)
         return self.weight * (self.eta - lam) * (self.de.l_bi @ sol)
-
-    def recover_parameters(self, f: np.ndarray, g: np.ndarray):
-        """Split a pair {f, g} in the relation into (f_D, y).
-
-        When L_IB has a nontrivial kernel (corner aliasing in 2D) the
-        minimum-norm trace is returned.
-        """
-        y, *_ = np.linalg.lstsq(self.de.l_ib, g - self.de.l_ii @ f, rcond=None)
-        return f - self.extension @ y, y
 
 
 def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticTriple:

@@ -54,11 +54,9 @@ class NonPositiveCoefficient(ConfigError):
 
 
 class RankDeficientCoupling(WeylbvpError):
-    """Interior-boundary coupling block lost full column rank."""
-
-
-class CouplingRankDeficient(WeylbvpError):
-    """The two coupling conditions fail to determine the linearization uniquely."""
+    """A coupling does not determine its unknowns: a boundary node is
+    disconnected from the interior, or the coupling conditions of a
+    linearization fail to determine it uniquely."""
 
 
 class OutsideU(MathDomainError):

@@ -114,6 +114,8 @@ class KreinSpace:
     dim: int
     gram: np.ndarray | None = None
     j: np.ndarray | None = None
+    # ascending eigenvalues of the Gram matrix, the one decomposition of it
+    _gram_eigs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -121,39 +123,50 @@ class KreinSpace:
         g = np.eye(self.dim, dtype=complex) if self.gram is None else _as_matrix(self.gram)
         if g.shape != (self.dim, self.dim):
             raise DimensionMismatch("gram has wrong shape")
-        if np.linalg.norm(g - g.conj().T, 2) > 1e-12 * max(1.0, np.linalg.norm(g, 2)):
+        if not np.all(np.isfinite(g)):
+            raise DimensionMismatch("gram must be finite")
+        # one eigvalsh gives the scale (the 2-norm of a Hermitian G), the
+        # condition number and the inertia; residuals are measured in the
+        # Frobenius norm, which bounds the 2-norm from above
+        w = np.linalg.eigvalsh(g)
+        absw = np.abs(w)
+        scale = float(absw.max())
+        if np.linalg.norm(g - g.conj().T) > 1e-12 * max(1.0, scale):
             raise DimensionMismatch("gram must be Hermitian")
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[-1] <= sv[0] / COND_LIMIT:
+        if absw.min() <= scale / COND_LIMIT:
             raise DimensionMismatch(
-                f"gram is numerically singular (cond {sv[0] / max(sv[-1], 1e-300):.2e})"
+                f"gram is numerically singular (cond {scale / max(absw.min(), 1e-300):.2e})"
             )
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "_gram_eigs", w)
         if self.j is None:
             # Hilbert default: positive definite Gram, J = I
-            if np.min(np.linalg.eigvalsh(g)) <= 0:
+            if w[0] <= 0:
                 raise DimensionMismatch("indefinite gram requires an explicit fundamental symmetry")
             jmat = np.eye(self.dim, dtype=complex)
         else:
             jmat = _as_matrix(self.j)
-            if np.linalg.norm(jmat - jmat.conj().T, 2) > 1e-12:
+            if np.linalg.norm(jmat - jmat.conj().T) > 1e-12:
                 raise DimensionMismatch("J must be Hermitian")
-            if np.linalg.norm(jmat @ jmat - np.eye(self.dim), 2) > 1e-12:
+            if np.linalg.norm(jmat @ jmat - np.eye(self.dim)) > 1e-12:
                 raise DimensionMismatch("J must be an involution")
+            # J is a Hermitian involution, hence unitary, so norm(G J) = scale
             h = g @ jmat
-            if np.linalg.norm(h - h.conj().T, 2) > 1e-10 * max(1.0, np.linalg.norm(h, 2)):
+            if np.linalg.norm(h - h.conj().T) > 1e-10 * max(1.0, scale):
                 raise DimensionMismatch("G*J must be Hermitian")
-            if np.min(np.linalg.eigvalsh((h + h.conj().T) / 2)) <= 0:
-                raise DimensionMismatch("G*J must be positive definite")
+            try:
+                np.linalg.cholesky((h + h.conj().T) / 2)
+            except np.linalg.LinAlgError:
+                raise DimensionMismatch("G*J must be positive definite") from None
         object.__setattr__(self, "j", jmat)
 
     @property
     def is_hilbert(self) -> bool:
-        return bool(np.min(np.linalg.eigvalsh(self.gram)) > 0)
+        return bool(self._gram_eigs[0] > 0)
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia of the Gram matrix."""
-        w = np.linalg.eigvalsh(self.gram)
+        w = self._gram_eigs
         return int(np.count_nonzero(w > 0)), int(np.count_nonzero(w < 0))
 
     def ip(self, x: np.ndarray, y: np.ndarray):

@@ -82,23 +82,29 @@ class RationalNevanlinna:
 
     alpha: tuple
     beta: tuple
+    # beta_i^{1/2} and the sorted poles, computed once from the coefficients
+    _roots: tuple = field(init=False, repr=False, compare=False)
+    _poles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alphas = tuple(_check_hermitian(a, "alpha") for a in self.alpha)
         if not alphas:
             raise DimensionMismatch("at least one term required")
         g = alphas[0].shape[0]
-        betas = []
-        for b in self.beta:
-            bm = _check_hermitian(b, "beta")
-            psd_sqrt(bm)  # validates PSD
-            betas.append(bm)
+        betas = tuple(_check_hermitian(b, "beta") for b in self.beta)
         if len(betas) != len(alphas):
             raise DimensionMismatch("alpha and beta lists must have equal length")
         if any(a.shape != (g, g) for a in alphas) or any(b.shape != (g, g) for b in betas):
             raise DimensionMismatch("all coefficient blocks must be g x g")
+        roots = tuple(psd_sqrt(b) for b in betas)  # validates PSD
+        vals = [np.linalg.eigvalsh(a) for a in alphas[1:]]
+        poles = np.sort(np.concatenate(vals)) if vals else np.zeros(0)
+        for arr in (*roots, poles):
+            arr.setflags(write=False)
         object.__setattr__(self, "alpha", alphas)
-        object.__setattr__(self, "beta", tuple(betas))
+        object.__setattr__(self, "beta", betas)
+        object.__setattr__(self, "_roots", roots)
+        object.__setattr__(self, "_poles", poles)
 
     @property
     def boundary_dim(self) -> int:
@@ -109,22 +115,20 @@ class RationalNevanlinna:
         return len(self.alpha)
 
     def poles(self) -> np.ndarray:
-        vals = [np.linalg.eigvalsh(a) for a in self.alpha[1:]]
-        return np.sort(np.concatenate(vals)) if vals else np.zeros(0)
+        return self._poles
 
     def beta_sqrts(self) -> list[np.ndarray]:
-        return [psd_sqrt(b) for b in self.beta]
+        return list(self._roots)
 
     def eval(self, lam: complex) -> np.ndarray:
         g = self.boundary_dim
         out = self.alpha[0] + lam * self.beta[0]
-        for a, b in zip(self.alpha[1:], self.beta[1:]):
-            r = psd_sqrt(b)
+        for a, r in zip(self.alpha[1:], self._roots[1:]):
             try:
                 out = out + r @ np.linalg.solve(a - lam * np.eye(g), r)
             except np.linalg.LinAlgError:
                 raise PoleOrSpectrum(f"{lam} is a pole of the rational function")
-        dist = np.min(np.abs(self.poles() - lam)) if self.terms > 1 else np.inf
+        dist = np.min(np.abs(self._poles - lam)) if self.terms > 1 else np.inf
         if dist < 1e-12 * max(1.0, abs(lam)):
             raise PoleOrSpectrum(f"{lam} is a pole of the rational function")
         return out
@@ -179,9 +183,6 @@ class RepresentationForm:
 
     def __call__(self, lam: complex) -> np.ndarray:
         return self.eval(lam)
-
-
-OperatorFunction = ConstantFunction | RationalNevanlinna | RepresentationForm
 
 
 def default_samples(g: int, seed: int = 0, radius: float = 2.0,

@@ -39,11 +39,6 @@ def decode_scalar(data) -> complex:
     raise ConfigError("scalar must be a number or an [re, im] pair")
 
 
-def encode_scalar(z: complex) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def encode_space(space: KreinSpace) -> dict:
     out = {"dim": space.dim, "gram": encode_matrix(space.gram)}
     if not np.allclose(space.j, np.eye(space.dim)):
@@ -69,17 +64,3 @@ def encode_triple(bt: BoundaryTriple) -> dict:
         "G1": encode_matrix(bt.g1),
     }
 
-
-def decode_triple(data) -> BoundaryTriple:
-    try:
-        return BoundaryTriple(
-            state=decode_space(data["state"]),
-            boundary_dim=int(data["boundary_dim"]),
-            t_basis=decode_matrix(data["t_basis"]),
-            g0=decode_matrix(data["G0"]),
-            g1=decode_matrix(data["G1"]),
-            boundary_gram=decode_matrix(data["boundary_gram"])
-            if "boundary_gram" in data else None,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"triple data missing field {exc}") from exc

@@ -166,24 +166,6 @@ class BoundaryTriple:
         return self.weyl_data(lam).m_mat
 
 
-# spec-facing functional aliases -------------------------------------------
-
-def defect_subspace(bt: BoundaryTriple, lam: complex) -> Subspace:
-    return bt.defect_subspace(lam)
-
-
-def gamma_field(bt: BoundaryTriple, lam: complex) -> np.ndarray:
-    return bt.gamma(lam)
-
-
-def weyl(bt: BoundaryTriple, lam: complex) -> np.ndarray:
-    return bt.weyl(lam)
-
-
-def is_ordinary(bt: BoundaryTriple) -> bool:
-    return bt.is_ordinary()
-
-
 def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:
     scale = max([1.0] + [float(np.linalg.norm(r)) for r in refs])
     return float(np.linalg.norm(diff)) / scale

@@ -175,3 +175,48 @@ def test_2d_solve(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "re_f", "im_f"]
     assert len(rows) == 1 + 36
+
+
+@pytest.mark.parametrize("p", ["1/(x-0.5)", "10.0**400", "sqrt(x-2)",
+                               float("nan"), 1e308])
+def test_bad_coefficient_value_exits_1(tmp_path, p, capsys):
+    # division by zero, overflow, a math domain error, NaN (which json
+    # reads) and a value whose stencil overflows
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 1, "n": 10, "coeff": {"p": p}}})
+    code, _ = run(tmp_path, cfg, "solve")
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_nonfinite_2d_coefficient_exits_1(tmp_path):
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 4, "ny": 4,
+                                           "coeff": {"a": float("inf")}}})
+    code, _ = run(tmp_path, cfg, "solve")
+    assert code == 1
+
+
+@pytest.mark.parametrize("flags", [["--seed", "abc"], ["--workers", "2"]])
+def test_bad_flag_exits_1(tmp_path, flags, capsys):
+    # a value of the wrong type, and a flag the command does not have (a
+    # removed flag ends here too); argparse alone would exit 2
+    cfg = write_cfg(tmp_path)
+    code, _ = run(tmp_path, cfg, "solve", flags)
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+REPRESENTATION = {"kind": "representation", "dim": 1, "a0_graph": [[[0.0, 0.0]]],
+                  "gamma": [[[1.0, 0.0], [1.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("missing", ["dim", "gamma"])
+def test_representation_tau_missing_field_exits_1(tmp_path, missing, capsys):
+    tau = {k: v for k, v in REPRESENTATION.items() if k != missing}
+    code, _ = run(tmp_path, write_cfg(tmp_path, {"tau": tau}), "solve")
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_representation_tau_solves(tmp_path):
+    code, _ = run(tmp_path, write_cfg(tmp_path, {"tau": REPRESENTATION}), "solve")
+    assert code == 0

@@ -87,6 +87,39 @@ def test_kreinspace_indefinite_needs_symmetry():
     assert not sp.is_hilbert
 
 
+def test_kreinspace_one_eigvalsh_no_svd(monkeypatch):
+    calls = {"eigvalsh": 0, "eigh": 0, "svd": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((6, 6))
+    sp = KreinSpace(6, gram=b @ b.T + 6 * np.eye(6))
+    assert sp.is_hilbert and sp.signature() == (6, 0)
+    assert calls == {"eigvalsh": 1, "eigh": 0, "svd": 0}
+
+
+def test_kreinspace_rejects_singular_gram_with_and_without_j():
+    g = np.diag([1.0, 1e-13])                  # cond 1e13 > COND_LIMIT
+    with pytest.raises(DimensionMismatch, match="singular"):
+        KreinSpace(2, gram=g)
+    with pytest.raises(DimensionMismatch, match="singular"):
+        KreinSpace(2, gram=np.diag([1.0, -1e-13]), j=np.diag([1.0, -1.0]))
+    # just inside the limit both are accepted
+    KreinSpace(2, gram=np.diag([1.0, 1e-11]))
+    KreinSpace(2, gram=np.diag([1.0, -1e-11]), j=np.diag([1.0, -1.0]))
+
+
+def test_kreinspace_rejects_sign_mismatched_symmetry():
+    with pytest.raises(DimensionMismatch, match="positive definite"):
+        KreinSpace(2, gram=np.diag([1.0, -1.0]), j=np.eye(2))
+
+
 def test_pair_gram_reproduces_indefinite_product():
     rng = np.random.default_rng(1)
     g = rng.standard_normal((3, 3))

@@ -60,6 +60,23 @@ def test_rational_pole_detection():
         tau.eval(3.0)
 
 
+def test_rational_eval_reuses_roots_and_poles(monkeypatch):
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((3, 3))
+    tau = RationalNevanlinna(alpha=(np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0])),
+                             beta=(np.eye(3), b @ b.T))
+    roots = tau.beta_sqrts()
+    assert np.allclose(roots[1] @ roots[1], b @ b.T, atol=1e-12)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, **k: calls.append(_n))
+    tau.eval(0.5 + 1j)
+    tau.poles()
+    tau.beta_sqrts()
+    assert calls == []
+    assert np.allclose(tau.poles(), [1.0, 2.0, 3.0])
+
+
 def test_representation_form_brute_force():
     sp = KreinSpace(1)
     a0 = LinearRelation.from_graph(sp, np.array([[1.0]]))

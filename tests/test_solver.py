@@ -176,6 +176,47 @@ def test_krein_state_allows_nonreal_eigenvalues(et1d):
     assert min(abs(z - vt) for z in nonreal) <= 1e-6
 
 
+def _count_eigensolves(monkeypatch):
+    import scipy.linalg
+    calls = []
+    for owner in (np.linalg, scipy.linalg):
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            original = getattr(owner, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["1d", "2d"])
+def test_hilbert_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
+    et = {"1d": et1d, "2d": et2d}[which]
+    lin = build_linearization_rational(et.de, rational_m2(et.de.n_boundary), et.eta)
+    calls = _count_eigensolves(monkeypatch)
+    lam, v = lin.eigenpairs()
+    assert calls == ["eigh"]
+    assert lin.is_hilbert and calls == ["eigh"]    # cached, no second solve
+    a, w = lin.matrix, lin.gram
+    assert np.linalg.norm(a @ v - v * lam, 2) <= 1e-10 * np.linalg.norm(a, 2)
+    assert np.linalg.norm(v.conj().T @ w @ v - np.eye(lin.size), 2) <= 1e-12
+    ev = lin.eigenvalues()
+    assert calls == ["eigh", "eigh"]
+    assert np.max(np.abs(ev - lam)) <= 1e-10 * np.max(np.abs(lam))
+
+
+def test_krein_eigenpairs_nonreal_pair(et1d):
+    vt = 3.7j
+    lin = lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2)))
+    lam, v = lin.eigenpairs()
+    a = lin.matrix
+    assert np.linalg.norm(a @ v - v * lam, 2) <= 1e-10 * np.linalg.norm(a, 2)
+    for target in (vt, np.conj(vt)):
+        assert np.min(np.abs(lam - target)) <= 1e-6
+
+
 def test_compressed_resolvent_far_field_bound(et1d):
     lin = build_linearization_rational(et1d.de, linear_tau(2), et1d.eta)
     rng = np.random.default_rng(31)
