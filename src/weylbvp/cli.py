@@ -30,15 +30,14 @@ from .opfunc import (
 )
 from .realize import realize, verify_realization
 from .elliptic import DiscreteElliptic, build_1d, build_2d, direct_solve, elliptic_triple
-from .serialize import decode_matrix, decode_scalar, decode_space, encode_triple
+from .serialize import (decode_int, decode_matrix, decode_real, decode_scalar,
+                        decode_space, encode_triple)
 from .solver import (
     build_linearization,
-    build_linearization_rational,
     compressed_resolvent,
     eigen_correspondence,
     homogeneous_scan,
     krein_resolve,
-    solvability_margin,
 )
 from .triple import verify_triple_identities
 
@@ -103,28 +102,37 @@ def make_coefficient(spec, names):
 # config parsing
 
 
+def _reals(data, count: int, name: str) -> tuple:
+    """A list of ``count`` finite real numbers."""
+    if not (isinstance(data, (list, tuple)) and len(data) == count):
+        raise ConfigError(f"{name} must be a list of {count} numbers, got {data!r}")
+    return tuple(decode_real(v, f"{name} entry") for v in data)
+
+
 def parse_problem(cfg) -> DiscreteElliptic:
     if not isinstance(cfg, dict):
         raise ConfigError("'problem' must be an object")
     dim = cfg.get("dim")
     coeff = cfg.get("coeff", {})
+    if not isinstance(coeff, dict):
+        raise ConfigError("'coeff' must be an object")
     if dim == 1:
-        n = int(cfg.get("n", 0))
+        n = decode_int(cfg.get("n", 0), "'n'")
         return build_1d(
             n,
             p=make_coefficient(coeff.get("p", 1.0), ["x"]),
             a=make_coefficient(coeff.get("a", 0.0), ["x"]),
-            interval=tuple(cfg.get("interval", (0.0, 1.0))),
+            interval=_reals(cfg.get("interval", (0.0, 1.0)), 2, "'interval'"),
         )
     if dim == 2:
-        nx = int(cfg.get("nx", cfg.get("n", 0)))
-        ny = int(cfg.get("ny", nx))
+        nx = decode_int(cfg.get("nx", cfg.get("n", 0)), "'nx'")
+        ny = decode_int(cfg.get("ny", nx), "'ny'")
         return build_2d(
             nx, ny,
             a11=make_coefficient(coeff.get("a11", 1.0), ["x", "y"]),
             a22=make_coefficient(coeff.get("a22", 1.0), ["x", "y"]),
             a=make_coefficient(coeff.get("a", 0.0), ["x", "y"]),
-            rect=tuple(cfg.get("rect", (0.0, 1.0, 0.0, 1.0))),
+            rect=_reals(cfg.get("rect", (0.0, 1.0, 0.0, 1.0)), 4, "'rect'"),
         )
     raise ConfigError("problem dim must be 1 or 2")
 
@@ -132,7 +140,7 @@ def parse_problem(cfg) -> DiscreteElliptic:
 def _coeff_matrix(entry, g: int) -> np.ndarray:
     """Scalar entries broadcast to scalar multiples of the identity."""
     if isinstance(entry, (int, float)):
-        return float(entry) * np.eye(g, dtype=complex)
+        return decode_real(entry, "tau entry") * np.eye(g, dtype=complex)
     return decode_matrix(entry)
 
 
@@ -140,7 +148,7 @@ def parse_tau(cfg, boundary_dim: int | None):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("'tau' must be an object with a 'kind' field")
     kind = cfg["kind"]
-    g = boundary_dim if boundary_dim is not None else int(cfg.get("g", 1))
+    g = boundary_dim if boundary_dim is not None else decode_int(cfg.get("g", 1), "'g'")
     if kind == "rational":
         alphas = [_coeff_matrix(a, g) for a in cfg.get("alpha", [])]
         betas = [_coeff_matrix(b, g) for b in cfg.get("beta", [])]
@@ -163,7 +171,7 @@ def parse_tau(cfg, boundary_dim: int | None):
         return RepresentationForm(
             space=space, a0=a0,
             gamma=gamma,
-            lambda0=decode_scalar(cfg.get("lambda0", [0.0, 1.0])),
+            lambda0=decode_scalar(cfg.get("lambda0", [0.0, 1.0]), "'lambda0'"),
             c=decode_matrix(cfg["C"]) if "C" in cfg
             else np.zeros((gamma.shape[1],) * 2),
         )
@@ -171,22 +179,28 @@ def parse_tau(cfg, boundary_dim: int | None):
 
 
 def make_rhs(cfg, de: DiscreteElliptic, seed) -> np.ndarray:
-    cfg = cfg or {"kind": "seeded"}
+    cfg = {} if cfg is None else cfg
+    if not isinstance(cfg, dict):
+        raise ConfigError("'rhs' must be an object")
     kind = cfg.get("kind", "seeded")
     n = de.n_interior
     if kind in ("seeded", "random", "seeded-random"):
         if seed is None:
             raise ConfigError("a seed is required for randomized right-hand sides")
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(seed)
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
     if kind == "expression":
         names = ["x"] if de.dim == 1 else ["x", "y"]
         fn = make_coefficient(cfg.get("expr", "0"), names)
         return np.array([fn(*pt) for pt in de.interior_coords], dtype=complex)
     if kind == "file":
-        vals = np.loadtxt(cfg["path"], dtype=float, delimiter=",", ndmin=2)
-        if vals.shape[0] != n:
-            raise ConfigError(f"rhs file has {vals.shape[0]} rows, expected {n}")
+        try:
+            vals = np.loadtxt(str(cfg["path"]), dtype=float, delimiter=",", ndmin=2)
+        except (KeyError, OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read rhs file: {exc}") from exc
+        if vals.shape[0] != n or not np.all(np.isfinite(vals)):
+            raise ConfigError(f"rhs file needs {n} rows of finite numbers, "
+                              f"got {vals.shape[0]} rows")
         return vals[:, 0] + (1j * vals[:, 1] if vals.shape[1] > 1 else 0)
     raise ConfigError(f"unknown rhs kind '{kind}'")
 
@@ -239,7 +253,7 @@ def action_solve(cfg, args, out_dir: Path) -> tuple[int, dict]:
     de = parse_problem(cfg.get("problem"))
     et = elliptic_triple(de, _eta_from(cfg))
     tau = parse_tau(cfg.get("tau"), de.n_boundary)
-    lam = decode_scalar(cfg.get("lambda", [0.0, 1.0]))
+    lam = decode_scalar(cfg.get("lambda", [0.0, 1.0]), "'lambda'")
     g = make_rhs(cfg.get("rhs"), de, _seed_from(cfg, args))
     rep = krein_resolve(et, tau, lam, g)
     f_direct = direct_solve(et, tau, lam, g)
@@ -259,35 +273,31 @@ def action_solve(cfg, args, out_dir: Path) -> tuple[int, dict]:
 
 
 def _eta_from(cfg):
-    eta = cfg.get("problem", {}).get("eta", "auto")
-    return None if eta == "auto" else float(eta)
+    eta = cfg["problem"].get("eta", "auto")     # parse_problem checked the object
+    return None if eta == "auto" else decode_real(eta, "'eta'")
 
 
 def _seed_from(cfg, args):
-    if args.seed is not None:
-        return args.seed
-    return cfg.get("seed")
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    return None if seed is None else decode_int(seed, "'seed'", least=0)
 
 
-def _make_linearization(cfg, de, et, tau, args):
-    if isinstance(tau, RationalNevanlinna):
-        return build_linearization_rational(de, tau, et.eta)
-    seed = _seed_from(cfg, args) or 0
-    realized = realize(tau, seed=int(seed))
-    return build_linearization(et, realized)
+def _make_linearization(cfg, et, tau, args):
+    return build_linearization(et, realize(tau, seed=_seed_from(cfg, args) or 0))
 
 
 def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
     de = parse_problem(cfg.get("problem"))
     et = elliptic_triple(de, _eta_from(cfg))
     tau = parse_tau(cfg.get("tau"), de.n_boundary)
-    window = cfg.get("window")
-    if not (isinstance(window, (list, tuple)) and len(window) == 2):
-        raise ConfigError("eigen action needs a real 'window': [lo, hi]")
-    lin = _make_linearization(cfg, de, et, tau, args)
+    window = _reals(cfg.get("window"), 2, "'window'")
+    if not window[0] < window[1]:
+        raise ConfigError(f"'window' must have lo < hi, got {list(window)}")
+    # the scan's local-minimum test compares each point with two neighbours
+    grid = decode_int(cfg.get("grid", 400), "'grid'", least=3)
+    lin = _make_linearization(cfg, et, tau, args)
     tol = args.tol if args.tol is not None else 1e-6
-    scan = homogeneous_scan(et, tau, window, grid=int(cfg.get("grid", 400)),
-                            accept=tol)
+    scan = homogeneous_scan(et, tau, window, grid=grid, accept=tol)
     corr = eigen_correspondence(lin, et, tau, window, tol=tol, scan=scan)
     write_csv(out_dir / "scan.csv", ["lambda", "sigma_min"],
               [[float(x), float(v)] for x, v in zip(scan.grid, scan.values)
@@ -298,7 +308,7 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
                for e in corr["eigenvalues"]])
     report = {
         "action": "eigen",
-        "window": [float(window[0]), float(window[1])],
+        "window": list(window),
         "w_symmetry_residual": lin.w_symmetry_residual(),
         "hilbert_state": lin.is_hilbert,
         "eigenvalue_count": len(corr["eigenvalues"]),
@@ -312,7 +322,7 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
 
 def action_realize(cfg, args, out_dir: Path) -> tuple[int, dict]:
     tau = parse_tau(cfg.get("tau"), None)
-    seed = int(_seed_from(cfg, args) or 0)
+    seed = _seed_from(cfg, args) or 0
     samples = default_samples(tau.boundary_dim, seed=seed, count=10)
     bt = realize(tau, samples=samples, seed=seed)
     ver = verify_realization(bt, tau, samples, seed=seed)
@@ -330,7 +340,7 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
     de = parse_problem(cfg.get("problem"))
     et = elliptic_triple(de, _eta_from(cfg))
     tau = parse_tau(cfg.get("tau"), de.n_boundary)
-    seed = int(_seed_from(cfg, args) or 0)
+    seed = _seed_from(cfg, args) or 0
     tol = args.tol if args.tol is not None else 1e-9
     rng = np.random.default_rng(seed)
     failures = []
@@ -360,7 +370,7 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
     if closed > tol:
         failures.append(f"closed-form Weyl mismatch {closed:.3e}")
 
-    lin = _make_linearization(cfg, de, et, tau, args)
+    lin = _make_linearization(cfg, et, tau, args)
     suites["w_symmetry_residual"] = lin.w_symmetry_residual()
     if suites["w_symmetry_residual"] > 1e-10:
         failures.append("linearization is not W-selfadjoint")
@@ -482,6 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.tol is not None:           # a NaN tolerance would pass every check
+            decode_real(args.tol, "--tol")
         cfg = {}
         if args.config is not None:
             try:
@@ -489,6 +501,8 @@ def main(argv=None) -> int:
                     cfg = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
+            if not isinstance(cfg, dict):
+                raise ConfigError("config must be a JSON object")
         action = args.action or cfg.get("action")
         if action not in ACTIONS:
             raise ConfigError(

@@ -49,11 +49,14 @@ class DiscreteElliptic:
     boundary_coords: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # the one check of both builders: a coefficient sample that is not
-        # finite, or one so large that the stencil overflows, ends here
-        if not (np.all(np.isfinite(self.l_ii)) and np.all(np.isfinite(self.l_ib))):
+        # the one check of both builders: a reversed domain (h < 0 makes the
+        # weight h^d negative), a coefficient sample that is not finite, or
+        # one so large that the stencil overflows, ends here
+        if not (0 < self.spacing < np.inf and np.all(np.isfinite(self.l_ii))
+                and np.all(np.isfinite(self.l_ib))):
             raise NonPositiveCoefficient(
-                "coefficient samples and stencil entries must be finite")
+                f"grid spacing must be positive (got {self.spacing}), and "
+                "coefficient samples and stencil entries finite")
 
     @property
     def n_interior(self) -> int:
@@ -221,11 +224,21 @@ class EllipticTriple:
     de: DiscreteElliptic
     eta: float
     extension: np.ndarray = field(repr=False)
-    bt: BoundaryTriple = field(repr=False)
 
-    @property
-    def weight(self) -> float:
-        return self.de.weight
+    @cached_property
+    def bt(self) -> BoundaryTriple:
+        """This triple as a generic ``BoundaryTriple`` over (C^{n_I}, h^d I) in
+        T-coordinates (f_D, y), built on first use: only verification reads it."""
+        de, ext, w = self.de, self.extension, self.de.weight
+        n, nb = de.n_interior, de.n_boundary
+        t_basis = np.block([
+            [np.eye(n), ext],
+            [de.l_ii, self.eta * ext],
+        ])
+        g0 = np.hstack([np.zeros((nb, n)), np.eye(nb)])
+        g1 = np.hstack([-w * de.l_bi, np.zeros((nb, nb))])
+        state = KreinSpace(n, gram=w * np.eye(n))
+        return BoundaryTriple(state, nb, t_basis, g0, g1)
 
     def gamma(self, lam: complex) -> np.ndarray:
         """(I + (lam - eta)(T_D - lam)^{-1}) E_eta."""
@@ -235,25 +248,14 @@ class EllipticTriple:
     def weyl(self, lam: complex) -> np.ndarray:
         """h^d (eta - lam) L_BI (T_D - lam)^{-1} E_eta."""
         sol = self.de.dirichlet_solve(lam, self.extension)
-        return self.weight * (self.eta - lam) * (self.de.l_bi @ sol)
+        return self.de.weight * (self.eta - lam) * (self.de.l_bi @ sol)
 
 
 def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticTriple:
-    """Build the boundary triple of a discrete elliptic operator."""
+    """The boundary triple of a discrete elliptic operator (its eta-extension)."""
     if eta is None:
         eta = de.default_eta()
-    ext = de.eta_extension(eta)
-    n, nb = de.n_interior, de.n_boundary
-    w = de.weight
-    t_basis = np.block([
-        [np.eye(n), ext],
-        [de.l_ii, eta * ext],
-    ])
-    g0 = np.hstack([np.zeros((nb, n)), np.eye(nb)])
-    g1 = np.hstack([-w * de.l_bi, np.zeros((nb, nb))])
-    state = KreinSpace(n, gram=w * np.eye(n))
-    bt = BoundaryTriple(state, nb, t_basis, g0, g1)
-    return EllipticTriple(de=de, eta=float(eta), extension=ext, bt=bt)
+    return EllipticTriple(de=de, eta=float(eta), extension=de.eta_extension(eta))
 
 
 def direct_solve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> np.ndarray:

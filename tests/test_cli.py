@@ -195,10 +195,12 @@ def test_nonfinite_2d_coefficient_exits_1(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("flags", [["--seed", "abc"], ["--workers", "2"]])
+@pytest.mark.parametrize("flags", [["--seed", "abc"], ["--workers", "2"],
+                                   ["--tol", "nan"], ["--seed", "-1"]])
 def test_bad_flag_exits_1(tmp_path, flags, capsys):
-    # a value of the wrong type, and a flag the command does not have (a
-    # removed flag ends here too); argparse alone would exit 2
+    # a value of the wrong type, a flag the command does not have (a removed
+    # flag ends here too), a NaN tolerance (every check would pass) and a
+    # negative seed; argparse alone would exit 2 or accept them
     cfg = write_cfg(tmp_path)
     code, _ = run(tmp_path, cfg, "solve", flags)
     assert code == 1
@@ -220,3 +222,58 @@ def test_representation_tau_missing_field_exits_1(tmp_path, missing, capsys):
 def test_representation_tau_solves(tmp_path):
     code, _ = run(tmp_path, write_cfg(tmp_path, {"tau": REPRESENTATION}), "solve")
     assert code == 0
+
+
+def test_reversed_interval_exits_1(tmp_path, capsys):
+    # h < 0 would make the quadrature weight negative
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 1, "n": 10, "interval": [1.0, 0.0]}})
+    code, _ = run(tmp_path, cfg, "solve")
+    assert code == 1
+    assert "spacing" in capsys.readouterr().err
+
+
+def _base_with(**entries):
+    cfg = json.loads(json.dumps(BASE))
+    cfg.update(entries)
+    return cfg
+
+
+def _problem_with(**entries):
+    return _base_with(problem={**BASE["problem"], **entries})
+
+
+NAN, INF = float("nan"), float("inf")
+BAD_CONFIGS = {
+    "lambda-nan": ("solve", _base_with(**{"lambda": [NAN, 1.0]})),
+    "lambda-inf": ("solve", _base_with(**{"lambda": INF})),
+    "eta-nan": ("solve", _problem_with(eta=NAN)),
+    "eta-string": ("solve", _problem_with(eta="x")),
+    "window-nan": ("eigen", _base_with(window=[NAN, 9.0])),
+    "window-inf": ("eigen", _base_with(window=[0.2, INF])),
+    "window-strings": ("eigen", _base_with(window=["0.2", "9"])),
+    "window-reversed": ("eigen", _base_with(window=[9.0, 0.2])),
+    "grid-string": ("eigen", _base_with(grid="x")),
+    "grid-negative": ("eigen", _base_with(grid=-5)),
+    "alpha-nan": ("solve", _base_with(tau={"kind": "rational", "alpha": [NAN],
+                                           "beta": [1.0]})),
+    "theta-nan": ("solve", _base_with(tau={"kind": "constant", "theta": NAN})),
+    "n-string": ("solve", _problem_with(n="abc")),
+    "coeff-not-object": ("solve", _problem_with(coeff=[1.0])),
+    "rhs-not-object": ("solve", _base_with(rhs="seeded")),
+    "config-not-object": ("solve", [BASE]),
+    "rhs-file-missing": ("solve", _base_with(rhs={"kind": "file",
+                                                  "path": "missing-rhs.csv"})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_value_exits_1(tmp_path, monkeypatch, case, capsys):
+    # a non-finite number, a value of the wrong type, a reversed window or
+    # an unreadable file is a configuration error, not an internal one
+    action, cfg = BAD_CONFIGS[case]
+    monkeypatch.chdir(tmp_path)            # where the missing rhs file is not
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run(tmp_path, path, action)
+    assert code == 1
+    assert "config error" in capsys.readouterr().err

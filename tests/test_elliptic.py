@@ -8,6 +8,7 @@ import scipy.linalg
 
 from weylbvp import (
     ConstantFunction,
+    KreinSpace,
     NonPositiveCoefficient,
     RankDeficientCoupling,
     RationalNevanlinna,
@@ -164,6 +165,25 @@ def et1d():
 @pytest.fixture(scope="module")
 def et2d():
     return elliptic_triple(build_2d(8, 8))
+
+
+def test_generic_triple_built_on_demand(monkeypatch):
+    # solve and eigen never read the generic form, so elliptic_triple builds
+    # no KreinSpace; verification builds it once and then reuses it
+    dims = []
+    original = KreinSpace.__post_init__
+
+    def counting(self):
+        dims.append(self.dim)
+        original(self)
+
+    monkeypatch.setattr(KreinSpace, "__post_init__", counting)
+    et = elliptic_triple(build_1d(30))
+    assert dims == []
+    bt = et.bt
+    assert dims == [30]
+    assert et.bt is bt and dims == [30]
+    assert bt.green_residual() <= 1e-12
 
 
 def test_green_identity_exact(et1d, et2d):

@@ -3,14 +3,18 @@ linearization selfadjointness, solvability set, and eigenvalue
 correspondence.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from weylbvp import (
+    BoundaryTriple,
     ConstantFunction,
     KreinSpace,
     LinearRelation,
     OutsideU,
+    RankDeficientCoupling,
     RationalNevanlinna,
     RepresentationForm,
     SingularSystem,
@@ -92,12 +96,77 @@ def test_krein_resolve_zero_rhs(et1d):
     assert rep.in_u
 
 
-def test_rational_matches_general_linearization(et1d):
-    tau = rational_m2(2)
-    lin_r = build_linearization_rational(et1d.de, tau, et1d.eta)
-    lin_g = build_linearization(et1d, realize_rational(tau))
-    assert np.linalg.norm(lin_r.matrix - lin_g.matrix, 2) <= 1e-8
-    assert np.linalg.norm(lin_r.gram - lin_g.gram, 2) <= 1e-12
+def _dense_coupling_linearization(et, realized):
+    """Reference: the coupled system in the unknowns u = (f_D, y, c) assembled
+    in full (state matching f_D + E_eta y = f, first c = k, y = Gamma_0 c,
+    h^d L_BI f_D = Gamma_1 c) and solved densely, q u = s, A = r u."""
+    de = et.de
+    n, nb = de.n_interior, de.n_boundary
+    nk, tk = realized.state.dim, realized.t_dim
+    w = de.weight
+    nu = n + nb + tk
+    q = np.zeros((n + nk + 2 * nb, nu), dtype=complex)
+    s = np.zeros((n + nk + 2 * nb, n + nk), dtype=complex)
+    q[:n, :n] = np.eye(n)
+    q[:n, n:n + nb] = et.extension
+    s[:n, :n] = np.eye(n)
+    q[n:n + nk, n + nb:] = realized.first
+    s[n:n + nk, n:] = np.eye(nk)
+    q[n + nk:n + nk + nb, n:n + nb] = np.eye(nb)
+    q[n + nk:n + nk + nb, n + nb:] = -realized.g0
+    q[n + nk + nb:, :n] = -w * de.l_bi
+    q[n + nk + nb:, n + nb:] = realized.g1
+    u = np.linalg.solve(q, s)
+    r = np.zeros((n + nk, nu), dtype=complex)
+    r[:n, :n] = de.l_ii
+    r[:n, n:n + nb] = et.eta * et.extension
+    r[n:, n + nb:] = realized.second
+    gram = np.zeros((n + nk, n + nk), dtype=complex)
+    gram[:n, :n] = w * np.eye(n)
+    gram[n:, n:] = realized.state.gram
+    return r @ u, gram
+
+
+def test_rational_matches_general_linearization(et1d, et2d):
+    # the eliminated builder (and its rational entry) against the full
+    # coupling system: rational tau in 1D and 2D, and constant tau over an
+    # indefinite state space
+    for et in (et1d, et2d):
+        nb = et.de.n_boundary
+        tau = rational_m2(nb)
+        const = 2.0 * np.eye(nb)
+        for lin, realized in (
+                (build_linearization_rational(et.de, tau, et.eta), realize_rational(tau)),
+                (lin_for(et, ConstantFunction(theta=const)), realize_constant(const, 3.7j))):
+            a_ref, w_ref = _dense_coupling_linearization(et, realized)
+            assert np.linalg.norm(lin.matrix - a_ref, 2) <= 1e-8
+            assert np.linalg.norm(lin.gram - w_ref, 2) <= 1e-12
+
+
+def test_rank_deficient_coupling_rejected(et1d):
+    # a parameter column that no coupling condition sees leaves the action
+    # undetermined
+    realized = realize_rational(rational_m2(2))
+    keep = np.ones(realized.t_dim)
+    keep[0] = 0.0
+    cut = BoundaryTriple(realized.state, realized.boundary_dim,
+                         realized.t_basis * keep, realized.g0 * keep,
+                         realized.g1 * keep)
+    with pytest.raises(RankDeficientCoupling):
+        build_linearization(et1d, cut)
+
+
+def test_w_symmetry_residual_never_below_two_norm_ratio(et1d):
+    lin = build_linearization_rational(et1d.de, rational_m2(2), et1d.eta)
+    assert lin.w_symmetry_residual() <= 1e-10
+    a = lin.matrix.copy()
+    a[3, 7] += 1e-3
+    bad = dataclasses.replace(lin, matrix=a)
+    wa = bad.gram @ bad.matrix
+    two_norm_ratio = (np.linalg.norm(wa - wa.conj().T, 2)
+                      / max(1.0, np.linalg.norm(wa, 2)))
+    assert bad.w_symmetry_residual() > 1e-10
+    assert bad.w_symmetry_residual() >= two_norm_ratio
 
 
 # ---------------------------------------------------------------------------
