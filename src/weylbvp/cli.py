@@ -147,11 +147,23 @@ def _coeff_matrix(entry, g: int) -> np.ndarray:
 def parse_tau(cfg, boundary_dim: int | None):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("'tau' must be an object with a 'kind' field")
-    kind = cfg["kind"]
     g = boundary_dim if boundary_dim is not None else decode_int(cfg.get("g", 1), "'g'")
+    tau = _decode_tau(cfg, g)
+    # numpy would broadcast a smaller tau over the boundary without a word
+    if boundary_dim is not None and tau.boundary_dim != boundary_dim:
+        raise ConfigError(f"tau acts on C^{tau.boundary_dim}, "
+                          f"but the boundary has {boundary_dim} nodes")
+    return tau
+
+
+def _decode_tau(cfg: dict, g: int):
+    """tau of the configured kind; scalar coefficients become multiples of I_g."""
+    kind = cfg["kind"]
     if kind == "rational":
-        alphas = [_coeff_matrix(a, g) for a in cfg.get("alpha", [])]
-        betas = [_coeff_matrix(b, g) for b in cfg.get("beta", [])]
+        coeffs = [cfg.get(key, []) for key in ("alpha", "beta")]
+        if not all(isinstance(c, list) for c in coeffs):
+            raise ConfigError("rational tau needs 'alpha' and 'beta' lists")
+        alphas, betas = ([_coeff_matrix(e, g) for e in c] for c in coeffs)
         if not alphas:
             raise ConfigError("rational tau needs at least one alpha/beta pair")
         return RationalNevanlinna(alpha=tuple(alphas), beta=tuple(betas))
@@ -290,18 +302,17 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
     de = parse_problem(cfg.get("problem"))
     et = elliptic_triple(de, _eta_from(cfg))
     tau = parse_tau(cfg.get("tau"), de.n_boundary)
+    if isinstance(tau, RepresentationForm):
+        raise ConfigError("eigen needs a rational or constant tau: the eigenvalue "
+                          "count uses the real poles of tau")
     window = _reals(cfg.get("window"), 2, "'window'")
     if not window[0] < window[1]:
         raise ConfigError(f"'window' must have lo < hi, got {list(window)}")
-    # the scan's local-minimum test compares each point with two neighbours
-    grid = decode_int(cfg.get("grid", 400), "'grid'", least=3)
     lin = _make_linearization(cfg, et, tau, args)
     tol = args.tol if args.tol is not None else 1e-6
-    scan = homogeneous_scan(et, tau, window, grid=grid, accept=tol)
+    scan = homogeneous_scan(et, tau, window)
     corr = eigen_correspondence(lin, et, tau, window, tol=tol, scan=scan)
-    write_csv(out_dir / "scan.csv", ["lambda", "sigma_min"],
-              [[float(x), float(v)] for x, v in zip(scan.grid, scan.values)
-               if not math.isnan(v)])
+    write_csv(out_dir / "scan.csv", ["lambda", "count"], scan.counts)
     write_csv(out_dir / "eigenvalues.csv",
               ["lambda", "sigma_min", "pde_residual", "bc_residual"],
               [[e["lambda"], e["sigma_min"], e["pde_residual"], e["bc_residual"]]
@@ -312,6 +323,7 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
         "w_symmetry_residual": lin.w_symmetry_residual(),
         "hilbert_state": lin.is_hilbert,
         "eigenvalue_count": len(corr["eigenvalues"]),
+        "window_count": corr["window_count"],
         "scan_roots": [m["root"] for m in corr["scan_roots"]],
         "correspondence_ok": corr["ok"],
         "failures": corr["failures"],

@@ -161,6 +161,9 @@ def build_2d(nx: int, ny: int, a11=1.0, a22=1.0, a=0.0,
     x0, x1, y0, y1 = (float(v) for v in rect)
     hx = (x1 - x0) / (nx + 1)
     hy = (y1 - y0) / (ny + 1)
+    if not (hx > 0 and hy > 0):
+        raise NonPositiveCoefficient(
+            f"grid spacing must be positive (got hx={hx}, hy={hy})")
     if abs(hx - hy) > 1e-12 * max(hx, hy):
         raise NonPositiveCoefficient("grid spacing must match in both directions")
     h = hx

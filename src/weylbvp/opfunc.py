@@ -65,6 +65,9 @@ class ConstantFunction:
     def boundary_dim(self) -> int:
         return self.theta.shape[0]
 
+    def poles(self) -> np.ndarray:
+        return np.zeros(0)
+
     def eval(self, lam: complex) -> np.ndarray:
         return self.theta.copy()
 

@@ -1,6 +1,7 @@
 """Solution machinery for spectral-parameter-dependent boundary conditions:
 the perturbed-resolvent formula, the linearized block operator on the
-product space, the solvability set, and eigenvalue correspondence checks.
+product space, the solvability set, the eigenvalue count with the bisection
+it guides, and eigenvalue correspondence and completeness checks.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     DimensionMismatch,
@@ -231,71 +231,122 @@ def compressed_resolvent(lin: Linearization, lam: complex, g: np.ndarray) -> np.
     return np.linalg.solve(sysm, rhs)[:n]
 
 
+# A piece of the scan window narrower than this (relative to the window's
+# largest |endpoint|, at least 1) is not split further: its roots are known
+# to that width.
+SCAN_RESOLUTION = 1e-12
+# The count is undefined this close (relative) to a Dirichlet eigenvalue or a
+# pole of tau: there the side of the computed pole decides it.
+COUNT_GAP = 1e-11
+
+
+def eigenvalue_count(et: EllipticTriple, tau, x: float) -> int:
+    """N(x): the number of eigenvalues below the real x, with multiplicity.
+
+    By Haynsworth inertia additivity on the Schur complement of the
+    Dirichlet block,
+        N(x) = #{Dirichlet eigenvalues < x} + #{poles of tau < x}
+               + #{positive eigenvalues of M(x) + tau(x)}.
+    For a rational Nevanlinna tau this counts the eigenvalues of the
+    selfadjoint linearization, for a constant tau the eigenvalues of the
+    fixed extension (the real eigenvalues of its linearization).  Raises
+    ``PoleOrSpectrum`` within ``COUNT_GAP`` of a Dirichlet eigenvalue or a
+    pole.
+    """
+    singular = np.concatenate([et.de.dirichlet_eigs, tau.poles()])
+    scale = max(1.0, abs(x), float(np.max(np.abs(singular))))
+    if np.min(np.abs(singular - x)) <= COUNT_GAP * scale:
+        raise PoleOrSpectrum(f"{x} is a Dirichlet eigenvalue or a pole of tau")
+    mt = et.weyl(x) + tau.eval(x)
+    inertia = np.linalg.eigvalsh((mt + mt.conj().T) / 2)
+    return int(np.count_nonzero(singular < x) + np.count_nonzero(inertia > 0))
+
+
 @dataclass(frozen=True)
 class ScanResult:
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
+    """Roots in the window with multiplicity, in increasing order, and every
+    (x, N(x)) the bisection evaluated, sorted by x."""
+
     roots: tuple
-    skipped: tuple
+    counts: tuple = field(repr=False)
+
+    @property
+    def window_count(self) -> int:
+        """N(hi) - N(lo): the number of eigenvalues in the window."""
+        return self.counts[-1][1] - self.counts[0][1]
 
 
-def homogeneous_scan(et: EllipticTriple, tau, window, grid: int = 400,
-                     accept: float = 1e-6) -> ScanResult:
-    """Scan sigma_min(M(lam)+tau(lam)) over a real window and refine local
-    minima; accepted minima are candidate eigenvalues of the homogeneous
-    problem.
+def homogeneous_scan(et: EllipticTriple, tau, window) -> ScanResult:
+    """Every real eigenvalue in the window, by bisection on the count N.
+
+    A piece [a, b) holds N(b) - N(a) eigenvalues: a piece that holds none is
+    dropped, any other is halved until it is narrower than
+    ``SCAN_RESOLUTION``, and then gives its midpoint as a root, repeated
+    N(b) - N(a) times.  Where N is undefined (a Dirichlet eigenvalue or a
+    pole), a window end moves outward and a split point moves inside its
+    piece.
     """
     lo, hi = float(window[0]), float(window[1])
-    xs = np.linspace(lo, hi, grid)
+    width = SCAN_RESOLUTION * max(1.0, abs(lo), abs(hi))
+    counts: dict[float, int] = {}
 
-    def margin(x: float) -> float:
-        return solvability_margin(et, tau, complex(x))[0]
+    def count(x: float) -> tuple[float, int]:
+        counts[x] = eigenvalue_count(et, tau, x)
+        return x, counts[x]
 
-    vals = np.full(grid, np.nan)
-    skipped = []
-    for k, x in enumerate(xs):
-        try:
-            vals[k] = margin(float(x))
-        except (PoleOrSpectrum, SpectrumPoint):
-            skipped.append(float(x))
+    def end(x: float, step: float) -> tuple[float, int]:
+        # the singular points are finite in number, so a doubling step
+        # leaves them behind
+        while True:
+            try:
+                return count(x)
+            except PoleOrSpectrum:
+                x, step = x + step, 2 * step
+
+    def split(a: float, b: float) -> tuple[float, int] | None:
+        for t in (0.5, 0.375, 0.625, 0.25, 0.75):
+            try:
+                return count(a + t * (b - a))
+            except PoleOrSpectrum:
+                pass
+        return None
 
     roots = []
-    for k in range(1, grid - 1):
-        trio = vals[k - 1:k + 2]
-        if np.any(np.isnan(trio)):
+    pieces = [(end(lo, -width), end(hi, width))]
+    while pieces:                  # depth first, left piece first
+        (a, ca), (b, cb) = pieces.pop()
+        if cb == ca:
             continue
-        if trio[1] <= trio[0] and trio[1] <= trio[2]:
-            try:
-                res = scipy.optimize.minimize_scalar(
-                    margin, bounds=(xs[k - 1], xs[k + 1]), method="bounded",
-                    options={"xatol": 1e-10})
-            except (PoleOrSpectrum, SpectrumPoint):
-                continue
-            x_star = float(res.x)
-            _, scale = solvability_margin(et, tau, complex(x_star))
-            if float(res.fun) <= accept * max(scale, 1.0):
-                roots.append(x_star)
-    return ScanResult(grid=xs, values=vals, roots=tuple(roots),
-                      skipped=tuple(skipped))
+        mid = split(a, b) if b - a > width else None
+        if mid is None:
+            roots += [(a + b) / 2] * (cb - ca)
+        else:
+            pieces += [(mid, (b, cb)), ((a, ca), mid)]
+    return ScanResult(roots=tuple(roots), counts=tuple(sorted(counts.items())))
 
 
 def eigen_correspondence(lin: Linearization, et: EllipticTriple, tau, window,
                          tol: float = 1e-6, scan: ScanResult | None = None) -> dict:
-    """Check both directions of the eigenvalue correspondence inside a window:
-    every eigenvalue of the linearization solves the homogeneous problem,
-    and every scan root is an eigenvalue of the linearization.
+    """Check both directions of the eigenvalue correspondence inside a window,
+    and its completeness: every eigenvalue of the linearization solves the
+    homogeneous problem, every scan root is an eigenvalue of the
+    linearization, and the count N(hi) - N(lo), the number of linearization
+    eigenvalues in the window and the number of scan roots (with
+    multiplicity) are equal.
     """
     lo, hi = float(window[0]), float(window[1])
     if scan is None:
-        scan = homogeneous_scan(et, tau, window, accept=tol)
+        scan = homogeneous_scan(et, tau, window)
     evals, evecs = lin.eigenpairs()
     n = lin.n_interior
     failures = []
     entries = []
+    in_window = 0
     for k in range(evals.size):
         lam = complex(evals[k])
         if not (lo <= lam.real <= hi and abs(lam.imag) <= 1e-8):
             continue
+        in_window += 1
         f = evecs[:n, k]
         fnorm = float(np.linalg.norm(f))
         if fnorm <= 1e-10 * float(np.linalg.norm(evecs[:, k])):
@@ -320,5 +371,10 @@ def eigen_correspondence(lin: Linearization, et: EllipticTriple, tau, window,
         matched.append({"root": root, "nearest_eigenvalue_distance": dist})
         if dist > tol:
             failures.append(f"scan root {root:.6g} has no eigenvalue within {tol}")
+    if not scan.window_count == in_window == len(scan.roots):
+        failures.append(f"incomplete: the count gives {scan.window_count} eigenvalues "
+                        f"in the window, the linearization {in_window}, the scan "
+                        f"{len(scan.roots)} roots")
     return {"eigenvalues": entries, "scan_roots": matched,
+            "window_count": scan.window_count,
             "failures": failures, "ok": not failures}

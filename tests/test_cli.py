@@ -224,6 +224,39 @@ def test_representation_tau_solves(tmp_path):
     assert code == 0
 
 
+def test_reversed_rect_exits_1_for_its_sign(tmp_path, capsys):
+    # hx = hy < 0 passes the equal-spacing test; the sign is checked first
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 4, "ny": 4,
+                                           "rect": [1.0, 0.0, 1.0, 0.0]}})
+    code, _ = run(tmp_path, cfg, "solve")
+    assert code == 1
+    assert "spacing must be positive" in capsys.readouterr().err
+
+
+def test_eigen_window_ending_at_pole(tmp_path):
+    # tau has its pole at -2, the window's lower end
+    code, out = run(tmp_path, write_cfg(tmp_path, {"window": [-2.0, 9.0]}), "eigen")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["correspondence_ok"] is True
+    assert report["window_count"] == report["eigenvalue_count"] == \
+        len(report["scan_roots"]) == 2
+
+
+def test_eigen_scan_table_lists_counts(tmp_path):
+    code, out = run(tmp_path, write_cfg(tmp_path), "eigen")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    with open(out / "scan.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["lambda", "count"]
+    xs = [float(r[0]) for r in rows[1:]]
+    counts = [int(r[1]) for r in rows[1:]]
+    assert xs == sorted(xs) and counts == sorted(counts)
+    assert xs[0] <= 0.2 and xs[-1] >= 9.0
+    assert counts[-1] - counts[0] == report["window_count"] == len(report["scan_roots"])
+
+
 def test_reversed_interval_exits_1(tmp_path, capsys):
     # h < 0 would make the quadrature weight negative
     cfg = write_cfg(tmp_path, {"problem": {"dim": 1, "n": 10, "interval": [1.0, 0.0]}})
@@ -252,8 +285,17 @@ BAD_CONFIGS = {
     "window-inf": ("eigen", _base_with(window=[0.2, INF])),
     "window-strings": ("eigen", _base_with(window=["0.2", "9"])),
     "window-reversed": ("eigen", _base_with(window=[9.0, 0.2])),
-    "grid-string": ("eigen", _base_with(grid="x")),
-    "grid-negative": ("eigen", _base_with(grid=-5)),
+    # a 1x1 tau on the two boundary nodes of a 1D problem would broadcast
+    "theta-1x1": ("solve", _base_with(tau={"kind": "constant",
+                                           "theta": [[[2.0, 0.0]]]})),
+    "rational-1x1": ("solve", _base_with(tau={
+        "kind": "rational", "alpha": [[[[0.0, 0.0]]], [[[-2.0, 0.0]]]],
+        "beta": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]})),
+    "alpha-not-list": ("solve", _base_with(tau={"kind": "rational", "alpha": 3,
+                                                "beta": [1.0]})),
+    "beta-not-list": ("solve", _base_with(tau={"kind": "rational", "alpha": [0.0],
+                                               "beta": 1.0})),
+    "eigen-representation-tau": ("eigen", _base_with(tau=REPRESENTATION)),
     "alpha-nan": ("solve", _base_with(tau={"kind": "rational", "alpha": [NAN],
                                            "beta": [1.0]})),
     "theta-nan": ("solve", _base_with(tau={"kind": "constant", "theta": NAN})),

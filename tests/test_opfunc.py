@@ -60,6 +60,11 @@ def test_rational_pole_detection():
         tau.eval(3.0)
 
 
+def test_constant_has_no_poles():
+    tau = ConstantFunction(theta=2.0 * np.eye(3))
+    assert tau.poles().shape == (0,)
+
+
 def test_rational_eval_reuses_roots_and_poles(monkeypatch):
     rng = np.random.default_rng(8)
     b = rng.standard_normal((3, 3))

@@ -7,6 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylbvp import (
     BoundaryTriple,
@@ -32,7 +33,7 @@ from weylbvp import (
     realize_constant,
     realize_rational,
 )
-from weylbvp.solver import in_solvable_set, solvability_margin
+from weylbvp.solver import eigenvalue_count, in_solvable_set, solvability_margin
 
 
 def rational_m2(g):
@@ -331,7 +332,84 @@ def test_eigen_correspondence_both_directions(tau_name, et1d):
     # set of the decoupled operator (checked internally; failures would list)
 
 
-def test_scan_skips_poles(et1d):
+def window_eigenvalues(lin, lo, hi):
+    ev = lin.eigenvalues()
+    real = np.sort(ev.real[np.abs(ev.imag) <= 1e-8])
+    return real[(real >= lo) & (real <= hi)]
+
+
+def test_scan_straddles_pole(et1d):
+    # the first split point of (-3, -1) is the pole -2, where N is undefined
     tau = rational_m2(2)
-    scan = homogeneous_scan(et1d, tau, (-3.0, -1.0), grid=401)
-    assert any(abs(x + 2.0) < 0.05 for x in scan.skipped)
+    scan = homogeneous_scan(et1d, tau, (-3.0, -1.0))
+    assert -2.0 not in dict(scan.counts)
+    expected = window_eigenvalues(lin_for(et1d, tau), -3.0, -1.0)
+    assert scan.window_count == len(scan.roots) == len(expected) > 0
+    assert np.max(np.abs(np.array(scan.roots) - expected)) <= 1e-8
+
+
+def test_scan_finds_eigenvalue_at_pole(et1d):
+    # beta_2 = diag(1, 0) hides the pole -2 from tau in one direction, so the
+    # linearization has an eigenvalue at the pole itself, where N is
+    # undefined: the bisection ends at a piece it cannot split
+    tau = RationalNevanlinna(alpha=(np.zeros((2, 2)), -2 * np.eye(2)),
+                             beta=(np.eye(2), np.diag([1.0, 0.0])))
+    for window in ((-3.0, -1.0), (-2.0, 0.0)):
+        scan = homogeneous_scan(et1d, tau, window)
+        expected = window_eigenvalues(lin_for(et1d, tau), *window)
+        assert scan.window_count == len(scan.roots) == len(expected)
+        assert np.min(np.abs(expected + 2.0)) <= 1e-10
+        assert np.max(np.abs(np.array(scan.roots) - expected)) <= 1e-6
+
+
+def test_scan_2d_counts_corner_roots(et2d):
+    # the four corner directions of ker L_IB are roots of M + tau at
+    # sqrt(2) - 1, where tau(lam) = lam + 1/(-2 - lam) vanishes
+    tau = rational_m2(et2d.de.n_boundary)
+    scan = homogeneous_scan(et2d, tau, (0.2, 9.0))
+    expected = window_eigenvalues(lin_for(et2d, tau), 0.2, 9.0)
+    assert scan.window_count == len(scan.roots) == len(expected)
+    assert np.max(np.abs(np.array(scan.roots) - expected)) <= 1e-8
+    assert sum(abs(r - (np.sqrt(2) - 1)) <= 1e-9 for r in scan.roots) == 4
+
+
+def test_correspondence_reports_incomplete_scan(et1d):
+    tau = rational_m2(2)
+    lin = lin_for(et1d, tau)
+    scan = homogeneous_scan(et1d, tau, (0.2, 9.0))
+    short = dataclasses.replace(scan, roots=scan.roots[1:])
+    report = eigen_correspondence(lin, et1d, tau, (0.2, 9.0), scan=short)
+    assert not report["ok"]
+    assert any(f.startswith("incomplete") for f in report["failures"])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))
+def test_count_matches_dense_eigensolve(seed, m):
+    # a small 1D problem and a random rational tau on its two boundary nodes:
+    # Hermitian alpha_i, PSD beta_i, beta_1 positive definite
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 16))
+    c0, c1, a0 = rng.uniform(0.5, 2.0), rng.uniform(-0.4, 0.4), rng.uniform(-2.0, 2.0)
+    et = elliptic_triple(build_1d(n, p=lambda x: c0 + c1 * x, a=a0))
+
+    def hermitian():
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return 2.0 * (z + z.conj().T)
+
+    def psd(rank):
+        z = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+        return z @ z.conj().T
+
+    alphas = tuple(hermitian() for _ in range(m))
+    betas = (psd(2) + 0.1 * np.eye(2),) + tuple(psd(int(rng.integers(1, 3)))
+                                                 for _ in range(m - 1))
+    tau = RationalNevanlinna(alpha=alphas, beta=betas)
+    lo = float(rng.uniform(-10.0, 40.0))
+    hi = lo + float(rng.uniform(0.5, 60.0))
+    expected = window_eigenvalues(lin_for(et, tau), lo, hi)
+    assert eigenvalue_count(et, tau, hi) - eigenvalue_count(et, tau, lo) == len(expected)
+    scan = homogeneous_scan(et, tau, (lo, hi))
+    assert len(scan.roots) == len(expected)
+    if expected.size:
+        assert np.max(np.abs(np.array(scan.roots) - expected)) <= 1e-6
