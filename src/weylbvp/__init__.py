@@ -1,7 +1,8 @@
 """weylbvp: elliptic boundary value problems with spectral-parameter-dependent
 boundary conditions, solved through boundary triples, Weyl functions and a
 selfadjoint linearization in a product space (finite-dimensional linear
-algebra: banded LU for the Dirichlet operator, dense elsewhere).
+algebra: banded LU for the Dirichlet operator, sparse LU for the direct oracle
+and the compressed resolvent, dense boundary-size algebra and eigensolves).
 """
 
 __version__ = "1.0.0"

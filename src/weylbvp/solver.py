@@ -11,6 +11,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import (
     DimensionMismatch,
@@ -19,7 +20,7 @@ from .errors import (
     SpectrumPoint,
 )
 from .krein import COND_LIMIT
-from .elliptic import DiscreteElliptic, EllipticTriple, elliptic_triple
+from .elliptic import DiscreteElliptic, EllipticTriple, elliptic_triple, sparse_lu
 from .opfunc import PoleOrSpectrum, RationalNevanlinna
 from .realize import realize_rational
 from .triple import BoundaryTriple
@@ -130,6 +131,12 @@ class Linearization:
         return float(np.linalg.norm(wa - wa.conj().T) / max(1.0, scale))
 
     @cached_property
+    def sparse_matrix(self) -> scipy.sparse.csc_array:
+        """A in compressed sparse column form, built on first use: only the
+        compressed resolvent reads it."""
+        return scipy.sparse.csc_array(self.matrix)
+
+    @cached_property
     def is_hilbert(self) -> bool:
         """Whether W is positive definite, i.e. has a Cholesky factor."""
         try:
@@ -220,15 +227,20 @@ def build_linearization_rational(de: DiscreteElliptic, tau: RationalNevanlinna,
 
 
 def compressed_resolvent(lin: Linearization, lam: complex, g: np.ndarray) -> np.ndarray:
-    """Interior block of (A - lam)^{-1} applied to (g, 0, ..., 0)."""
+    """Interior block of (A - lam)^{-1} applied to (g, 0, ..., 0), by one
+    sparse LU of A - lam, ordered by minimum degree on the pattern of A + A^T
+    (A is W-selfadjoint, so its pattern is nearly symmetric).  A is built
+    from E_eta, so this route checks the linearization rather than being
+    independent of the Krein formula; the direct oracle is the route that
+    shares no factorization with it.  Raises ``SpectrumPoint`` where A - lam
+    is singular (see ``sparse_lu``).
+    """
     n = lin.n_interior
-    sysm = lin.matrix - lam * np.eye(lin.size)
-    sv = np.linalg.svd(sysm, compute_uv=False)
-    if sv[-1] <= sv[0] / COND_LIMIT:
-        raise SpectrumPoint(f"lambda={lam} lies in the spectrum of the linearization")
+    shifted = lin.sparse_matrix - lam * scipy.sparse.identity(lin.size, format="csc")
+    lu = sparse_lu(shifted, "MMD_AT_PLUS_A", SpectrumPoint, f"A - lambda at lambda={lam}")
     rhs = np.zeros(lin.size, dtype=complex)
-    rhs[:n] = np.asarray(g, dtype=complex)
-    return np.linalg.solve(sysm, rhs)[:n]
+    rhs[:n] = g
+    return lu.solve(rhs)[:n]
 
 
 # A piece of the scan window narrower than this (relative to the window's

@@ -66,6 +66,20 @@ def test_solve_outside_solvable_set_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("action", ["solve", "verify"])
+def test_singular_sparse_factorization_exits_2(tmp_path, monkeypatch, action):
+    # SuperLU reports an exactly singular matrix as a RuntimeError; the
+    # direct oracle must turn it into a domain error, not an internal one
+    import scipy.sparse.linalg
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    code, _ = run(tmp_path, write_cfg(tmp_path), action)
+    assert code == 2
+
+
 def test_missing_config_exits_1(tmp_path):
     code = main(["--config", str(tmp_path / "missing.json"),
                  "--action", "solve", "--out", str(tmp_path / "o")])

@@ -15,10 +15,13 @@ from weylbvp import (
     SpectrumPoint,
     build_1d,
     build_2d,
+    build_linearization,
     build_linearization_rational,
+    compressed_resolvent,
     direct_solve,
     elliptic_triple,
     krein_resolve,
+    realize_constant,
 )
 
 
@@ -285,3 +288,53 @@ def test_direct_solve_matches_krein(et1d):
     f1 = direct_solve(et1d, tau, lam, g)
     f2 = krein_resolve(et1d, tau, lam, g).f
     assert np.linalg.norm(f1 - f2) <= 1e-10 * np.linalg.norm(f1)
+
+
+def dense_direct_solve(et, tau, lam, g):
+    """Reference: the coupled system in (f_D, y),
+    (T_D - lam) f_D + (eta - lam) E_eta y = g,  tau(lam) y = h^d L_BI f_D,
+    assembled densely and solved; f = f_D + E_eta y."""
+    de = et.de
+    n, nb = de.n_interior, de.n_boundary
+    sys = np.zeros((n + nb, n + nb), dtype=complex)
+    sys[:n, :n] = de.l_ii - lam * np.eye(n)
+    sys[:n, n:] = (et.eta - lam) * et.extension
+    sys[n:, :n] = -de.weight * de.l_bi
+    sys[n:, n:] = tau.eval(lam)
+    sol = np.linalg.solve(sys, np.concatenate([g, np.zeros(nb)]))
+    return sol[:n] + et.extension @ sol[n:]
+
+
+def reference_taus(nb):
+    """(tau, its linearization's builder): a rational tau and a constant tau."""
+    rational = RationalNevanlinna(alpha=(np.zeros((nb, nb)), -2 * np.eye(nb)),
+                                  beta=(np.eye(nb), np.eye(nb)))
+    theta = 2.0 * np.eye(nb)
+    return {
+        "rational": (rational,
+                     lambda et: build_linearization_rational(et.de, rational, et.eta)),
+        "constant": (ConstantFunction(theta=theta),
+                     lambda et: build_linearization(et, realize_constant(theta, 3.7j))),
+    }
+
+
+SPARSE_CASES = [(problem, tau, lam)
+                for problem in ("1d-variable-p", "2d-6x6", "2d-4x6")
+                for tau in ("rational", "constant")
+                for lam in (-0.7, 1.3 + 0.8j)]
+
+
+@pytest.mark.parametrize("problem,tau_name,lam", SPARSE_CASES)
+def test_sparse_routes_match_dense_references(problem, tau_name, lam):
+    et = elliptic_triple(BANDED_PROBLEMS[problem][0]())
+    tau, linearize = reference_taus(et.de.n_boundary)[tau_name]
+    lin = linearize(et)
+    n = et.de.n_interior
+    rng = np.random.default_rng(23)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = dense_direct_solve(et, tau, lam, g)
+    assert np.linalg.norm(direct_solve(et, tau, lam, g) - ref) <= 1e-12 * np.linalg.norm(ref)
+    rhs = np.concatenate([g, np.zeros(lin.size - n)])
+    ref = np.linalg.solve(lin.matrix - lam * np.eye(lin.size), rhs)[:n]
+    assert np.linalg.norm(compressed_resolvent(lin, lam, g) - ref) \
+        <= 1e-12 * np.linalg.norm(ref)

@@ -19,6 +19,7 @@ from weylbvp import (
     RationalNevanlinna,
     RepresentationForm,
     SingularSystem,
+    SpectrumPoint,
     build_1d,
     build_2d,
     build_linearization,
@@ -89,6 +90,55 @@ def test_three_way_oracle_equivalence(which, et1d, et2d):
             scale = np.linalg.norm(f1)
             assert np.linalg.norm(f1 - f2) <= 1e-10 * scale
             assert np.linalg.norm(f1 - f3) <= 1e-10 * scale
+
+
+def test_three_routes_agree_at_2d_50x50():
+    et = elliptic_triple(build_2d(50, 50))
+    tau = rational_m2(et.de.n_boundary)
+    lin = build_linearization_rational(et.de, tau, et.eta)
+    n = et.de.n_interior
+    rng = np.random.default_rng(50)
+    for lam in (3.0 + 1.5j, 40.0 - 0.5j):
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f1 = krein_resolve(et, tau, lam, g).f
+        scale = np.linalg.norm(f1)
+        assert np.linalg.norm(direct_solve(et, tau, lam, g) - f1) <= 1e-10 * scale
+        assert np.linalg.norm(compressed_resolvent(lin, lam, g) - f1) <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# singularity guards of the sparse routes
+
+
+@pytest.mark.parametrize("build", [lambda: build_1d(99), lambda: build_2d(15, 15)],
+                         ids=["1d-99", "2d-15x15"])
+def test_sparse_guards_raise_at_linearization_eigenvalues(build):
+    # every eigenvalue, so that the modes odd under the grid's symmetries
+    # (invisible to an all-ones start of the condition estimate) are included
+    et = elliptic_triple(build())
+    tau = rational_m2(et.de.n_boundary)
+    lin = build_linearization_rational(et.de, tau, et.eta)
+    g = np.ones(et.de.n_interior, dtype=complex)
+    for lam in lin.eigenvalues():
+        with pytest.raises(SingularSystem):
+            direct_solve(et, tau, lam, g)
+        with pytest.raises(SpectrumPoint):
+            compressed_resolvent(lin, lam, g)
+
+
+def test_exactly_singular_factorization_is_a_domain_error():
+    # with eta = 0 and tau(lam) = lam, M(0) + tau(0) = 0: lambda = 0 is an
+    # eigenvalue of multiplicity n_B, and on the h = 1/4 grid SuperLU meets an
+    # exact zero pivot in both sparse routes
+    et = elliptic_triple(build_1d(3), eta=0.0)
+    tau = linear_tau(2)
+    lin = build_linearization_rational(et.de, tau, et.eta)
+    with pytest.raises(SingularSystem) as direct:
+        direct_solve(et, tau, 0.0, np.ones(3))
+    with pytest.raises(SpectrumPoint) as compressed:
+        compressed_resolvent(lin, 0.0, np.ones(3))
+    for info in (direct, compressed):
+        assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_krein_resolve_zero_rhs(et1d):
