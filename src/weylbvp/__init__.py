@@ -1,8 +1,10 @@
 """weylbvp: elliptic boundary value problems with spectral-parameter-dependent
 boundary conditions, solved through boundary triples, Weyl functions and a
 selfadjoint linearization in a product space (finite-dimensional linear
-algebra: banded LU for the Dirichlet operator, sparse LU for the direct oracle
-and the compressed resolvent, dense boundary-size algebra and eigensolves).
+algebra: banded LU and banded eigenvalues for the Dirichlet operator, sparse
+LU for the direct oracle and the compressed resolvent, dense boundary-size
+algebra, and a dense Hermitian eigensolve of the linearization that returns
+only the eigenpairs in a window).
 """
 
 __version__ = "1.0.0"

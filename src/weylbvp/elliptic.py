@@ -73,7 +73,10 @@ class DiscreteElliptic:
 
     @cached_property
     def dirichlet_eigs(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.l_ii)
+        """Eigenvalues of the symmetric ``l_ii`` in increasing order, from its
+        upper band (``banded_l_ii`` rows 0..upper)."""
+        (_, upper), ab = self.banded_l_ii
+        return scipy.linalg.eigvals_banded(ab[:upper + 1])
 
     def default_eta(self) -> float:
         return float(self.dirichlet_eigs[0]) - 1.0
@@ -248,6 +251,12 @@ class EllipticTriple:
         g1 = np.hstack([-w * de.l_bi, np.zeros((nb, nb))])
         state = KreinSpace(n, gram=w * np.eye(n))
         return BoundaryTriple(state, nb, t_basis, g0, g1)
+
+    @cached_property
+    def boundary_block(self) -> np.ndarray:
+        """h^d L_BI E_eta: the lambda-independent n_B x n_B term that the
+        boundary condition adds to tau(lam) once the trace is eliminated."""
+        return self.de.weight * (self.de.l_bi @ self.extension)
 
     def gamma(self, lam: complex) -> np.ndarray:
         """(I + (lam - eta)(T_D - lam)^{-1}) E_eta."""

@@ -53,9 +53,10 @@ def in_solvable_set(et: EllipticTriple, tau, lam: complex) -> bool:
     return smin > U_THRESHOLD * max(scale, 1e-300)
 
 
-def _problem_residuals(et: EllipticTriple, tau, lam: complex,
+def _problem_residuals(et: EllipticTriple, tau_lam: np.ndarray, lam: complex,
                        f: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """Residuals of the two defining equations for a claimed solution f.
+    """Residuals of the two defining equations for a claimed solution f, given
+    the matrix tau_lam = tau(lam).
 
     f solves the problem iff a trace y exists with
         L_IB y = g - (T_D - lam) f          (interior equation)
@@ -65,11 +66,10 @@ def _problem_residuals(et: EllipticTriple, tau, lam: complex,
     """
     de = et.de
     g = np.asarray(g, dtype=complex)
-    w = de.weight
     top = de.l_ib
-    bot = tau.eval(lam) + w * (de.l_bi @ et.extension)
+    bot = tau_lam + et.boundary_block
     rhs_top = g - (de.l_ii @ f - lam * f)
-    rhs_bot = w * (de.l_bi @ f)
+    rhs_bot = de.weight * (de.l_bi @ f)
     y, *_ = np.linalg.lstsq(np.vstack([top, bot]),
                             np.concatenate([rhs_top, rhs_bot]), rcond=None)
     scale = max(1.0, float(np.linalg.norm(g)), float(np.linalg.norm(f)))
@@ -93,14 +93,15 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     sol = de.dirichlet_solve(lam, np.column_stack([g, et.extension]))
     base, rd = sol[:, 0], sol[:, 1:]
     gam = et.extension + (lam - et.eta) * rd
-    mt = de.weight * (et.eta - lam) * (de.l_bi @ rd) + tau.eval(lam)
+    tau_lam = tau.eval(lam)
+    mt = de.weight * (et.eta - lam) * (de.l_bi @ rd) + tau_lam
     s = np.linalg.svd(mt, compute_uv=False)
     smin, scale = float(s[-1]), float(s[0])
     if smin <= U_THRESHOLD * max(scale, 1e-300):
         raise OutsideU(lam, smin, scale)
     gamma_bar_star = de.weight * gam.T
     f = base - gam @ np.linalg.solve(mt, gamma_bar_star @ g)
-    r1, r2 = _problem_residuals(et, tau, lam, f, g)
+    r1, r2 = _problem_residuals(et, tau_lam, lam, f, g)
     return SolveReport(lam=lam, in_u=True, f=f,
                        pde_residual=r1, bc_residual=r2, sigma_min=smin)
 
@@ -110,23 +111,43 @@ class Linearization:
     """Block operator on (interior) x (realization state) whose compressed
     resolvent solves the parameter-dependent problem.
 
-    ``gram`` is the product-metric Gram W; the operator is W-selfadjoint.
+    The product metric is block diagonal, W = h^d I (+) G with ``weight``
+    h^d > 0 and ``state_gram`` G; the operator is W-selfadjoint.
     """
 
     matrix: np.ndarray = field(repr=False)
-    gram: np.ndarray = field(repr=False)
-    n_interior: int
-    n_state: int
+    weight: float
+    state_gram: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def n_interior(self) -> int:
+        return self.size - self.state_gram.shape[0]
+
+    @property
+    def gram(self) -> np.ndarray:
+        """W as a dense matrix, built on each call: nothing on the solve or
+        eigen path reads it, only checks against the definition do."""
+        return scipy.linalg.block_diag(self.weight * np.eye(self.n_interior),
+                                       self.state_gram)
+
+    @cached_property
+    def weighted_matrix(self) -> np.ndarray:
+        """W A, row block by row block: no matrix product of interior size."""
+        n = self.n_interior
+        wa = np.empty_like(self.matrix)
+        wa[:n] = self.weight * self.matrix[:n]
+        wa[n:] = self.state_gram @ self.matrix[n:]
+        return wa
+
     def w_symmetry_residual(self) -> float:
         """||WA - (WA)^H||_F / max(1, largest column norm of WA): no SVD, and
         never below the 2-norm ratio (the Frobenius norm bounds the 2-norm
         from above, a column norm bounds it from below)."""
-        wa = self.gram @ self.matrix
+        wa = self.weighted_matrix
         scale = float(np.max(np.linalg.norm(wa, axis=0)))
         return float(np.linalg.norm(wa - wa.conj().T) / max(1.0, scale))
 
@@ -137,40 +158,60 @@ class Linearization:
         return scipy.sparse.csc_array(self.matrix)
 
     @cached_property
-    def is_hilbert(self) -> bool:
-        """Whether W is positive definite, i.e. has a Cholesky factor."""
+    def _state_cholesky(self) -> np.ndarray | None:
+        """Lower L with G = L L^H, or None where G is not positive definite."""
         try:
-            np.linalg.cholesky(self.gram)
+            return np.linalg.cholesky(self.state_gram)
         except np.linalg.LinAlgError:
-            return False
-        return True
+            return None
 
-    def symmetrized(self) -> np.ndarray:
-        """W^{1/2} A W^{-1/2}, Hermitian when W is positive definite."""
-        w, v = np.linalg.eigh(self.gram)
-        if w[0] <= 0:
-            raise DimensionMismatch("product metric is indefinite")
-        root = (v * np.sqrt(w)) @ v.conj().T
-        inv_root = (v / np.sqrt(w)) @ v.conj().T
-        return root @ self.matrix @ inv_root
+    @property
+    def is_hilbert(self) -> bool:
+        """Whether W is positive definite: h^d > 0, so whether G is."""
+        return self._state_cholesky is not None
 
-    def _hermitian_pencil(self) -> np.ndarray:
-        """Hermitian part of W A; with W > 0, A x = lam x iff (W A) x = lam W x."""
-        wa = self.gram @ self.matrix
-        return (wa + wa.conj().T) / 2
+    def _hermitian_form(self) -> np.ndarray:
+        """S^{-H} He(W A) S^{-1} for the block Cholesky factor S = h^{d/2} I (+) L^H
+        of W > 0, He the Hermitian part: for a W-selfadjoint A, (lam, x) is an
+        eigenpair of A iff (lam, S x) is one of this matrix.  The interior
+        block is a scaling and the others are triangular solves with L, so
+        no interior-size matrix is multiplied by W or factored.  A real form
+        is returned as a real matrix, whose eigensolve costs a fraction of
+        the complex one.
+        """
+        n, chol = self.n_interior, self._state_cholesky
+        wa = self.weighted_matrix
+        herm = (wa + wa.conj().T) / 2
+        form = np.empty_like(herm)
+        form[:n, :n] = herm[:n, :n] / self.weight
+        lower = scipy.linalg.solve_triangular(chol, herm[n:, :n], lower=True)
+        form[n:, :n] = lower / np.sqrt(self.weight)
+        form[:n, n:] = form[n:, :n].conj().T
+        state = scipy.linalg.solve_triangular(chol, herm[n:, n:], lower=True)
+        form[n:, n:] = scipy.linalg.solve_triangular(chol, state.conj().T,
+                                                     lower=True).conj().T
+        return form.real if not np.any(form.imag) else form
 
     def eigenvalues(self) -> np.ndarray:
         if self.is_hilbert:
-            return scipy.linalg.eigh(self._hermitian_pencil(), self.gram,
+            return scipy.linalg.eigh(self._hermitian_form(),
                                      eigvals_only=True).astype(complex)
         return scipy.linalg.eigvals(self.matrix)
 
-    def eigenpairs(self):
+    def eigenpairs(self, window: tuple[float, float] | None = None):
         """(eigenvalues, eigenvectors in the original coordinates); in the
-        Hilbert case the eigenvectors are W-orthonormal."""
+        Hilbert case the eigenvectors are W-orthonormal, and a real window
+        (a, b) restricts both to the eigenvalues in (a, b], which LAPACK
+        selects by Sturm bisection on the tridiagonal reduction: an exact
+        count with multiplicity.  The non-Hilbert case ignores the window.
+        """
         if self.is_hilbert:
-            w, v = scipy.linalg.eigh(self._hermitian_pencil(), self.gram)
-            return w.astype(complex), v
+            w, z = scipy.linalg.eigh(self._hermitian_form(), subset_by_value=window)
+            n = self.n_interior             # x = S^{-1} z
+            x = np.vstack([z[:n] / np.sqrt(self.weight),
+                           scipy.linalg.solve_triangular(self._state_cholesky, z[n:],
+                                                         lower=True, trans="C")])
+            return w.astype(complex), x
         return scipy.linalg.eig(self.matrix)
 
 
@@ -197,8 +238,7 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
     nk = realized.state.dim
     wl_bi = de.weight * de.l_bi
     g0 = realized.g0
-    coupling = np.vstack([realized.first,
-                          realized.g1 + (wl_bi @ et.extension) @ g0])
+    coupling = np.vstack([realized.first, realized.g1 + et.boundary_block @ g0])
     sv = np.linalg.svd(coupling, compute_uv=False)
     if realized.t_dim != nk + nb or sv[-1] <= sv[0] / COND_LIMIT:
         raise RankDeficientCoupling("coupling conditions do not determine the action")
@@ -211,8 +251,7 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
     a_mat[n:, :n] = (realized.second @ q) @ wl_bi
     a_mat[n:, n:] = realized.second @ p
 
-    gram = scipy.linalg.block_diag(de.weight * np.eye(n), realized.state.gram)
-    return Linearization(matrix=a_mat, gram=gram, n_interior=n, n_state=nk)
+    return Linearization(matrix=a_mat, weight=de.weight, state_gram=realized.state.gram)
 
 
 def build_linearization_rational(de: DiscreteElliptic, tau: RationalNevanlinna,
@@ -250,6 +289,10 @@ SCAN_RESOLUTION = 1e-12
 # The count is undefined this close (relative) to a Dirichlet eigenvalue or a
 # pole of tau: there the side of the computed pole decides it.
 COUNT_GAP = 1e-11
+# The linearization eigensolve of ``eigen_correspondence`` covers the window
+# widened by the match tolerance and by at least this much (relative to the
+# window's largest |endpoint|, at least 1).
+WINDOW_PAD = 1e-9
 
 
 def eigenvalue_count(et: EllipticTriple, tau, x: float) -> int:
@@ -349,7 +392,12 @@ def eigen_correspondence(lin: Linearization, et: EllipticTriple, tau, window,
     lo, hi = float(window[0]), float(window[1])
     if scan is None:
         scan = homogeneous_scan(et, tau, window)
-    evals, evecs = lin.eigenpairs()
+    # the scan may have moved a window end outward off a singular point, and
+    # a root matches within tol; the floor keeps an eigenvalue on lo inside
+    # the half-open (a, b] that the solve returns
+    pad = max(tol, 0.0) + WINDOW_PAD * max(1.0, abs(lo), abs(hi))
+    evals, evecs = lin.eigenpairs((min(lo, scan.counts[0][0]) - pad,
+                                   max(hi, scan.counts[-1][0]) + pad))
     n = lin.n_interior
     failures = []
     entries = []
@@ -369,8 +417,8 @@ def eigen_correspondence(lin: Linearization, et: EllipticTriple, tau, window,
         except (PoleOrSpectrum, SpectrumPoint):
             failures.append(f"eigenvalue {lam.real:.6g} hits a pole or Dirichlet point")
             continue
-        r1, r2 = _problem_residuals(et, tau, complex(lam.real), f / fnorm,
-                                    np.zeros(n))
+        r1, r2 = _problem_residuals(et, tau.eval(complex(lam.real)), complex(lam.real),
+                                    f / fnorm, np.zeros(n))
         entries.append({"lambda": lam.real, "sigma_min": smin,
                         "pde_residual": r1, "bc_residual": r2})
         if max(r1, r2) > tol:

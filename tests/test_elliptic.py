@@ -112,6 +112,15 @@ def test_dirichlet_solve_matches_dense(name):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("name", ["1d-variable-p", "2d-6x6", "2d-4x6"])
+def test_dirichlet_eigs_match_dense(name):
+    de = BANDED_PROBLEMS[name][0]()
+    ref = np.linalg.eigvalsh(de.l_ii)
+    got = de.dirichlet_eigs
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # extension
 

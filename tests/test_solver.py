@@ -34,7 +34,12 @@ from weylbvp import (
     realize_constant,
     realize_rational,
 )
-from weylbvp.solver import eigenvalue_count, in_solvable_set, solvability_margin
+from weylbvp.solver import (
+    WINDOW_PAD,
+    eigenvalue_count,
+    in_solvable_set,
+    solvability_margin,
+)
 
 
 def rational_m2(g):
@@ -267,7 +272,7 @@ def test_uniqueness_defect_perturbation(et1d):
             (de.l_ii - lam * np.eye(40)) @ defect + de.l_ib @ x) <= 1e-8
         # ... so adding it keeps the interior consistent but must violate
         # the boundary condition, and the residual check detects it
-        r1, r2 = _problem_residuals(et1d, tau, lam, rep.f + defect, g)
+        r1, r2 = _problem_residuals(et1d, tau.eval(lam), lam, rep.f + defect, g)
         assert max(r1, r2) > 1e-6
 
 
@@ -325,6 +330,57 @@ def test_hilbert_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
     ev = lin.eigenvalues()
     assert calls == ["eigh", "eigh"]
     assert np.max(np.abs(ev - lam)) <= 1e-10 * np.max(np.abs(lam))
+
+
+def _gap_midpoint(ev, start, stop):
+    """Midpoint of the widest gap between ev[start:stop+1], sorted ev."""
+    k = start + int(np.argmax(np.diff(ev[start:stop + 1])))
+    return (ev[k] + ev[k + 1]) / 2
+
+
+def _simple_eigenvalue(ev, start):
+    """The first eigenvalue from ev[start] on that is apart from its neighbours."""
+    k = start
+    while min(ev[k] - ev[k - 1], ev[k + 1] - ev[k]) <= 1e-6 * max(1.0, abs(ev[k])):
+        k += 1
+    return ev[k]
+
+
+@pytest.mark.parametrize("build", [lambda: build_1d(99), lambda: build_2d(8, 8)],
+                         ids=["1d-99", "2d-8x8"])
+def test_windowed_eigenpairs_match_full_solve(build):
+    et = elliptic_triple(build())
+    lin = build_linearization_rational(et.de, rational_m2(et.de.n_boundary), et.eta)
+    full = np.sort(lin.eigenpairs()[0].real)
+    size, scale = full.size, max(1.0, float(np.max(np.abs(full))))
+    a, w = lin.matrix, lin.gram
+    # ends between eigenvalues, then ends on (simple) eigenvalues, widened by
+    # the floor that eigen_correspondence adds to the half-open (a, b]
+    lo, hi = _gap_midpoint(full, 1, size // 4), _gap_midpoint(full, size // 2, 3 * size // 4)
+    on_lo, on_hi = _simple_eigenvalue(full, 3), _simple_eigenvalue(full, size // 3)
+    pad = WINDOW_PAD * max(1.0, abs(on_lo), abs(on_hi))
+    for window, (low, high) in (((lo, hi), (lo, hi)),
+                                ((on_lo - pad, on_hi + pad), (on_lo, on_hi))):
+        lam, v = lin.eigenpairs(window)
+        expected = full[(full >= low) & (full <= high)]
+        assert lam.size == v.shape[1] == expected.size > 0
+        assert np.max(np.abs(lam.imag)) == 0
+        assert np.max(np.abs(lam.real - expected)) <= 1e-10 * scale
+        assert np.linalg.norm(a @ v - v * lam, 2) <= 1e-10 * np.linalg.norm(a, 2)
+        assert np.linalg.norm(v.conj().T @ w @ v - np.eye(lam.size), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["1d", "2d"])
+def test_hilbert_windowed_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
+    et = {"1d": et1d, "2d": et2d}[which]
+    lin = build_linearization_rational(et.de, rational_m2(et.de.n_boundary), et.eta)
+    full = np.sort(lin.eigenvalues().real)
+    window = (_gap_midpoint(full, 0, 5), _gap_midpoint(full, 10, 20))
+    inside = int(np.count_nonzero((full > window[0]) & (full <= window[1])))
+    calls = _count_eigensolves(monkeypatch)
+    lam, v = lin.eigenpairs(window)
+    assert calls == ["eigh"]
+    assert v.shape == (lin.size, inside) and lam.size == inside > 0
 
 
 def test_krein_eigenpairs_nonreal_pair(et1d):
@@ -431,6 +487,40 @@ def test_correspondence_reports_incomplete_scan(et1d):
     report = eigen_correspondence(lin, et1d, tau, (0.2, 9.0), scan=short)
     assert not report["ok"]
     assert any(f.startswith("incomplete") for f in report["failures"])
+
+
+def test_correspondence_window_ends_next_to_eigenvalues(et1d):
+    # both window ends 1e-7 outside an eigenvalue: the windowed eigensolve
+    # must return both, and the check then holds as with the full solve
+    tau = rational_m2(2)
+    lin = lin_for(et1d, tau)
+    inside = window_eigenvalues(lin, 0.2, 9.0)
+    window = (inside[0] - 1e-7, inside[-1] + 1e-7)
+    report = eigen_correspondence(lin, et1d, tau, window, tol=1e-6)
+    assert report["ok"], report["failures"]
+    got = [e["lambda"] for e in report["eigenvalues"]]
+    assert len(got) == report["window_count"] == inside.size >= 2
+    assert np.max(np.abs(np.array(got) - inside)) <= 1e-10 * np.max(np.abs(inside))
+
+
+def test_correspondence_reports_eigenvalue_the_count_lacks(et1d):
+    # the linearization holds every eigenvalue of the window; a count (and a
+    # root list) one short must make the check fail as incomplete, so the
+    # windowed eigensolve has to return the eigenvalue the count lacks
+    tau = rational_m2(2)
+    lin = lin_for(et1d, tau)
+    scan = homogeneous_scan(et1d, tau, (0.2, 9.0))
+    (x_hi, n_hi), k = scan.counts[-1], scan.window_count
+    assert k == len(scan.roots) > 0
+    short = dataclasses.replace(scan, roots=scan.roots[:-1],
+                                counts=scan.counts[:-1] + ((x_hi, n_hi - 1),))
+    report = eigen_correspondence(lin, et1d, tau, (0.2, 9.0), scan=short)
+    assert not report["ok"]
+    assert report["window_count"] == k - 1
+    assert len(report["eigenvalues"]) == k
+    assert [f for f in report["failures"] if f.startswith("incomplete")] == [
+        f"incomplete: the count gives {k - 1} eigenvalues in the window, "
+        f"the linearization {k}, the scan {k - 1} roots"]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
