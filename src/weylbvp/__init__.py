@@ -2,9 +2,10 @@
 boundary conditions, solved through boundary triples, Weyl functions and a
 selfadjoint linearization in a product space (finite-dimensional linear
 algebra: banded LU and banded eigenvalues for the Dirichlet operator, sparse
-LU for the direct oracle and the compressed resolvent, dense boundary-size
-algebra, and a dense Hermitian eigensolve of the linearization that returns
-only the eigenpairs in a window).
+LU for the direct oracle and the compressed resolvent, one dense LU per point
+for the gamma-field, Weyl function and resolvent of a generic boundary
+triple, dense boundary-size algebra, and a dense Hermitian eigensolve of the
+linearization that returns only the eigenpairs in a window).
 """
 
 __version__ = "1.0.0"

@@ -19,7 +19,7 @@ from .errors import (
     SingularSystem,
     SpectrumPoint,
 )
-from .krein import COND_LIMIT, KreinSpace
+from .krein import COND_LIMIT, KreinSpace, _inverse_onenorm
 from .triple import BoundaryTriple
 
 
@@ -276,32 +276,6 @@ def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticT
     return EllipticTriple(de=de, eta=float(eta), extension=de.eta_extension(eta))
 
 
-def _inverse_onenorm(lu: scipy.sparse.linalg.SuperLU, n: int) -> float:
-    """Lower estimate of ||S^{-1}||_1 from the LU of S by Hager's iteration.
-
-    The textbook start, all ones, is blind to a null direction that is odd
-    under a symmetry of the grid, and so are the unit vectors it leads to
-    (an odd mode vanishes at the centre).  This start has unit-modulus
-    entries of random phase from a fixed local seed: deterministic, and the
-    global random state is not touched.
-    """
-    x = np.exp(2j * np.pi * np.random.default_rng(0).random(n)) / n
-    est = 0.0
-    for _ in range(5):
-        y = lu.solve(x)
-        new = float(np.abs(y).sum())
-        if new <= est:
-            break
-        est = new
-        sign = np.exp(1j * np.angle(y))  # 1 where y vanishes
-        j = int(np.argmax(np.abs(lu.solve(sign, trans="H"))))
-        if x[j] == 1:                    # the same unit vector again
-            break
-        x = np.zeros(n, dtype=complex)
-        x[j] = 1
-    return est
-
-
 def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, singular: type,
               what: str) -> scipy.sparse.linalg.SuperLU:
     """Sparse LU of a square complex CSC matrix S under SuperLU's column
@@ -316,7 +290,7 @@ def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, singular: type,
         lu = scipy.sparse.linalg.splu(mat, permc_spec=ordering)
     except RuntimeError as exc:          # "Factor is exactly singular"
         raise singular(f"{what} is singular") from exc
-    cond = float(abs(mat).sum(axis=0).max()) * _inverse_onenorm(lu, mat.shape[0])
+    cond = float(abs(mat).sum(axis=0).max()) * _inverse_onenorm(lu.solve, mat.shape[0])
     if not cond < COND_LIMIT:
         raise singular(f"{what} is numerically singular "
                        f"(1-norm condition estimate {cond:.3e})")

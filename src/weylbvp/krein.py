@@ -7,6 +7,7 @@ components).  All queries depend only on the column span.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,34 @@ from .errors import DimensionMismatch, SpectrumPoint
 
 DEFAULT_RTOL = 1e-10
 COND_LIMIT = 1e12
+
+
+def _inverse_onenorm(solve: Callable[..., np.ndarray], n: int) -> float:
+    """Lower estimate of ||S^{-1}||_1 by Hager's iteration, from the LU of an
+    n x n matrix S: ``solve(b)`` returns S^{-1} b and ``solve(b, trans="H")``
+    returns S^{-H} b (the signature of ``SuperLU.solve``).
+
+    The textbook start, all ones, is blind to a null direction that is odd
+    under a symmetry of the grid, and so are the unit vectors it leads to
+    (an odd mode vanishes at the centre).  This start has unit-modulus
+    entries of random phase from a fixed local seed: deterministic, and the
+    global random state is not touched.
+    """
+    x = np.exp(2j * np.pi * np.random.default_rng(0).random(n)) / n
+    est = 0.0
+    for _ in range(5):
+        y = solve(x)
+        new = float(np.abs(y).sum())
+        if new <= est:
+            break
+        est = new
+        sign = np.exp(1j * np.angle(y))  # 1 where y vanishes
+        j = int(np.argmax(np.abs(solve(sign, trans="H"))))
+        if x[j] == 1:                    # the same unit vector again
+            break
+        x = np.zeros(n, dtype=complex)
+        x[j] = 1
+    return est
 
 
 def _as_matrix(m) -> np.ndarray:

@@ -213,8 +213,7 @@ def realize(tau, mu0: complex | None = None, vartheta: complex | None = None,
     const_triple = realize_constant(dec.constant_block, vartheta)
     if dec.strict_dim == 0:
         bt = const_triple
-        return BoundaryTriple(bt.state, g, bt.t_basis, u @ bt.g0, u @ bt.g1,
-                              boundary_gram=bt.boundary_gram)
+        return BoundaryTriple(bt.state, g, bt.t_basis, u @ bt.g0, u @ bt.g1)
     strict_triple = realize_strict(strict_part_form(tau, dec))
     return couple(strict_triple, const_triple,
                   dec.constant_cross, dec.constant_cross2, rotation=u)

@@ -78,7 +78,6 @@ def encode_triple(bt: BoundaryTriple) -> dict:
     return {
         "state": encode_space(bt.state),
         "boundary_dim": bt.boundary_dim,
-        "boundary_gram": encode_matrix(bt.boundary_gram),
         "t_basis": encode_matrix(bt.t_basis),
         "G0": encode_matrix(bt.g0),
         "G1": encode_matrix(bt.g1),

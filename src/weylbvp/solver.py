@@ -175,8 +175,8 @@ class Linearization:
         of W > 0, He the Hermitian part: for a W-selfadjoint A, (lam, x) is an
         eigenpair of A iff (lam, S x) is one of this matrix.  The interior
         block is a scaling and the others are triangular solves with L, so
-        no interior-size matrix is multiplied by W or factored.  A real form
-        is returned as a real matrix, whose eigensolve costs a fraction of
+        no interior-size matrix is multiplied by W or factored.  A real A
+        (real tau) gives a real form, whose eigensolve costs a fraction of
         the complex one.
         """
         n, chol = self.n_interior, self._state_cholesky
@@ -190,7 +190,7 @@ class Linearization:
         state = scipy.linalg.solve_triangular(chol, herm[n:, n:], lower=True)
         form[n:, n:] = scipy.linalg.solve_triangular(chol, state.conj().T,
                                                      lower=True).conj().T
-        return form.real if not np.any(form.imag) else form
+        return form
 
     def eigenvalues(self) -> np.ndarray:
         if self.is_hilbert:
@@ -243,15 +243,20 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
     if realized.t_dim != nk + nb or sv[-1] <= sv[0] / COND_LIMIT:
         raise RankDeficientCoupling("coupling conditions do not determine the action")
     inv = np.linalg.inv(coupling)
+    second, gram = realized.second, realized.state.gram
+    # a real realization (real tau) gives a real A, stored real so that W A,
+    # its Hermitian form and the eigensolve run in real arithmetic
+    if not any(np.any(m.imag) for m in (inv, g0, second, gram)):
+        inv, g0, second, gram = inv.real, g0.real, second.real, gram.real
     p, q = inv[:, :nk], inv[:, nk:]
 
-    a_mat = np.empty((n + nk, n + nk), dtype=complex)
+    a_mat = np.empty((n + nk, n + nk), dtype=inv.dtype)
     a_mat[:n, :n] = de.l_ii + (de.l_ib @ (g0 @ q)) @ wl_bi
     a_mat[:n, n:] = de.l_ib @ (g0 @ p)
-    a_mat[n:, :n] = (realized.second @ q) @ wl_bi
-    a_mat[n:, n:] = realized.second @ p
+    a_mat[n:, :n] = (second @ q) @ wl_bi
+    a_mat[n:, n:] = second @ p
 
-    return Linearization(matrix=a_mat, weight=de.weight, state_gram=realized.state.gram)
+    return Linearization(matrix=a_mat, weight=de.weight, state_gram=np.ascontiguousarray(gram))
 
 
 def build_linearization_rational(de: DiscreteElliptic, tau: RationalNevanlinna,
@@ -275,7 +280,8 @@ def compressed_resolvent(lin: Linearization, lam: complex, g: np.ndarray) -> np.
     is singular (see ``sparse_lu``).
     """
     n = lin.n_interior
-    shifted = lin.sparse_matrix - lam * scipy.sparse.identity(lin.size, format="csc")
+    shifted = lin.sparse_matrix - lam * scipy.sparse.identity(lin.size, dtype=complex,
+                                                              format="csc")
     lu = sparse_lu(shifted, "MMD_AT_PLUS_A", SpectrumPoint, f"A - lambda at lambda={lam}")
     rhs = np.zeros(lin.size, dtype=complex)
     rhs[:n] = g

@@ -2,23 +2,27 @@
 
 The boundary maps are stored in coordinates of a fixed parameter basis of
 the relation T = dom(Gamma): ``g0`` and ``g1`` send T-coordinates to vectors
-in the boundary space.
+in the boundary space, which carries the Euclidean inner product.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, NonInvertibleTrace, SpectrumPoint
 from .krein import (
+    COND_LIMIT,
     DEFAULT_RTOL,
     KreinSpace,
     LinearRelation,
     Subspace,
     _as_matrix,
+    _inverse_onenorm,
     column_space,
     nullspace,
 )
@@ -26,9 +30,21 @@ from .krein import (
 
 @dataclass(frozen=True)
 class WeylData:
+    """gamma(lam) and M(lam), with the LU of K_lam = [second - lam first; Gamma_0]
+    that gave them."""
+
     lam: complex
     gamma_mat: np.ndarray
     m_mat: np.ndarray
+    lu: tuple = field(repr=False)
+
+    def resolvent_coords(self, h: np.ndarray) -> np.ndarray:
+        """T-coordinates c of the elements of A_0 = ker Gamma_0 with
+        (second - lam first) c = h: first c = (A_0 - lam)^{-1} h and
+        second c = h + lam (A_0 - lam)^{-1} h, column by column."""
+        h = _as_matrix(h)
+        rhs = np.vstack([h, np.zeros((self.m_mat.shape[0], h.shape[1]))])
+        return scipy.linalg.lu_solve(self.lu, rhs)
 
 
 @dataclass(frozen=True)
@@ -38,7 +54,6 @@ class BoundaryTriple:
     t_basis: np.ndarray = field(repr=False)       # 2n x t parameter basis of T
     g0: np.ndarray = field(repr=False)            # g x t
     g1: np.ndarray = field(repr=False)            # g x t
-    boundary_gram: np.ndarray | None = None
 
     def __post_init__(self):
         n, g = self.state.dim, self.boundary_dim
@@ -51,11 +66,6 @@ class BoundaryTriple:
         object.__setattr__(self, "t_basis", tb)
         object.__setattr__(self, "g0", _as_matrix(self.g0))
         object.__setattr__(self, "g1", _as_matrix(self.g1))
-        gb = np.eye(g, dtype=complex) if self.boundary_gram is None \
-            else _as_matrix(self.boundary_gram)
-        if gb.shape != (g, g):
-            raise DimensionMismatch("boundary gram has wrong shape")
-        object.__setattr__(self, "boundary_gram", gb)
 
     # -- structure ---------------------------------------------------------
 
@@ -86,36 +96,26 @@ class BoundaryTriple:
         null = nullspace(np.vstack([self.g0, self.g1]))
         return LinearRelation.from_span(self.state, self.t_basis @ null)
 
-    def coords(self, elements: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        """T-coordinates of columns of ``elements`` (must lie in span of T)."""
-        el = _as_matrix(elements)
-        c, *_ = np.linalg.lstsq(self.t_basis, el, rcond=None)
-        if np.linalg.norm(self.t_basis @ c - el, 2) > tol * max(1.0, np.linalg.norm(el, 2)):
-            raise DimensionMismatch("element does not belong to dom(Gamma)")
-        return c
-
     # -- boundary-space adjoints -------------------------------------------
 
-    def badj(self, m: np.ndarray) -> np.ndarray:
-        """Adjoint of a boundary operator with respect to the boundary Gram."""
-        gb = self.boundary_gram
-        return np.linalg.solve(gb, m.conj().T @ gb)
-
     def gamma_plus(self, gamma_mat: np.ndarray) -> np.ndarray:
-        """Adjoint G -> H of a map H <- G: gamma^+ = Gb^{-1} gamma^H G."""
-        return np.linalg.solve(self.boundary_gram, gamma_mat.conj().T @ self.state.gram)
+        """Adjoint G -> H of a map H <- G: gamma^+ = gamma^H G."""
+        return gamma_mat.conj().T @ self.state.gram
 
     # -- verification -------------------------------------------------------
 
     def green_residual(self) -> float:
-        """Relative residual of the abstract Green identity over a basis of T."""
+        """Relative residual of the abstract Green identity over a basis of T:
+        ||lhs - rhs||_F / max(1, largest column norm of lhs and rhs), no SVD,
+        and never below the 2-norm ratio (the Frobenius norm bounds the
+        2-norm from above, a column norm bounds it from below)."""
         f, fp = self.first, self.second
         g = self.state.gram
-        gb = self.boundary_gram
         lhs = f.conj().T @ g @ fp - fp.conj().T @ g @ f
-        rhs = self.g0.conj().T @ gb @ self.g1 - self.g1.conj().T @ gb @ self.g0
-        scale = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), 1.0)
-        return float(np.linalg.norm(lhs - rhs, 2) / scale)
+        rhs = self.g0.conj().T @ self.g1 - self.g1.conj().T @ self.g0
+        scale = max(1.0, float(np.max(np.linalg.norm(lhs, axis=0))),
+                    float(np.max(np.linalg.norm(rhs, axis=0))))
+        return float(np.linalg.norm(lhs - rhs) / scale)
 
     def validate(self, tol: float = 1e-10) -> None:
         res = self.green_residual()
@@ -134,30 +134,43 @@ class BoundaryTriple:
 
     # -- gamma-field and Weyl function ---------------------------------------
 
-    def defect_nullvectors(self, lam: complex, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-        return nullspace(self.second - lam * self.first, rtol)
-
     def defect_subspace(self, lam: complex, rtol: float = DEFAULT_RTOL) -> Subspace:
         """ker(T - lam) as a subspace of the state space."""
-        null = self.defect_nullvectors(lam, rtol)
+        null = nullspace(self.second - lam * self.first, rtol)
         return column_space(self.first @ null, rtol, ambient=self.state.dim)
 
-    def weyl_data(self, lam: complex, check_resolvent: bool = True) -> WeylData:
-        if check_resolvent:
-            self.a0.resolvent(lam)  # raises SpectrumPoint off rho(A_0)
-        null = self.defect_nullvectors(lam)
-        g = self.boundary_dim
-        trace = self.g0 @ null
-        if trace.shape[1] != g:
+    def weyl_data(self, lam: complex) -> WeylData:
+        """gamma(lam) and M(lam) from one guarded LU of the t x t matrix
+        K_lam = [second - lam first; Gamma_0].  K c = (0, x) puts c in
+        ker(T - lam) with Gamma_0 c = x, so gamma(lam) = first K^{-1}[0; I]
+        and M(lam) = Gamma_1 K^{-1}[0; I]; ``WeylData.resolvent_coords``
+        solves K c = (h, 0) for (A_0 - lam)^{-1}.  A basis of T has
+        t = n + g columns (else ``NonInvertibleTrace``), and then K_lam is
+        singular exactly when lam is an eigenvalue of A_0: raises
+        ``SpectrumPoint`` where the 1-norm condition estimate
+        ||K||_1 est||K^{-1}||_1 reaches ``COND_LIMIT``.
+        """
+        n, g = self.state.dim, self.boundary_dim
+        if self.t_dim != n + g:
             raise NonInvertibleTrace(
-                f"defect dimension {trace.shape[1]} != boundary dimension {g} at {lam}"
-            )
-        s = np.linalg.svd(trace, compute_uv=False)
-        if s[-1] <= 1e-12 * s[0]:
-            raise NonInvertibleTrace(f"Gamma_0 restricted to the defect space is singular at {lam}")
-        x = np.linalg.solve(trace, np.eye(g))
-        coeff = null @ x
-        return WeylData(lam, self.first @ coeff, self.g1 @ coeff)
+                f"dim T = {self.t_dim} != dim H + boundary dimension = {n + g}")
+        k = np.vstack([self.second - lam * self.first, self.g0])
+        norm = float(np.abs(k).sum(axis=0).max())
+        with warnings.catch_warnings():  # an exactly zero pivot is caught below
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(k, overwrite_a=True)
+        cond = np.inf
+        if np.all(lu[0].diagonal()):
+            cond = norm * _inverse_onenorm(
+                lambda b, trans="N": scipy.linalg.lu_solve(lu, b, trans=0 if trans == "N" else 2),
+                n + g)
+        if not cond < COND_LIMIT:
+            raise SpectrumPoint(f"{lam} is an eigenvalue of A_0 "
+                                f"(1-norm condition estimate {cond:.3e})")
+        rhs = np.zeros((n + g, g), dtype=complex)
+        rhs[n:] = np.eye(g)
+        coeff = scipy.linalg.lu_solve(lu, rhs)
+        return WeylData(lam, self.first @ coeff, self.g1 @ coeff, lu)
 
     def gamma(self, lam: complex) -> np.ndarray:
         return self.weyl_data(lam).gamma_mat
@@ -181,43 +194,49 @@ def verify_triple_identities(bt: BoundaryTriple, samples, lambda0: complex | Non
       id2:    M(lam) - M(mu)^* = (lam - conj(mu)) gamma(mu)^+ gamma(lam)
       rep:    M(lam) = Re M(l0) + gamma(l0)^+((lam-Re l0) + (lam-l0)(lam-conj(l0))
               (A0-lam)^{-1}) gamma(l0)
+    One LU per distinct point (``weyl_data``) gives gamma and M there and,
+    at each sample, (A0-lam)^{-1} on the columns the identities need; no
+    interior-size inverse is formed.
     """
     samples = list(samples)
     if lambda0 is None:
         lambda0 = next(s for s in samples if abs(complex(s).imag) > 0)
     rng = np.random.default_rng(seed)
     n = bt.state.dim
-    # one resolvent per point serves as weyl_data's rho(A_0) check and as the
-    # (A_0 - lam)^{-1} of the identities; conj(lam) is needed for gambar
-    res0, data = {}, {}
-    for lam in set(samples) | {lambda0} | {np.conj(s) for s in samples}:
-        res0[lam] = bt.a0.resolvent(lam)
-        data[lam] = bt.weyl_data(lam, check_resolvent=False)
+    points = list(dict.fromkeys([*samples, lambda0]))
+    data = {lam: bt.weyl_data(lam) for lam in points}
+    # gambar needs gamma(conj lam); of a conjugate that is no sample only
+    # gamma is kept, not its LU
+    gamma_conj = {lam: (data.get(np.conj(lam)) or bt.weyl_data(np.conj(lam))).gamma_mat
+                  for lam in set(samples)}
+    gplus = {mu: bt.gamma_plus(data[mu].gamma_mat) for mu in points}
     out = {"id1": 0.0, "gambar": 0.0, "id2": 0.0, "rep": 0.0}
 
     wd0 = data[lambda0]
     m0 = wd0.m_mat
-    re_m0 = (m0 + bt.badj(m0)) / 2
-    gp0 = bt.gamma_plus(wd0.gamma_mat)
+    re_m0 = (m0 + m0.conj().T) / 2
 
     for lam in samples:
         wl = data[lam]
-        # gambar at a random vector h
+        # this point's LU applied to g columns per point mu, (A0-lam)^{-1} gamma(mu),
+        # and to a random h, whose element of A0 has T-coordinates c
+        res_gamma = {mu: bt.first @ wl.resolvent_coords(data[mu].gamma_mat) for mu in points}
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        el = np.concatenate([res0[lam] @ h, h + lam * (res0[lam] @ h)])
-        lhs = bt.gamma_plus(data[np.conj(lam)].gamma_mat) @ h
-        rhs = (bt.g1 @ bt.coords(el)).ravel()
+        c = wl.resolvent_coords(h)
+        # gambar at the random vector h
+        lhs = bt.gamma_plus(gamma_conj[lam]) @ h
+        rhs = (bt.g1 @ c).ravel()
         out["gambar"] = max(out["gambar"], _rel(lhs - rhs, lhs, rhs))
         # representation of M via the fixed lambda0
-        op = (lam - lambda0.real) * np.eye(n) \
-            + (lam - lambda0) * (lam - np.conj(lambda0)) * res0[lam]
-        rep = re_m0 + gp0 @ op @ wd0.gamma_mat
+        op = (lam - lambda0.real) * wd0.gamma_mat \
+            + (lam - lambda0) * (lam - np.conj(lambda0)) * res_gamma[lambda0]
+        rep = re_m0 + gplus[lambda0] @ op
         out["rep"] = max(out["rep"], _rel(wl.m_mat - rep, wl.m_mat, rep))
         for mu in samples:
             wm = data[mu]
-            g_pred = (np.eye(n) + (lam - mu) * res0[lam]) @ wm.gamma_mat
+            g_pred = wm.gamma_mat + (lam - mu) * res_gamma[mu]
             out["id1"] = max(out["id1"], _rel(wl.gamma_mat - g_pred, wl.gamma_mat, g_pred))
-            lhs2 = wl.m_mat - bt.badj(wm.m_mat)
-            rhs2 = (lam - np.conj(mu)) * bt.gamma_plus(wm.gamma_mat) @ wl.gamma_mat
+            lhs2 = wl.m_mat - wm.m_mat.conj().T
+            rhs2 = (lam - np.conj(mu)) * gplus[mu] @ wl.gamma_mat
             out["id2"] = max(out["id2"], _rel(lhs2 - rhs2, lhs2, rhs2))
     return out

@@ -199,6 +199,23 @@ def test_rational_matches_general_linearization(et1d, et2d):
             assert np.linalg.norm(lin.gram - w_ref, 2) <= 1e-12
 
 
+def test_real_tau_gives_real_linearization(et1d):
+    # a real realization is stored real, so W A, its Hermitian form and the
+    # eigensolve run in real arithmetic; A - lam stays complex in the
+    # compressed resolvent, at a real lam too
+    tau = rational_m2(2)
+    lin = build_linearization_rational(et1d.de, tau, et1d.eta)
+    assert np.isrealobj(lin.matrix) and np.isrealobj(lin.state_gram)
+    assert np.isrealobj(lin.weighted_matrix)
+    assert np.iscomplexobj(lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2))).matrix)
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal(et1d.de.n_interior) + 1j * rng.standard_normal(et1d.de.n_interior)
+    for lam in (-5.0, 0.5 + 1.0j):
+        f1 = krein_resolve(et1d, tau, lam, g).f
+        f3 = compressed_resolvent(lin, lam, g)
+        assert np.linalg.norm(f1 - f3) <= 1e-10 * np.linalg.norm(f1)
+
+
 def test_rank_deficient_coupling_rejected(et1d):
     # a parameter column that no coupling condition sees leaves the action
     # undetermined

@@ -4,14 +4,19 @@ and the verification-identity suite.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from weylbvp import (
     BoundaryTriple,
     DimensionMismatch,
     KreinSpace,
+    NonInvertibleTrace,
     RationalNevanlinna,
+    SpectrumPoint,
     build_1d,
+    build_2d,
     elliptic_triple,
+    realize_constant,
     realize_rational,
     verify_triple_identities,
 )
@@ -89,22 +94,126 @@ def test_gamma_weyl_identities(elliptic_bt, rational_bt):
 
 
 def test_identities_one_resolvent_per_point(elliptic_bt, monkeypatch):
-    # (A_0 - lam)^{-1} is computed once per sample and once per conjugate
-    # sample; it doubles as the rho(A_0) check of the Weyl data
-    from weylbvp import LinearRelation
-
+    # one LU of K_lam per sample and per conjugate sample gives gamma and M
+    # there, (A_0 - lam)^{-1} on the columns the identities need, and the
+    # rho(A_0) check; K_lam[0, 0] = L_II[0, 0] - lam tells the points apart
     calls = []
-    resolvent = LinearRelation.resolvent
+    lu_factor = scipy.linalg.lu_factor
 
-    def counted(self, lam, *args, **kwargs):
-        calls.append(lam)
-        return resolvent(self, lam, *args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(complex(a[0, 0]))
+        return lu_factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(LinearRelation, "resolvent", counted)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
     pts = sample_points(count=4)
     report = verify_triple_identities(elliptic_bt, pts)
     assert max(report.values()) <= 1e-9
     assert len(calls) == len(set(calls)) == len(set(pts) | {np.conj(p) for p in pts})
+
+
+def test_identities_take_no_svd_or_lstsq(monkeypatch):
+    bt = elliptic_triple(build_2d(8, 8)).bt
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD or least squares on the identity path")
+
+    for mod in (np.linalg, scipy.linalg):
+        for name in ("svd", "lstsq", "pinv"):
+            monkeypatch.setattr(mod, name, forbidden)
+    report = verify_triple_identities(bt, sample_points(count=4))
+    assert max(report.values()) <= 1e-9
+
+
+def _point_solve_triples():
+    rational = RationalNevanlinna(
+        alpha=(np.array([[1.0, 0.5], [0.5, -1.0]]), np.array([[-1.0, 0.0], [0.0, 2.0]])),
+        beta=(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([[0.5, 0.0], [0.0, 0.25]])),
+    )
+    return {
+        "1d-25": elliptic_triple(build_1d(25)).bt,
+        "2d-6x6": elliptic_triple(build_2d(6, 6)).bt,
+        "rational": realize_rational(rational),
+        "constant": realize_constant(np.array([[2.0, 1.0], [1.0, -1.0]]), 1.5j),
+    }
+
+
+@pytest.mark.parametrize("name", ["1d-25", "2d-6x6", "rational", "constant"])
+def test_point_solve_resolvent_matches_a0(name):
+    bt = _point_solve_triples()[name]
+    eye = np.eye(bt.state.dim)
+    for lam in (0.3 + 0.8j, -1.2 - 0.4j, 2.0 + 3.0j):
+        ref = bt.a0.resolvent(lam)
+        wd = bt.weyl_data(lam)
+        c = wd.resolvent_coords(eye)
+        assert np.linalg.norm(bt.first @ c - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the coordinates are those of elements of A_0 = ker Gamma_0
+        assert np.linalg.norm(bt.g0 @ c) <= 1e-12 * max(1.0, np.linalg.norm(c))
+
+
+@pytest.mark.parametrize("build", [lambda: build_1d(25), lambda: build_2d(6, 6)],
+                         ids=["1d-25", "2d-6x6"])
+def test_weyl_data_matches_closed_form(build):
+    et = elliptic_triple(build())
+    for lam in (0.3 + 0.8j, -1.2 - 0.4j, 5.0 + 0.1j):
+        wd = et.bt.weyl_data(lam)
+        gam, m = et.gamma(lam), et.weyl(lam)
+        assert np.linalg.norm(wd.gamma_mat - gam) <= 1e-10 * max(1.0, np.linalg.norm(gam))
+        assert np.linalg.norm(wd.m_mat - m) <= 1e-10 * max(1.0, np.linalg.norm(m))
+
+
+def test_weyl_data_guard_at_dirichlet_eigenvalues():
+    # every eigenvalue of A_0, the reflection-odd modes of the square included
+    et = elliptic_triple(build_2d(6, 6))
+    for ev in et.de.dirichlet_eigs:
+        with pytest.raises(SpectrumPoint):
+            et.bt.weyl_data(complex(ev))
+    et.bt.weyl_data(complex(et.de.dirichlet_eigs[0]) + 0.1j)
+
+
+def test_weyl_data_guard_at_constant_anchor():
+    vt = 1.5j
+    bt = realize_constant(np.array([[2.0, 1.0], [1.0, -1.0]]), vt)
+    for lam in (vt, np.conj(vt)):
+        with pytest.raises(SpectrumPoint):
+            bt.weyl_data(lam)
+
+
+def test_weyl_data_rejects_redundant_basis(elliptic_bt):
+    bt = elliptic_bt
+    wide = BoundaryTriple(bt.state, bt.boundary_dim,
+                          np.hstack([bt.t_basis, bt.t_basis[:, :1]]),
+                          np.hstack([bt.g0, bt.g0[:, :1]]), np.hstack([bt.g1, bt.g1[:, :1]]))
+    with pytest.raises(NonInvertibleTrace):
+        wide.weyl_data(1j)
+
+
+def test_identities_catch_non_hermitian_perturbation(elliptic_bt):
+    # Gamma_1 + eps R Gamma_0 with R non-Hermitian breaks Green's identity and
+    # the symmetry M(lam)^* = M(conj lam) that id2 checks
+    bt = elliptic_bt
+    g = bt.boundary_dim
+    r = np.random.default_rng(3).standard_normal((g, g))
+    r -= r.T.copy() / 2
+    broken = BoundaryTriple(bt.state, g, bt.t_basis, bt.g0, bt.g1 + 1e-6 * r @ bt.g0)
+    assert verify_triple_identities(broken, sample_points(count=4))["id2"] > 1e-9
+
+
+def test_green_residual_bounds_the_two_norm_ratio(elliptic_bt, rational_bt):
+    # the Frobenius/column-norm residual is never below the 2-norm ratio
+    def two_norm_ratio(bt):
+        f, fp, gram = bt.first, bt.second, bt.state.gram
+        lhs = f.conj().T @ gram @ fp - fp.conj().T @ gram @ f
+        rhs = bt.g0.conj().T @ bt.g1 - bt.g1.conj().T @ bt.g0
+        scale = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), 1.0)
+        return np.linalg.norm(lhs - rhs, 2) / scale
+
+    rng = np.random.default_rng(5)
+    for bt in (elliptic_bt, rational_bt, *_point_solve_triples().values()):
+        g = bt.boundary_dim
+        for eps in (0.0, 1e-6, 1e-2):
+            noisy = BoundaryTriple(bt.state, g, bt.t_basis, bt.g0,
+                                   bt.g1 + eps * rng.standard_normal(bt.g1.shape))
+            assert noisy.green_residual() >= two_norm_ratio(noisy)
 
 
 def test_weyl_symmetry(elliptic_bt):
@@ -128,13 +237,6 @@ def test_is_ordinary_and_rank_deficient(elliptic_bt):
         elliptic_bt.state, elliptic_bt.boundary_dim, elliptic_bt.t_basis,
         elliptic_bt.g0, np.zeros_like(elliptic_bt.g1))
     assert not broken.is_ordinary()
-
-
-def test_coords_rejects_outside_elements(elliptic_bt):
-    rng = np.random.default_rng(9)
-    v = rng.standard_normal(2 * elliptic_bt.state.dim)
-    with pytest.raises(DimensionMismatch):
-        elliptic_bt.coords(v)
 
 
 def test_validate_catches_broken_green():
