@@ -36,7 +36,6 @@ from .solver import (
     build_linearization,
     compressed_resolvent,
     eigen_correspondence,
-    homogeneous_scan,
     krein_resolve,
 )
 from .triple import verify_triple_identities
@@ -310,9 +309,8 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
         raise ConfigError(f"'window' must have lo < hi, got {list(window)}")
     lin = _make_linearization(cfg, et, tau, args)
     tol = args.tol if args.tol is not None else 1e-6
-    scan = homogeneous_scan(et, tau, window)
-    corr = eigen_correspondence(lin, et, tau, window, tol=tol, scan=scan)
-    write_csv(out_dir / "scan.csv", ["lambda", "count"], scan.counts)
+    corr = eigen_correspondence(lin, et, tau, window, tol=tol)
+    write_csv(out_dir / "scan.csv", ["lambda", "count"], corr["counts"])
     write_csv(out_dir / "eigenvalues.csv",
               ["lambda", "sigma_min", "pde_residual", "bc_residual"],
               [[e["lambda"], e["sigma_min"], e["pde_residual"], e["bc_residual"]]
@@ -324,7 +322,7 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
         "hilbert_state": lin.is_hilbert,
         "eigenvalue_count": len(corr["eigenvalues"]),
         "window_count": corr["window_count"],
-        "scan_roots": [m["root"] for m in corr["scan_roots"]],
+        "scan_roots": corr["scan_roots"],
         "correspondence_ok": corr["ok"],
         "failures": corr["failures"],
         "tables": ["eigenvalues.csv", "scan.csv"],
@@ -365,7 +363,8 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
 
     sample_pts = [complex(rng.uniform(-1, 1), rng.uniform(0.5, 2) * s)
                   for s in (1, -1, 1, -1, 1)]
-    ids = verify_triple_identities(et.bt, sample_pts, seed=seed)
+    data = {lam: et.bt.weyl_data(lam) for lam in sample_pts}
+    ids = verify_triple_identities(et.bt, sample_pts, seed=seed, data=data)
     suites["triple_identities"] = ids
     for name, val in ids.items():
         if val > tol:
@@ -374,9 +373,10 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
     closed = 0.0
     for lam in sample_pts:
         m = et.weyl(lam)
-        m_generic = et.bt.weyl(lam)
+        m_generic = data[lam].m_mat
         closed = max(closed, float(np.linalg.norm(m_generic - m, 2)
                                    / max(1.0, np.linalg.norm(m, 2))))
+    del data    # its LUs of K_lam would otherwise add to the action's peak memory
     suites["weyl_closed_form_residual"] = closed
     if closed > tol:
         failures.append(f"closed-form Weyl mismatch {closed:.3e}")

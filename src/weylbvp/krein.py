@@ -234,11 +234,6 @@ class LinearRelation:
             raise DimensionMismatch("operator has wrong shape")
         return cls.from_span(space, np.vstack([np.eye(space.dim), amat]))
 
-    @classmethod
-    def from_components(cls, space: KreinSpace, first, second,
-                        rtol: float = DEFAULT_RTOL) -> "LinearRelation":
-        return cls.from_span(space, np.vstack([_as_matrix(first), _as_matrix(second)]), rtol)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]

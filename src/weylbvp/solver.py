@@ -1,7 +1,8 @@
 """Solution machinery for spectral-parameter-dependent boundary conditions:
 the perturbed-resolvent formula, the linearized block operator on the
-product space, the solvability set, the eigenvalue count with the bisection
-it guides, and eigenvalue correspondence and completeness checks.
+product space, the solvability set, the eigenvalue count and the count
+certificate of the linearization's eigenvalues, and eigenvalue
+correspondence and completeness checks.
 """
 
 from __future__ import annotations
@@ -288,16 +289,13 @@ def compressed_resolvent(lin: Linearization, lam: complex, g: np.ndarray) -> np.
     return lu.solve(rhs)[:n]
 
 
-# A piece of the scan window narrower than this (relative to the window's
-# largest |endpoint|, at least 1) is not split further: its roots are known
-# to that width.
-SCAN_RESOLUTION = 1e-12
 # The count is undefined this close (relative) to a Dirichlet eigenvalue or a
 # pole of tau: there the side of the computed pole decides it.
 COUNT_GAP = 1e-11
-# The linearization eigensolve of ``eigen_correspondence`` covers the window
-# widened by the match tolerance and by at least this much (relative to the
-# window's largest |endpoint|, at least 1).
+# The linearization eigensolve of ``homogeneous_scan`` covers the counted
+# window widened by this much (relative to the window's largest |endpoint|,
+# at least 1), so that the half-open (a, b] that the solve returns keeps an
+# eigenvalue on the lower end.
 WINDOW_PAD = 1e-9
 
 
@@ -325,11 +323,15 @@ def eigenvalue_count(et: EllipticTriple, tau, x: float) -> int:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Roots in the window with multiplicity, in increasing order, and every
-    (x, N(x)) the bisection evaluated, sorted by x."""
+    """The count certificate of a window: the linearization's real
+    eigenvalues in it (``roots``, increasing, with multiplicity) and their
+    eigenvectors (the columns of ``vectors``), every (x, N(x)) evaluated,
+    sorted by x, and where the two disagree (``failures``)."""
 
     roots: tuple
+    vectors: np.ndarray = field(repr=False)
     counts: tuple = field(repr=False)
+    failures: tuple
 
     @property
     def window_count(self) -> int:
@@ -337,110 +339,102 @@ class ScanResult:
         return self.counts[-1][1] - self.counts[0][1]
 
 
-def homogeneous_scan(et: EllipticTriple, tau, window) -> ScanResult:
-    """Every real eigenvalue in the window, by bisection on the count N.
+def homogeneous_scan(et: EllipticTriple, tau, window, lin: Linearization,
+                     tol: float = 1e-6) -> ScanResult:
+    """Every real eigenvalue in the window, with multiplicity: the
+    linearization's eigenvalues there, certified complete by the count N.
 
-    A piece [a, b) holds N(b) - N(a) eigenvalues: a piece that holds none is
-    dropped, any other is halved until it is narrower than
-    ``SCAN_RESOLUTION``, and then gives its midpoint as a root, repeated
-    N(b) - N(a) times.  Where N is undefined (a Dirichlet eigenvalue or a
-    pole), a window end moves outward and a split point moves inside its
-    piece.
+    N is counted at both window ends; an end on a Dirichlet eigenvalue or a
+    pole moves outward.  The linearization's real eigenvalues (|Im| <= 1e-8)
+    in [lo, hi) between the counted ends are grouped into clusters, in which
+    neighbours are closer than 2 tol, and N is counted once in each gap
+    between clusters: at its middle, or where N is undefined there at 3/8,
+    5/8, 1/4 or 3/4 of it, so at least tol/2 from every eigenvalue; a gap
+    with no such point joins its two clusters.  The certificate holds when N
+    jumps across each cluster by the cluster's size: N(x) counts the
+    eigenvalues below x exactly, so the eigenvalues listed are then all
+    those of the window.  k clusters take k + 1 counts.
     """
     lo, hi = float(window[0]), float(window[1])
-    width = SCAN_RESOLUTION * max(1.0, abs(lo), abs(hi))
+    scale = max(1.0, abs(lo), abs(hi))
     counts: dict[float, int] = {}
 
-    def count(x: float) -> tuple[float, int]:
-        counts[x] = eigenvalue_count(et, tau, x)
-        return x, counts[x]
+    def count(x: float) -> int | None:
+        try:
+            counts[x] = eigenvalue_count(et, tau, x)
+        except PoleOrSpectrum:
+            return None
+        return counts[x]
 
-    def end(x: float, step: float) -> tuple[float, int]:
+    def end(x: float, step: float) -> float:
         # the singular points are finite in number, so a doubling step
         # leaves them behind
-        while True:
-            try:
-                return count(x)
-            except PoleOrSpectrum:
-                x, step = x + step, 2 * step
+        while count(x) is None:
+            x, step = x + step, 2 * step
+        return x
 
-    def split(a: float, b: float) -> tuple[float, int] | None:
+    def split(a: float, b: float) -> float | None:
         for t in (0.5, 0.375, 0.625, 0.25, 0.75):
-            try:
-                return count(a + t * (b - a))
-            except PoleOrSpectrum:
-                pass
+            if count(x := a + t * (b - a)) is not None:
+                return x
         return None
 
-    roots = []
-    pieces = [(end(lo, -width), end(hi, width))]
-    while pieces:                  # depth first, left piece first
-        (a, ca), (b, cb) = pieces.pop()
-        if cb == ca:
-            continue
-        mid = split(a, b) if b - a > width else None
-        if mid is None:
-            roots += [(a + b) / 2] * (cb - ca)
-        else:
-            pieces += [(mid, (b, cb)), ((a, ca), mid)]
-    return ScanResult(roots=tuple(roots), counts=tuple(sorted(counts.items())))
+    lo, hi = end(lo, -COUNT_GAP * scale), end(hi, COUNT_GAP * scale)
+    pad = WINDOW_PAD * scale
+    evals, evecs = lin.eigenpairs((lo - pad, hi + pad))
+    keep = np.flatnonzero((np.abs(evals.imag) <= 1e-8)
+                          & (evals.real >= lo) & (evals.real < hi))
+    keep = keep[np.argsort(evals.real[keep], kind="stable")]
+    roots = evals.real[keep].tolist()
+
+    cuts = [lo]
+    for a, b in zip(roots, roots[1:]):
+        x = split(a, b) if b - a >= 2 * tol else None
+        if x is not None:
+            cuts.append(x)
+    cuts.append(hi)
+    below = np.searchsorted(roots, cuts)
+    failures = [f"count mismatch on [{a:.6g}, {b:.6g}): N jumps by "
+                f"{counts[b] - counts[a]}, the linearization has {k - j} eigenvalues"
+                for a, b, j, k in zip(cuts, cuts[1:], below, below[1:])
+                if counts[b] - counts[a] != k - j]
+    if counts[hi] - counts[lo] != len(roots):
+        failures.insert(0, f"incomplete: the count gives {counts[hi] - counts[lo]} "
+                           f"eigenvalues in the window, the linearization {len(roots)}")
+    return ScanResult(roots=tuple(roots), vectors=evecs[:, keep],
+                      counts=tuple(sorted(counts.items())), failures=tuple(failures))
 
 
 def eigen_correspondence(lin: Linearization, et: EllipticTriple, tau, window,
-                         tol: float = 1e-6, scan: ScanResult | None = None) -> dict:
+                         tol: float = 1e-6) -> dict:
     """Check both directions of the eigenvalue correspondence inside a window,
-    and its completeness: every eigenvalue of the linearization solves the
-    homogeneous problem, every scan root is an eigenvalue of the
-    linearization, and the count N(hi) - N(lo), the number of linearization
-    eigenvalues in the window and the number of scan roots (with
-    multiplicity) are equal.
+    and its completeness: ``homogeneous_scan`` certifies by counts that the
+    linearization's real eigenvalues there are every eigenvalue of the
+    problem, with multiplicity, and the interior part of each eigenvector
+    must solve the homogeneous problem to ``tol``.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if scan is None:
-        scan = homogeneous_scan(et, tau, window)
-    # the scan may have moved a window end outward off a singular point, and
-    # a root matches within tol; the floor keeps an eigenvalue on lo inside
-    # the half-open (a, b] that the solve returns
-    pad = max(tol, 0.0) + WINDOW_PAD * max(1.0, abs(lo), abs(hi))
-    evals, evecs = lin.eigenpairs((min(lo, scan.counts[0][0]) - pad,
-                                   max(hi, scan.counts[-1][0]) + pad))
+    scan = homogeneous_scan(et, tau, window, lin, tol)
     n = lin.n_interior
     failures = []
     entries = []
-    in_window = 0
-    for k in range(evals.size):
-        lam = complex(evals[k])
-        if not (lo <= lam.real <= hi and abs(lam.imag) <= 1e-8):
-            continue
-        in_window += 1
-        f = evecs[:n, k]
+    for lam, vec in zip(scan.roots, scan.vectors.T):
+        f = vec[:n]
         fnorm = float(np.linalg.norm(f))
-        if fnorm <= 1e-10 * float(np.linalg.norm(evecs[:, k])):
-            failures.append(f"eigenvector at {lam.real:.6g} has vanishing interior part")
+        if fnorm <= 1e-10 * float(np.linalg.norm(vec)):
+            failures.append(f"eigenvector at {lam:.6g} has vanishing interior part")
             continue
         try:
-            smin, scale = solvability_margin(et, tau, complex(lam.real))
+            smin, scale = solvability_margin(et, tau, complex(lam))
         except (PoleOrSpectrum, SpectrumPoint):
-            failures.append(f"eigenvalue {lam.real:.6g} hits a pole or Dirichlet point")
+            failures.append(f"eigenvalue {lam:.6g} hits a pole or Dirichlet point")
             continue
-        r1, r2 = _problem_residuals(et, tau.eval(complex(lam.real)), complex(lam.real),
+        r1, r2 = _problem_residuals(et, tau.eval(complex(lam)), complex(lam),
                                     f / fnorm, np.zeros(n))
-        entries.append({"lambda": lam.real, "sigma_min": smin,
+        entries.append({"lambda": lam, "sigma_min": smin,
                         "pde_residual": r1, "bc_residual": r2})
         if max(r1, r2) > tol:
-            failures.append(
-                f"homogeneous residual {max(r1, r2):.3e} at {lam.real:.6g}")
-    real_evals = np.array([ev.real for ev in evals if abs(ev.imag) <= 1e-8])
-    matched = []
-    for root in scan.roots:
-        dist = float(np.min(np.abs(real_evals - root))) if real_evals.size else np.inf
-        matched.append({"root": root, "nearest_eigenvalue_distance": dist})
-        if dist > tol:
-            failures.append(f"scan root {root:.6g} has no eigenvalue within {tol}")
-    if not scan.window_count == in_window == len(scan.roots):
-        failures.append(f"incomplete: the count gives {scan.window_count} eigenvalues "
-                        f"in the window, the linearization {in_window}, the scan "
-                        f"{len(scan.roots)} roots")
-    return {"eigenvalues": entries, "scan_roots": matched,
-            "window_count": scan.window_count,
+            failures.append(f"homogeneous residual {max(r1, r2):.3e} at {lam:.6g}")
+    failures += scan.failures
+    return {"eigenvalues": entries, "scan_roots": list(scan.roots),
+            "counts": scan.counts, "window_count": scan.window_count,
             "failures": failures, "ok": not failures}

@@ -185,7 +185,8 @@ def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:
 
 
 def verify_triple_identities(bt: BoundaryTriple, samples, lambda0: complex | None = None,
-                  seed: int = 0) -> dict[str, float]:
+                             seed: int = 0,
+                             data: dict[complex, WeylData] | None = None) -> dict[str, float]:
     """Max scaled residuals of the gamma-field/Weyl identities at sample points.
 
     Checks, for all pairs (lam, mu) of samples in rho(A_0):
@@ -196,7 +197,8 @@ def verify_triple_identities(bt: BoundaryTriple, samples, lambda0: complex | Non
               (A0-lam)^{-1}) gamma(l0)
     One LU per distinct point (``weyl_data``) gives gamma and M there and,
     at each sample, (A0-lam)^{-1} on the columns the identities need; no
-    interior-size inverse is formed.
+    interior-size inverse is formed.  ``data`` holds ``weyl_data`` of points
+    that the caller has already factored; they are not factored again.
     """
     samples = list(samples)
     if lambda0 is None:
@@ -204,7 +206,7 @@ def verify_triple_identities(bt: BoundaryTriple, samples, lambda0: complex | Non
     rng = np.random.default_rng(seed)
     n = bt.state.dim
     points = list(dict.fromkeys([*samples, lambda0]))
-    data = {lam: bt.weyl_data(lam) for lam in points}
+    data = {lam: (data or {}).get(lam) or bt.weyl_data(lam) for lam in points}
     # gambar needs gamma(conj lam); of a conjugate that is no sample only
     # gamma is kept, not its LU
     gamma_conj = {lam: (data.get(np.conj(lam)) or bt.weyl_data(np.conj(lam))).gamma_mat

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from weylbvp import BoundaryTriple
 from weylbvp.cli import main
 
 
@@ -154,6 +155,25 @@ def test_verify_passes(tmp_path):
     assert report["suites"]["negative_squares"] == 0
 
 
+@pytest.mark.parametrize("tau", [BASE["tau"], {"kind": "constant", "theta": 2.0}],
+                         ids=["rational", "constant"])
+def test_verify_factors_each_point_once(tmp_path, monkeypatch, tau):
+    # the closed-form Weyl check and the realization's Weyl residual read
+    # M(lam) from the LU that the identity check takes at the same point
+    calls = []
+    weyl_data = BoundaryTriple.weyl_data
+
+    def counted(self, lam):
+        calls.append((id(self), complex(lam)))
+        return weyl_data(self, lam)
+
+    monkeypatch.setattr(BoundaryTriple, "weyl_data", counted)
+    code, out = run(tmp_path, write_cfg(tmp_path, {"tau": tau}), "verify")
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["ok"] is True
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_realize_roundtrip(tmp_path):
     code, out = run(tmp_path, write_cfg(tmp_path), "realize")
     assert code == 0
@@ -269,6 +289,24 @@ def test_eigen_scan_table_lists_counts(tmp_path):
     assert xs == sorted(xs) and counts == sorted(counts)
     assert xs[0] <= 0.2 and xs[-1] >= 9.0
     assert counts[-1] - counts[0] == report["window_count"] == len(report["scan_roots"])
+    # the certificate's points: both ends and one point between each pair of
+    # (here simple) eigenvalues, every one a jump of 1 apart
+    assert len(xs) == report["window_count"] + 1
+    assert all(b - a == 1 for a, b in zip(counts, counts[1:]))
+
+
+def test_eigen_2d_corner_eigenvalues_exit_2(tmp_path):
+    # the four corner channels give eigenvalues at sqrt(2) - 1 whose
+    # eigenvectors have no interior part: the count certifies them, the
+    # eigenvector check rejects them
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 6, "ny": 6, "eta": "auto"}})
+    code, out = run(tmp_path, cfg, "eigen")
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["correspondence_ok"] is False
+    assert report["window_count"] == len(report["scan_roots"]) == \
+        report["eigenvalue_count"] + 4
+    assert report["failures"] == ["eigenvector at 0.414214 has vanishing interior part"] * 4
 
 
 def test_reversed_interval_exits_1(tmp_path, capsys):

@@ -15,6 +15,7 @@ from weylbvp import (
     KreinSpace,
     LinearRelation,
     OutsideU,
+    PoleOrSpectrum,
     RankDeficientCoupling,
     RationalNevanlinna,
     RepresentationForm,
@@ -34,8 +35,10 @@ from weylbvp import (
     realize_constant,
     realize_rational,
 )
+from weylbvp import solver
 from weylbvp.solver import (
     WINDOW_PAD,
+    Linearization,
     eigenvalue_count,
     in_solvable_set,
     solvability_margin,
@@ -248,7 +251,7 @@ def test_w_symmetry_residual_never_below_two_norm_ratio(et1d):
 
 def test_outside_u_at_scan_root(et1d):
     tau = rational_m2(2)
-    scan = homogeneous_scan(et1d, tau, (0.2, 9.0))
+    scan = homogeneous_scan(et1d, tau, (0.2, 9.0), lin_for(et1d, tau))
     assert scan.roots, "expected at least one homogeneous eigenvalue"
     root = scan.roots[0]
     with pytest.raises(OutsideU):
@@ -426,20 +429,20 @@ def test_compressed_resolvent_far_field_bound(et1d):
 
 
 def test_scan_constant_tau_matches_fixed_extension(et1d):
+    # a constant tau realizes over an indefinite state space: the full
+    # nonsymmetric eigensolve, whose nonreal pair 4 +- 3.7i lies over the
+    # window and must stay out of the clusters
     theta = 2.0 * np.eye(2)
     tau = ConstantFunction(theta=theta)
-    # the fixed extension: interior operator with Robin-type closure; its
-    # eigenvalues are exactly the homogeneous roots.  Assemble it from the
-    # same blocks the direct solve uses.
-    de = et1d.de
-    n = de.n_interior
-    # eliminate y from tau*y = w*L_BI*f_D with f = f_D + E y
-    scan = homogeneous_scan(et1d, tau, (0.5, 9.5))
-    lin = lin_for(et1d, tau)
+    lin = build_linearization(et1d, realize_constant(theta, 4.0 + 3.7j))
+    assert not lin.is_hilbert
     ev = lin.eigenvalues()
+    assert np.min(np.abs(ev - (4.0 + 3.7j))) <= 1e-6
+    scan = homogeneous_scan(et1d, tau, (0.5, 9.5), lin)
+    assert not scan.failures
     real_ev = np.sort(ev.real[np.abs(ev.imag) < 1e-8])
     window_ev = real_ev[(real_ev >= 0.5) & (real_ev <= 9.5)]
-    assert len(scan.roots) == len(window_ev) > 0
+    assert scan.window_count == len(scan.roots) == len(window_ev) > 0
     assert np.max(np.abs(np.array(scan.roots) - window_ev)) <= 1e-6
 
 
@@ -462,24 +465,71 @@ def window_eigenvalues(lin, lo, hi):
 
 
 def test_scan_straddles_pole(et1d):
-    # the first split point of (-3, -1) is the pole -2, where N is undefined
+    # the pole -2 lies inside (-3, -1): N counts it, the certificate holds
     tau = rational_m2(2)
-    scan = homogeneous_scan(et1d, tau, (-3.0, -1.0))
+    lin = lin_for(et1d, tau)
+    scan = homogeneous_scan(et1d, tau, (-3.0, -1.0), lin)
+    assert not scan.failures
     assert -2.0 not in dict(scan.counts)
-    expected = window_eigenvalues(lin_for(et1d, tau), -3.0, -1.0)
+    expected = window_eigenvalues(lin, -3.0, -1.0)
     assert scan.window_count == len(scan.roots) == len(expected) > 0
     assert np.max(np.abs(np.array(scan.roots) - expected)) <= 1e-8
+
+
+def _blocking_count(monkeypatch, blocked):
+    """Make N undefined at the points in ``blocked``, as at a pole."""
+    count = solver.eigenvalue_count
+
+    def blocking(et, tau, x):
+        if x in blocked:
+            raise PoleOrSpectrum(f"{x} is blocked")
+        return count(et, tau, x)
+
+    monkeypatch.setattr(solver, "eigenvalue_count", blocking)
+
+
+def test_scan_gap_point_moves_off_singular_point(et1d, monkeypatch):
+    # a singular point in the middle of the gap moves the gap point to 3/8;
+    # with all five candidates singular the two clusters share one jump
+    tau = rational_m2(2)
+    lin = lin_for(et1d, tau)
+    window = (0.2, 9.0)
+    clean = homogeneous_scan(et1d, tau, window, lin)
+    a, b = clean.roots
+    assert [x for x, _ in clean.counts] == [0.2, a + 0.5 * (b - a), 9.0]
+    _blocking_count(monkeypatch, {a + 0.5 * (b - a)})
+    moved = homogeneous_scan(et1d, tau, window, lin)
+    assert not moved.failures and moved.roots == clean.roots
+    assert [x for x, _ in moved.counts] == [0.2, a + 0.375 * (b - a), 9.0]
+    _blocking_count(monkeypatch, {a + t * (b - a) for t in (0.5, 0.375, 0.625, 0.25, 0.75)})
+    merged = homogeneous_scan(et1d, tau, window, lin)
+    assert not merged.failures and merged.roots == clean.roots
+    assert [x for x, _ in merged.counts] == [0.2, 9.0]
+    assert merged.window_count == 2
+
+
+def test_scan_merges_eigenvalues_closer_than_two_tol(et1d):
+    # neighbours closer than 2 tol form one cluster: no count between them
+    tau = rational_m2(2)
+    lin = lin_for(et1d, tau)
+    a, b = homogeneous_scan(et1d, tau, (0.2, 9.0), lin).roots
+    for tol, points in ((0.49 * (b - a), 3), (0.51 * (b - a), 2)):
+        scan = homogeneous_scan(et1d, tau, (0.2, 9.0), lin, tol)
+        assert not scan.failures and scan.roots == (a, b)
+        assert len(scan.counts) == points
 
 
 def test_scan_finds_eigenvalue_at_pole(et1d):
     # beta_2 = diag(1, 0) hides the pole -2 from tau in one direction, so the
     # linearization has an eigenvalue at the pole itself, where N is
-    # undefined: the bisection ends at a piece it cannot split
+    # undefined: at the window's lower end, the end moves outward past it
     tau = RationalNevanlinna(alpha=(np.zeros((2, 2)), -2 * np.eye(2)),
                              beta=(np.eye(2), np.diag([1.0, 0.0])))
+    lin = lin_for(et1d, tau)
     for window in ((-3.0, -1.0), (-2.0, 0.0)):
-        scan = homogeneous_scan(et1d, tau, window)
-        expected = window_eigenvalues(lin_for(et1d, tau), *window)
+        scan = homogeneous_scan(et1d, tau, window, lin)
+        assert not scan.failures
+        expected = window_eigenvalues(lin, *window)
         assert scan.window_count == len(scan.roots) == len(expected)
         assert np.min(np.abs(expected + 2.0)) <= 1e-10
         assert np.max(np.abs(np.array(scan.roots) - expected)) <= 1e-6
@@ -487,23 +537,45 @@ def test_scan_finds_eigenvalue_at_pole(et1d):
 
 def test_scan_2d_counts_corner_roots(et2d):
     # the four corner directions of ker L_IB are roots of M + tau at
-    # sqrt(2) - 1, where tau(lam) = lam + 1/(-2 - lam) vanishes
+    # sqrt(2) - 1, where tau(lam) = lam + 1/(-2 - lam) vanishes: one cluster,
+    # across which N jumps by 4
     tau = rational_m2(et2d.de.n_boundary)
-    scan = homogeneous_scan(et2d, tau, (0.2, 9.0))
-    expected = window_eigenvalues(lin_for(et2d, tau), 0.2, 9.0)
+    lin = lin_for(et2d, tau)
+    scan = homogeneous_scan(et2d, tau, (0.2, 9.0), lin)
+    assert not scan.failures
+    expected = window_eigenvalues(lin, 0.2, 9.0)
     assert scan.window_count == len(scan.roots) == len(expected)
     assert np.max(np.abs(np.array(scan.roots) - expected)) <= 1e-8
-    assert sum(abs(r - (np.sqrt(2) - 1)) <= 1e-9 for r in scan.roots) == 4
+    corner = np.sqrt(2) - 1
+    assert sum(abs(r - corner) <= 1e-9 for r in scan.roots) == 4
+    (x0, n0), (x1, n1) = next((p, q) for p, q in zip(scan.counts, scan.counts[1:])
+                              if p[0] < corner < q[0])
+    assert n1 - n0 == 4 and x1 - x0 > 2e-6
+    # the corner eigenvectors have no interior part, so eigen still fails there
+    report = eigen_correspondence(lin, et2d, tau, (0.2, 9.0))
+    assert not report["ok"]
+    assert report["failures"] == [
+        f"eigenvector at {corner:.6g} has vanishing interior part"] * 4
 
 
-def test_correspondence_reports_incomplete_scan(et1d):
+def test_correspondence_reports_incomplete_scan(et1d, monkeypatch):
+    # an eigensolve that drops one eigenvalue of the window: the certificate
+    # must fail as incomplete
     tau = rational_m2(2)
     lin = lin_for(et1d, tau)
-    scan = homogeneous_scan(et1d, tau, (0.2, 9.0))
-    short = dataclasses.replace(scan, roots=scan.roots[1:])
-    report = eigen_correspondence(lin, et1d, tau, (0.2, 9.0), scan=short)
+    eigenpairs = Linearization.eigenpairs
+
+    def dropping(self, window=None):
+        lam, v = eigenpairs(self, window)
+        return lam[1:], v[:, 1:]
+
+    monkeypatch.setattr(Linearization, "eigenpairs", dropping)
+    report = eigen_correspondence(lin, et1d, tau, (0.2, 9.0))
     assert not report["ok"]
-    assert any(f.startswith("incomplete") for f in report["failures"])
+    assert report["window_count"] == 2 and len(report["scan_roots"]) == 1
+    assert report["failures"][0] == ("incomplete: the count gives 2 eigenvalues "
+                                     "in the window, the linearization 1")
+    assert any(f.startswith("count mismatch") for f in report["failures"])
 
 
 def test_correspondence_window_ends_next_to_eigenvalues(et1d):
@@ -520,24 +592,23 @@ def test_correspondence_window_ends_next_to_eigenvalues(et1d):
     assert np.max(np.abs(np.array(got) - inside)) <= 1e-10 * np.max(np.abs(inside))
 
 
-def test_correspondence_reports_eigenvalue_the_count_lacks(et1d):
-    # the linearization holds every eigenvalue of the window; a count (and a
-    # root list) one short must make the check fail as incomplete, so the
-    # windowed eigensolve has to return the eigenvalue the count lacks
+def test_correspondence_reports_eigenvalue_the_count_lacks(et1d, monkeypatch):
+    # the linearization holds every eigenvalue of the window; a count one
+    # short at the upper end must make the check fail as incomplete
     tau = rational_m2(2)
     lin = lin_for(et1d, tau)
-    scan = homogeneous_scan(et1d, tau, (0.2, 9.0))
-    (x_hi, n_hi), k = scan.counts[-1], scan.window_count
-    assert k == len(scan.roots) > 0
-    short = dataclasses.replace(scan, roots=scan.roots[:-1],
-                                counts=scan.counts[:-1] + ((x_hi, n_hi - 1),))
-    report = eigen_correspondence(lin, et1d, tau, (0.2, 9.0), scan=short)
-    assert not report["ok"]
+    count = solver.eigenvalue_count
+    monkeypatch.setattr(solver, "eigenvalue_count",
+                        lambda et, tau, x: count(et, tau, x) - (x == 9.0))
+    report = eigen_correspondence(lin, et1d, tau, (0.2, 9.0))
+    k = len(report["eigenvalues"])
+    assert not report["ok"] and k == 2
     assert report["window_count"] == k - 1
-    assert len(report["eigenvalues"]) == k
-    assert [f for f in report["failures"] if f.startswith("incomplete")] == [
+    assert report["failures"] == [
         f"incomplete: the count gives {k - 1} eigenvalues in the window, "
-        f"the linearization {k}, the scan {k - 1} roots"]
+        f"the linearization {k}",
+        f"count mismatch on [{report['counts'][-2][0]:.6g}, 9): N jumps by 0, "
+        f"the linearization has 1 eigenvalues"]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -564,9 +635,11 @@ def test_count_matches_dense_eigensolve(seed, m):
     tau = RationalNevanlinna(alpha=alphas, beta=betas)
     lo = float(rng.uniform(-10.0, 40.0))
     hi = lo + float(rng.uniform(0.5, 60.0))
-    expected = window_eigenvalues(lin_for(et, tau), lo, hi)
+    lin = lin_for(et, tau)
+    expected = window_eigenvalues(lin, lo, hi)
     assert eigenvalue_count(et, tau, hi) - eigenvalue_count(et, tau, lo) == len(expected)
-    scan = homogeneous_scan(et, tau, (lo, hi))
-    assert len(scan.roots) == len(expected)
+    scan = homogeneous_scan(et, tau, (lo, hi), lin)
+    assert not scan.failures
+    assert scan.window_count == len(scan.roots) == len(expected)
     if expected.size:
         assert np.max(np.abs(np.array(scan.roots) - expected)) <= 1e-6
