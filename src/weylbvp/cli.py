@@ -151,7 +151,7 @@ def parse_tau(cfg, boundary_dim: int | None):
     # numpy would broadcast a smaller tau over the boundary without a word
     if boundary_dim is not None and tau.boundary_dim != boundary_dim:
         raise ConfigError(f"tau acts on C^{tau.boundary_dim}, "
-                          f"but the boundary has {boundary_dim} nodes")
+                          f"but the boundary has {boundary_dim} channels")
     return tau
 
 

@@ -110,13 +110,10 @@ class DiscreteElliptic:
 
     def eta_extension(self, eta: float) -> np.ndarray:
         """E_eta with (L_II - eta) E_eta + L_IB = 0."""
-        # every boundary node must couple to the interior (a disconnected node
-        # would make its trace coordinate meaningless); note that in 2D the two
-        # neighbors of a corner alias the same interior row, so full column rank
-        # is structurally impossible and is not required by the construction
+        # a channel disconnected from the interior would have a meaningless trace
         colnorm = np.linalg.norm(self.l_ib, axis=0)
         if np.any(colnorm <= 1e-12 * max(1.0, float(colnorm.max(initial=0.0)))):
-            raise RankDeficientCoupling("a boundary node is disconnected from the interior")
+            raise RankDeficientCoupling("a boundary channel is disconnected from the interior")
         if np.min(np.abs(self.dirichlet_eigs - eta)) < 1e-10 * max(
                 1.0, float(np.max(np.abs(self.dirichlet_eigs)))):
             raise SpectrumPoint(f"eta={eta} lies in the Dirichlet spectrum")
@@ -162,8 +159,9 @@ def build_2d(nx: int, ny: int, a11=1.0, a22=1.0, a=0.0,
     """Five-point stencil for -(a11 u_x)_x - (a22 u_y)_y + a u on a rectangle.
 
     Requires equal spacing in both directions.  Interior nodes are numbered
-    x-fastest; boundary nodes run counterclockwise from the lower-left,
-    corners excluded (they never touch an interior stencil).
+    x-fastest.  The 2nx + 2ny - 4 boundary channels run counterclockwise from
+    the lower-left corner: one per edge node, and one at each corner point that
+    merges its two neighbours, which couple only to the interior corner node.
     """
     if nx < 3 or ny < 3:
         raise NonPositiveCoefficient("need at least 3 interior nodes per direction")
@@ -187,12 +185,15 @@ def build_2d(nx: int, ny: int, a11=1.0, a22=1.0, a=0.0,
     def idx(i, j):               # interior (i=1..nx, j=1..ny)
         return (j - 1) * nx + (i - 1)
 
-    # boundary ordering: bottom L->R, right B->T, top R->L, left T->B
-    blist = ([("b", i, 0) for i in range(1, nx + 1)]
-             + [("r", nx + 1, j) for j in range(1, ny + 1)]
-             + [("t", i, ny + 1) for i in range(nx, 0, -1)]
-             + [("l", 0, j) for j in range(ny, 0, -1)])
-    bindex = {(i, j): k for k, (_, i, j) in enumerate(blist)}
+    def snap(v, n):              # a corner's two neighbours share its channel
+        return 0 if v <= 1 else n + 1 if v >= n else v
+
+    # each side starts at its corner: bottom L->R, right B->T, top R->L, left T->B
+    blist = ([(i, 0) for i in (0, *range(2, nx))]
+             + [(nx + 1, j) for j in (0, *range(2, ny))]
+             + [(i, ny + 1) for i in (nx + 1, *range(nx - 1, 1, -1))]
+             + [(0, j) for j in (ny + 1, *range(ny - 1, 1, -1))])
+    bindex = {ij: k for k, ij in enumerate(blist)}
 
     n_i, n_b = nx * ny, len(blist)
     l_ii = np.zeros((n_i, n_i))
@@ -213,10 +214,10 @@ def build_2d(nx: int, ny: int, a11=1.0, a22=1.0, a=0.0,
                 if 1 <= ii <= nx and 1 <= jj <= ny:
                     l_ii[row, idx(ii, jj)] = val
                 else:
-                    l_ib[row, bindex[(ii, jj)]] = val
+                    l_ib[row, bindex[(snap(ii, nx), snap(jj, ny))]] += val
     icoords = np.array([[xpos(i), ypos(j)]
                         for j in range(1, ny + 1) for i in range(1, nx + 1)])
-    bcoords = np.array([[xpos(i), ypos(j)] for _, i, j in blist])
+    bcoords = np.array([[xpos(i), ypos(j)] for i, j in blist])
     return DiscreteElliptic(
         dim=2, shape=(nx, ny), spacing=h,
         l_ii=l_ii, l_ib=l_ib, l_bi=l_ib.T.copy(),

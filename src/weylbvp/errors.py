@@ -54,7 +54,7 @@ class NonPositiveCoefficient(ConfigError):
 
 
 class RankDeficientCoupling(WeylbvpError):
-    """A coupling does not determine its unknowns: a boundary node is
+    """A coupling does not determine its unknowns: a boundary channel is
     disconnected from the interior, or the coupling conditions of a
     linearization fail to determine it uniquely."""
 

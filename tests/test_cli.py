@@ -295,18 +295,16 @@ def test_eigen_scan_table_lists_counts(tmp_path):
     assert all(b - a == 1 for a, b in zip(counts, counts[1:]))
 
 
-def test_eigen_2d_corner_eigenvalues_exit_2(tmp_path):
-    # the four corner channels give eigenvalues at sqrt(2) - 1 whose
-    # eigenvectors have no interior part: the count certifies them, the
-    # eigenvector check rejects them
+def test_eigen_2d_exits_0(tmp_path):
+    # each corner is one boundary channel, so L_IB has no kernel and every
+    # eigenvalue in the window has an eigenvector with an interior part
     cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 6, "ny": 6, "eta": "auto"}})
     code, out = run(tmp_path, cfg, "eigen")
-    assert code == 2
+    assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["correspondence_ok"] is False
-    assert report["window_count"] == len(report["scan_roots"]) == \
-        report["eigenvalue_count"] + 4
-    assert report["failures"] == ["eigenvector at 0.414214 has vanishing interior part"] * 4
+    assert report["correspondence_ok"] is True and report["failures"] == []
+    assert report["eigenvalue_count"] == report["window_count"] == len(report["scan_roots"])
+    assert report["eigenvalue_count"] > 0
 
 
 def test_reversed_interval_exits_1(tmp_path, capsys):

@@ -59,15 +59,38 @@ def test_2d_symmetry_and_boundary_ordering():
     # rectangle chosen so both directions share the same spacing h = 0.2
     de = build_2d(4, 5, rect=(0.0, 1.0, 0.0, 1.2))
     assert np.linalg.norm(de.l_ib - de.l_bi.T) <= 1e-13
-    assert de.n_boundary == 2 * 4 + 2 * 5
-    # counterclockwise from lower-left: first node on the bottom edge,
-    # then right, top (reversed), left (reversed)
-    b = de.boundary_coords
+    assert de.n_boundary == 2 * 4 + 2 * 5 - 4
+    # counterclockwise from the lower-left corner; each side starts at its
+    # corner: bottom L->R, right B->T, top R->L, left T->B
+    expected = [[0.0, 0.0], [0.4, 0.0], [0.6, 0.0],
+                [1.0, 0.0], [1.0, 0.4], [1.0, 0.6], [1.0, 0.8],
+                [1.0, 1.2], [0.6, 1.2], [0.4, 1.2],
+                [0.0, 1.2], [0.0, 0.8], [0.0, 0.6], [0.0, 0.4]]
+    assert np.allclose(de.boundary_coords, expected)
+    # a corner channel carries both of its neighbours' couplings to the
+    # interior corner node: the lower-left one, interior row 0
     h = de.spacing
-    assert np.allclose(b[0], [h, 0.0])
-    assert np.allclose(b[4], [1.0, h])
-    assert b[9][1] == pytest.approx(1.2)   # first top node
-    assert b[-1][0] == pytest.approx(0.0)  # last left node
+    assert np.flatnonzero(de.l_ib[:, 0]).tolist() == [0]
+    assert de.l_ib[0, 0] == pytest.approx(-2 / h**2)
+
+
+@pytest.mark.parametrize("name", ["1d-variable", "2d-variable"])
+def test_boundary_channels_couple_to_distinct_rows(name):
+    # the diagonal trace recovery of the residual check relies on this:
+    # each L_IB column has one nonzero, the nonzeros lie in distinct rows,
+    # so L_BI L_IB is diagonal and positive
+    de = {
+        "1d-variable": lambda: build_1d(9, p=lambda x: 1 + x * x, a=lambda x: np.cos(x)),
+        "2d-variable": lambda: build_2d(5, 7, a11=lambda x, y: 1 + x,
+                                        a22=lambda x, y: 2 + np.sin(3 * y),
+                                        a=lambda x, y: x * y, rect=(0.0, 0.6, 0.0, 0.8)),
+    }[name]()
+    rows, cols = np.nonzero(de.l_ib)
+    assert np.array_equal(np.sort(cols), np.arange(de.n_boundary))
+    assert len(set(rows.tolist())) == de.n_boundary
+    gram = de.l_bi @ de.l_ib
+    assert np.array_equal(gram, np.diag(np.diag(gram)))
+    assert np.all(np.diag(gram) > 0)
 
 
 def test_dirichlet_resolvent_positive():
