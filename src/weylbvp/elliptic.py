@@ -2,6 +2,9 @@
 rectangle, split into interior/boundary blocks, with the induced boundary
 triple (Dirichlet operator, harmonic-type extension, discrete
 Dirichlet-to-Neumann map).
+
+The stencil is stored once, as L_II's upper band and one interior row and
+L_IB entry per boundary channel; every other form is derived from these.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import (
+    ConfigError,
     NonPositiveCoefficient,
     RankDeficientCoupling,
     SingularSystem,
@@ -21,6 +25,22 @@ from .errors import (
 )
 from .krein import COND_LIMIT, KreinSpace, _inverse_onenorm
 from .triple import BoundaryTriple
+
+
+# Bytes allowed for one dense array of interior size: the linearization's A
+# and the generic triple's basis are the only ones left, and above this
+# they are refused before allocation instead of exhausting the host.
+DENSE_LIMIT_BYTES = 2**30
+
+
+def _check_dense(shape: tuple, dtype, what: str) -> None:
+    """Raise ``ConfigError`` when a dense array of this shape and dtype
+    would exceed ``DENSE_LIMIT_BYTES``."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if nbytes > DENSE_LIMIT_BYTES:
+        raise ConfigError(f"{what} would take {nbytes / 2**20:.0f} MiB as a dense "
+                          f"{shape[0]}x{shape[1]} array, above the "
+                          f"{DENSE_LIMIT_BYTES / 2**20:.0f} MiB limit")
 
 
 def _sampler(c):
@@ -33,19 +53,21 @@ def _sampler(c):
 
 @dataclass(frozen=True)
 class DiscreteElliptic:
-    """Stencil matrix of -div(a grad u) + a0 u split by interior/boundary nodes.
+    """Stencil of -div(a grad u) + a0 u split by interior/boundary nodes.
 
-    ``l_ii`` acts interior-to-interior (the Dirichlet operator), ``l_ib``
-    couples boundary values into interior equations, ``l_bi`` = l_ibᵀ, and
-    ``weight`` is the quadrature weight h^d of the interior inner product.
+    ``band`` is the upper band of the Dirichlet operator L_II, band[u + i - j, j]
+    = L_II[i, j] for i <= j (u = 1 in 1D, nx in 2D).  Boundary channel k
+    couples to interior row ``channel_rows[k]`` alone, by the L_IB entry
+    ``coupling[k]``; L_BI = L_IBᵀ.  ``weight`` is the quadrature weight h^d
+    of the interior inner product.
     """
 
     dim: int
     shape: tuple
     spacing: float
-    l_ii: np.ndarray = field(repr=False)
-    l_ib: np.ndarray = field(repr=False)
-    l_bi: np.ndarray = field(repr=False)
+    band: np.ndarray = field(repr=False)
+    channel_rows: np.ndarray = field(repr=False)
+    coupling: np.ndarray = field(repr=False)
     interior_coords: np.ndarray = field(repr=False)
     boundary_coords: np.ndarray = field(repr=False)
 
@@ -53,66 +75,78 @@ class DiscreteElliptic:
         # the one check of both builders: a reversed domain (h < 0 makes the
         # weight h^d negative), a coefficient sample that is not finite, or
         # one so large that the stencil overflows, ends here
-        if not (0 < self.spacing < np.inf and np.all(np.isfinite(self.l_ii))
-                and np.all(np.isfinite(self.l_ib))):
+        if not (0 < self.spacing < np.inf and np.all(np.isfinite(self.band))
+                and np.all(np.isfinite(self.coupling))):
             raise NonPositiveCoefficient(
                 f"grid spacing must be positive (got {self.spacing}), and "
                 "coefficient samples and stencil entries finite")
 
     @property
     def n_interior(self) -> int:
-        return self.l_ii.shape[0]
+        return self.band.shape[1]
 
     @property
     def n_boundary(self) -> int:
-        return self.l_ib.shape[1]
+        return len(self.coupling)
 
     @property
     def weight(self) -> float:
         return self.spacing ** self.dim
 
+    @property
+    def l_ii(self) -> np.ndarray:
+        """L_II as a dense matrix, built on each call."""
+        return self.sparse_blocks[0].toarray()
+
+    @property
+    def l_ib(self) -> np.ndarray:
+        """L_IB as a dense n_I x n_B matrix, built on each call."""
+        return self.sparse_blocks[1].toarray()
+
     @cached_property
     def dirichlet_eigs(self) -> np.ndarray:
-        """Eigenvalues of the symmetric ``l_ii`` in increasing order, from its
-        upper band (``banded_l_ii`` rows 0..upper)."""
-        (_, upper), ab = self.banded_l_ii
-        return scipy.linalg.eigvals_banded(ab[:upper + 1])
+        """Eigenvalues of the symmetric L_II in increasing order."""
+        return scipy.linalg.eigvals_banded(self.band)
 
     def default_eta(self) -> float:
         return float(self.dirichlet_eigs[0]) - 1.0
 
     @cached_property
-    def banded_l_ii(self) -> tuple[tuple[int, int], np.ndarray]:
-        """((lower, upper), ab): the bandwidths of ``l_ii``, read off its
-        nonzero pattern, and its diagonals in ``scipy.linalg.solve_banded``
-        storage, ab[upper + i - j, j] = l_ii[i, j].
-        """
-        rows, cols = np.nonzero(self.l_ii)
-        lower = int(np.max(rows - cols, initial=0))
-        upper = int(np.max(cols - rows, initial=0))
-        n = self.n_interior
-        ab = np.zeros((lower + upper + 1, n))
-        for k in range(-lower, upper + 1):
-            ab[upper - k, max(k, 0):n + min(k, 0)] = np.diagonal(self.l_ii, k)
-        return (lower, upper), ab
+    def _full_band(self) -> np.ndarray:
+        """L_II in ``scipy.linalg.solve_banded`` storage, the upper band
+        mirrored below the diagonal: ab[u + i - j, j] = L_II[i, j]."""
+        u = self.band.shape[0] - 1
+        ab = np.vstack([self.band, np.zeros((u, self.n_interior))])
+        for k in range(1, u + 1):
+            ab[u + k, :-k] = self.band[u - k, k:]
+        return ab
 
     @cached_property
     def sparse_blocks(self) -> tuple:
-        """(L_II, L_IB, L_BI) in compressed sparse column form."""
-        return tuple(scipy.sparse.csc_array(m) for m in (self.l_ii, self.l_ib, self.l_bi))
+        """(L_II, L_IB) in compressed sparse column form."""
+        n, nb, u = self.n_interior, self.n_boundary, self.band.shape[0] - 1
+        l_ii = scipy.sparse.dia_array((self._full_band, np.arange(u, -u - 1, -1)), shape=(n, n))
+        l_ib = scipy.sparse.csc_array((self.coupling, (self.channel_rows, np.arange(nb))),
+                                      shape=(n, nb))
+        return scipy.sparse.csc_array(l_ii), l_ib
+
+    def apply_l_bi(self, v: np.ndarray) -> np.ndarray:
+        """L_BI v for a vector or matrix v: v at the channel rows, scaled."""
+        scale = self.coupling if v.ndim == 1 else self.coupling[:, None]
+        return scale * v[self.channel_rows]
 
     def dirichlet_solve(self, lam: complex, rhs: np.ndarray) -> np.ndarray:
         """(L_II - lam)^{-1} rhs for a vector or matrix rhs, by banded LU."""
-        bands, ab = self.banded_l_ii
-        shifted = ab.astype(np.result_type(ab, lam))
-        shifted[bands[1]] -= lam               # the main diagonal
-        return scipy.linalg.solve_banded(bands, shifted, rhs, overwrite_ab=True)
+        u = self.band.shape[0] - 1
+        shifted = self._full_band.astype(np.result_type(self._full_band, lam))
+        shifted[u] -= lam                      # the main diagonal
+        return scipy.linalg.solve_banded((u, u), shifted, rhs, overwrite_ab=True)
 
     def eta_extension(self, eta: float) -> np.ndarray:
         """E_eta with (L_II - eta) E_eta + L_IB = 0."""
         # a channel disconnected from the interior would have a meaningless trace
-        colnorm = np.linalg.norm(self.l_ib, axis=0)
-        if np.any(colnorm <= 1e-12 * max(1.0, float(colnorm.max(initial=0.0)))):
+        size = np.abs(self.coupling)
+        if np.any(size <= 1e-12 * max(1.0, float(size.max(initial=0.0)))):
             raise RankDeficientCoupling("a boundary channel is disconnected from the interior")
         if np.min(np.abs(self.dirichlet_eigs - eta)) < 1e-10 * max(
                 1.0, float(np.max(np.abs(self.dirichlet_eigs)))):
@@ -136,19 +170,13 @@ def build_1d(n: int, p=1.0, a=0.0, interval=(0.0, 1.0)) -> DiscreteElliptic:
         raise NonPositiveCoefficient("diffusion coefficient p must be positive")
     avals = np.array([asamp(x) for x in xs[1:-1]], dtype=float)
 
-    l_ii = np.zeros((n, n))
-    for i in range(n):           # interior node i+1
-        l_ii[i, i] = (phalf[i] + phalf[i + 1]) / h**2 + avals[i]
-        if i > 0:
-            l_ii[i, i - 1] = -phalf[i] / h**2
-        if i < n - 1:
-            l_ii[i, i + 1] = -phalf[i + 1] / h**2
-    l_ib = np.zeros((n, 2))
-    l_ib[0, 0] = -phalf[0] / h**2
-    l_ib[-1, 1] = -phalf[n] / h**2
+    band = np.zeros((2, n))
+    band[0, 1:] = -phalf[1:n] / h**2
+    band[1] = (phalf[:-1] + phalf[1:]) / h**2 + avals
     return DiscreteElliptic(
-        dim=1, shape=(n,), spacing=h,
-        l_ii=l_ii, l_ib=l_ib, l_bi=l_ib.T.copy(),
+        dim=1, shape=(n,), spacing=h, band=band,
+        channel_rows=np.array([0, n - 1]),
+        coupling=np.array([-phalf[0] / h**2, -phalf[n] / h**2]),
         interior_coords=xs[1:-1].reshape(-1, 1),
         boundary_coords=np.array([[x0], [x1]]),
     )
@@ -162,6 +190,8 @@ def build_2d(nx: int, ny: int, a11=1.0, a22=1.0, a=0.0,
     x-fastest.  The 2nx + 2ny - 4 boundary channels run counterclockwise from
     the lower-left corner: one per edge node, and one at each corner point that
     merges its two neighbours, which couple only to the interior corner node.
+    Channel k couples to the k-th node of the interior's outer ring, walked
+    counterclockwise from node (1, 1).
     """
     if nx < 3 or ny < 3:
         raise NonPositiveCoefficient("need at least 3 interior nodes per direction")
@@ -175,53 +205,38 @@ def build_2d(nx: int, ny: int, a11=1.0, a22=1.0, a=0.0,
         raise NonPositiveCoefficient("grid spacing must match in both directions")
     h = hx
     s11, s22, sa = _sampler(a11), _sampler(a22), _sampler(a)
+    xs, ys = x0 + h * np.arange(nx + 2), y0 + h * np.arange(ny + 2)     # nodes 0..n+1
+    xf, yf = x0 + h * (np.arange(nx + 1) + 0.5), y0 + h * (np.arange(ny + 1) + 0.5)
+    # each face coefficient once: ax[j, k] on the x-face k + 1/2 of interior
+    # row j + 1, ay[k, i] on the y-face k + 1/2 of interior column i + 1
+    ax = np.array([[s11(x, y) for x in xf.tolist()] for y in ys[1:-1].tolist()], dtype=float)
+    ay = np.array([[s22(x, y) for x in xs[1:-1].tolist()] for y in yf.tolist()], dtype=float)
+    if np.any(ax <= 0) or np.any(ay <= 0):
+        raise NonPositiveCoefficient("diffusion coefficients must be positive")
+    av = np.array([[sa(x, y) for x in xs[1:-1].tolist()] for y in ys[1:-1].tolist()],
+                  dtype=float)
+    gx, gy = -ax / h**2, -ay / h**2            # the off-diagonal entries
 
-    def xpos(i):
-        return x0 + h * i
+    band = np.zeros((nx + 1, nx * ny))
+    band[0].reshape(ny, nx)[1:] = gy[1:-1]             # L_II[r - nx, r]
+    band[nx - 1].reshape(ny, nx)[:, 1:] = gx[:, 1:-1]  # L_II[r - 1, r]
+    band[nx] = ((ax[:, :-1] + ax[:, 1:] + ay[:-1] + ay[1:]) / h**2 + av).ravel()
 
-    def ypos(j):
-        return y0 + h * j
-
-    def idx(i, j):               # interior (i=1..nx, j=1..ny)
-        return (j - 1) * nx + (i - 1)
-
-    def snap(v, n):              # a corner's two neighbours share its channel
-        return 0 if v <= 1 else n + 1 if v >= n else v
-
-    # each side starts at its corner: bottom L->R, right B->T, top R->L, left T->B
-    blist = ([(i, 0) for i in (0, *range(2, nx))]
-             + [(nx + 1, j) for j in (0, *range(2, ny))]
-             + [(i, ny + 1) for i in (nx + 1, *range(nx - 1, 1, -1))]
-             + [(0, j) for j in (ny + 1, *range(ny - 1, 1, -1))])
-    bindex = {ij: k for k, ij in enumerate(blist)}
-
-    n_i, n_b = nx * ny, len(blist)
-    l_ii = np.zeros((n_i, n_i))
-    l_ib = np.zeros((n_i, n_b))
-    for j in range(1, ny + 1):
-        for i in range(1, nx + 1):
-            row = idx(i, j)
-            cw = s11(xpos(i - 0.5), ypos(j))
-            ce = s11(xpos(i + 0.5), ypos(j))
-            cs = s22(xpos(i), ypos(j - 0.5))
-            cn = s22(xpos(i), ypos(j + 0.5))
-            if min(cw, ce, cs, cn) <= 0:
-                raise NonPositiveCoefficient("diffusion coefficients must be positive")
-            l_ii[row, row] = (cw + ce + cs + cn) / h**2 + sa(xpos(i), ypos(j))
-            for coef, ii, jj in ((cw, i - 1, j), (ce, i + 1, j),
-                                 (cs, i, j - 1), (cn, i, j + 1)):
-                val = -coef / h**2
-                if 1 <= ii <= nx and 1 <= jj <= ny:
-                    l_ii[row, idx(ii, jj)] = val
-                else:
-                    l_ib[row, bindex[(snap(ii, nx), snap(jj, ny))]] += val
-    icoords = np.array([[xpos(i), ypos(j)]
-                        for j in range(1, ny + 1) for i in range(1, nx + 1)])
-    bcoords = np.array([[xpos(i), ypos(j)] for i, j in blist])
+    # the rows of the interior's outer ring, counterclockwise from (1, 1)
+    rows = np.concatenate([np.arange(nx), nx * np.arange(2, ny) - 1,
+                           nx * ny - 1 - np.arange(nx), nx * np.arange(ny - 2, 0, -1)])
+    rj, ri = np.divmod(rows, nx)
+    west, east, south, north = ri == 0, ri == nx - 1, rj == 0, rj == ny - 1
+    # a corner node's channel carries both of its boundary faces
+    coupling = (np.where(west, gx[rj, 0], 0.0) + np.where(east, gx[rj, nx], 0.0)
+                + np.where(south, gy[0, ri], 0.0) + np.where(north, gy[ny, ri], 0.0))
+    # a channel sits one step out across each face it carries: a corner one at the corner
+    bi, bj = ri + 1 - west + east, rj + 1 - south + north
     return DiscreteElliptic(
-        dim=2, shape=(nx, ny), spacing=h,
-        l_ii=l_ii, l_ib=l_ib, l_bi=l_ib.T.copy(),
-        interior_coords=icoords, boundary_coords=bcoords,
+        dim=2, shape=(nx, ny), spacing=h, band=band,
+        channel_rows=rows, coupling=coupling,
+        interior_coords=np.column_stack([np.tile(xs[1:-1], ny), np.repeat(ys[1:-1], nx)]),
+        boundary_coords=np.column_stack([xs[bi], ys[bj]]),
     )
 
 
@@ -241,15 +256,17 @@ class EllipticTriple:
     @cached_property
     def bt(self) -> BoundaryTriple:
         """This triple as a generic ``BoundaryTriple`` over (C^{n_I}, h^d I) in
-        T-coordinates (f_D, y), built on first use: only verification reads it."""
+        T-coordinates (f_D, y), built on first use: only verification reads it.
+        A basis above ``DENSE_LIMIT_BYTES`` raises ``ConfigError``."""
         de, ext, w = self.de, self.extension, self.de.weight
         n, nb = de.n_interior, de.n_boundary
+        _check_dense((2 * n, n + nb), complex, "the generic triple's basis")
         t_basis = np.block([
             [np.eye(n), ext],
             [de.l_ii, self.eta * ext],
         ])
         g0 = np.hstack([np.zeros((nb, n)), np.eye(nb)])
-        g1 = np.hstack([-w * de.l_bi, np.zeros((nb, nb))])
+        g1 = np.hstack([-w * de.l_ib.T, np.zeros((nb, nb))])
         state = KreinSpace(n, gram=w * np.eye(n))
         return BoundaryTriple(state, nb, t_basis, g0, g1)
 
@@ -257,7 +274,7 @@ class EllipticTriple:
     def boundary_block(self) -> np.ndarray:
         """h^d L_BI E_eta: the lambda-independent n_B x n_B term that the
         boundary condition adds to tau(lam) once the trace is eliminated."""
-        return self.de.weight * (self.de.l_bi @ self.extension)
+        return self.de.weight * self.de.apply_l_bi(self.extension)
 
     def gamma(self, lam: complex) -> np.ndarray:
         """(I + (lam - eta)(T_D - lam)^{-1}) E_eta."""
@@ -267,7 +284,7 @@ class EllipticTriple:
     def weyl(self, lam: complex) -> np.ndarray:
         """h^d (eta - lam) L_BI (T_D - lam)^{-1} E_eta."""
         sol = self.de.dirichlet_solve(lam, self.extension)
-        return self.de.weight * (self.eta - lam) * (self.de.l_bi @ sol)
+        return self.de.weight * (self.eta - lam) * self.de.apply_l_bi(sol)
 
 
 def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticTriple:
@@ -310,13 +327,13 @@ def direct_solve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> np.nda
     """
     de = et.de
     n, nb = de.n_interior, de.n_boundary
-    l_ii, l_ib, l_bi = de.sparse_blocks
+    l_ii, l_ib = de.sparse_blocks
     eye = scipy.sparse.identity(n, format="csc")
     shifted = l_ii - et.eta * eye
     sys = scipy.sparse.bmat([
         [l_ii - lam * eye, None, l_ib],
         [shifted, -shifted, l_ib],
-        [None, -de.weight * l_bi, scipy.sparse.csc_array(tau.eval(lam))],
+        [None, -de.weight * l_ib.T, scipy.sparse.csc_array(tau.eval(lam))],
     ], format="csc", dtype=complex)
     rhs = np.zeros(2 * n + nb, dtype=complex)
     rhs[:n] = g

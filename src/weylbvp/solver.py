@@ -21,7 +21,7 @@ from .errors import (
     SpectrumPoint,
 )
 from .krein import COND_LIMIT
-from .elliptic import DiscreteElliptic, EllipticTriple, elliptic_triple, sparse_lu
+from .elliptic import DiscreteElliptic, EllipticTriple, _check_dense, elliptic_triple, sparse_lu
 from .opfunc import PoleOrSpectrum, RationalNevanlinna
 from .realize import realize_rational
 from .triple import BoundaryTriple
@@ -62,18 +62,18 @@ def _problem_residuals(et: EllipticTriple, tau_lam: np.ndarray, lam: complex,
     f solves the problem iff a trace y exists with
         L_IB y = g - (T_D - lam) f          (interior equation)
         (tau(lam) + h^d L_BI E_eta) y = h^d L_BI f   (boundary condition)
-    Every column of L_IB has one nonzero, in a row of its own, so L_BI L_IB
-    is diagonal: the interior equation gives y (its least-squares solution)
-    by one diagonal solve, and the boundary condition is checked at that y.
+    Each channel couples to one interior row of its own, so the interior
+    equation gives y (its least-squares solution) from those rows, and the
+    boundary condition is checked at that y.
     """
     de = et.de
     g = np.asarray(g, dtype=complex)
     bot = tau_lam + et.boundary_block
-    rhs_top = g - (de.l_ii @ f - lam * f)
-    rhs_bot = de.weight * (de.l_bi @ f)
-    y = (de.l_bi @ rhs_top) / np.sum(de.l_ib ** 2, axis=0)     # diag(L_BI L_IB)
+    rhs_top = g - (de.sparse_blocks[0] @ f - lam * f)
+    rhs_bot = de.weight * de.apply_l_bi(f)
+    y = rhs_top[de.channel_rows] / de.coupling
     scale = max(1.0, float(np.linalg.norm(g)), float(np.linalg.norm(f)))
-    r1 = float(np.linalg.norm(de.l_ib @ y - rhs_top)) / scale
+    r1 = float(np.linalg.norm(de.sparse_blocks[1] @ y - rhs_top)) / scale
     r2 = float(np.linalg.norm(bot @ y - rhs_bot)) / max(
         1.0, float(np.linalg.norm(y)), float(np.linalg.norm(f)))
     return r1, r2
@@ -94,7 +94,7 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     base, rd = sol[:, 0], sol[:, 1:]
     gam = et.extension + (lam - et.eta) * rd
     tau_lam = tau.eval(lam)
-    mt = de.weight * (et.eta - lam) * (de.l_bi @ rd) + tau_lam
+    mt = de.weight * (et.eta - lam) * de.apply_l_bi(rd) + tau_lam
     s = np.linalg.svd(mt, compute_uv=False)
     smin, scale = float(s[-1]), float(s[0])
     if smin <= U_THRESHOLD * max(scale, 1e-300):
@@ -229,14 +229,14 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
              [second Q w L_BI,               second P]].
     The full coupling system is singular exactly when C is (f_D and y enter
     it through identity blocks), so the rank guard runs on C, the matrix
-    that is inverted; nothing of interior size is decomposed.
+    that is inverted; nothing of interior size is decomposed.  A dense A
+    above ``DENSE_LIMIT_BYTES`` raises ``ConfigError`` before allocation.
     """
     de = et.de
     n, nb = de.n_interior, de.n_boundary
     if realized.boundary_dim != nb:
         raise DimensionMismatch("realized boundary dimension must match n_B")
     nk = realized.state.dim
-    wl_bi = de.weight * de.l_bi
     g0 = realized.g0
     coupling = np.vstack([realized.first, realized.g1 + et.boundary_block @ g0])
     sv = np.linalg.svd(coupling, compute_uv=False)
@@ -250,10 +250,14 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
         inv, g0, second, gram = inv.real, g0.real, second.real, gram.real
     p, q = inv[:, :nk], inv[:, nk:]
 
-    a_mat = np.empty((n + nk, n + nk), dtype=inv.dtype)
-    a_mat[:n, :n] = de.l_ii + (de.l_ib @ (g0 @ q)) @ wl_bi
-    a_mat[:n, n:] = de.l_ib @ (g0 @ p)
-    a_mat[n:, :n] = (second @ q) @ wl_bi
+    _check_dense((n + nk, n + nk), inv.dtype, "the linearization")
+    a_mat = np.zeros((n + nk, n + nk), dtype=inv.dtype)
+    a_mat[:n, :n] = de.l_ii
+    # L_IB and w L_BI touch only the channel rows and columns of A
+    rows, w_coupling = de.channel_rows, de.weight * de.coupling
+    a_mat[np.ix_(rows, rows)] += de.coupling[:, None] * (g0 @ q) * w_coupling
+    a_mat[rows, n:] = de.coupling[:, None] * (g0 @ p)
+    a_mat[n:, rows] = (second @ q) * w_coupling
     a_mat[n:, n:] = second @ p
 
     return Linearization(matrix=a_mat, weight=de.weight, state_gram=np.ascontiguousarray(gram))

@@ -211,6 +211,18 @@ def test_2d_solve(tmp_path):
     assert len(rows) == 1 + 36
 
 
+def test_dense_memory_limit_exits_1(tmp_path, monkeypatch, capsys):
+    # a limit below every dense interior-size array: solve builds none, eigen
+    # (the linearization) and verify (the generic triple) refuse with exit 1
+    import weylbvp.elliptic
+    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", 1)
+    cfg = write_cfg(tmp_path)
+    assert run(tmp_path, cfg, "solve")[0] == 0
+    for action in ("eigen", "verify"):
+        assert run(tmp_path, cfg, action)[0] == 1
+        assert "limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p", ["1/(x-0.5)", "10.0**400", "sqrt(x-2)",
                                float("nan"), 1e308])
 def test_bad_coefficient_value_exits_1(tmp_path, p, capsys):

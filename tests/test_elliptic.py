@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import weylbvp.elliptic
 from weylbvp import (
+    ConfigError,
     ConstantFunction,
+    DiscreteElliptic,
     KreinSpace,
     NonPositiveCoefficient,
     RankDeficientCoupling,
@@ -22,16 +25,27 @@ from weylbvp import (
     elliptic_triple,
     krein_resolve,
     realize_constant,
+    realize_rational,
 )
+from weylbvp.solver import eigenvalue_count
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
+def l_bi_is_transpose(de):
+    """Whether L_BI, applied by channel-row selection, is L_IBᵀ."""
+    mat = np.random.default_rng(7).standard_normal((de.n_interior, 3))
+    ref = de.l_ib.T @ mat
+    return (np.linalg.norm(de.apply_l_bi(mat) - ref) <= 1e-13 * np.linalg.norm(ref)
+            and np.linalg.norm(de.apply_l_bi(mat[:, 0]) - ref[:, 0])
+            <= 1e-13 * np.linalg.norm(ref[:, 0]))
+
+
 def test_1d_symmetry_and_spectrum_shift():
     de = build_1d(30)
-    assert np.linalg.norm(de.l_ib - de.l_bi.T) <= 1e-13
+    assert l_bi_is_transpose(de)
     assert np.linalg.norm(de.l_ii - de.l_ii.T) == 0.0
     shifted = build_1d(30, a=2.5)
     assert np.allclose(np.sort(shifted.dirichlet_eigs),
@@ -58,7 +72,8 @@ def test_2d_laplacian_smallest_eigenvalue():
 def test_2d_symmetry_and_boundary_ordering():
     # rectangle chosen so both directions share the same spacing h = 0.2
     de = build_2d(4, 5, rect=(0.0, 1.0, 0.0, 1.2))
-    assert np.linalg.norm(de.l_ib - de.l_bi.T) <= 1e-13
+    assert l_bi_is_transpose(de)
+    assert np.linalg.norm(de.l_ii - de.l_ii.T) == 0.0
     assert de.n_boundary == 2 * 4 + 2 * 5 - 4
     # counterclockwise from the lower-left corner; each side starts at its
     # corner: bottom L->R, right B->T, top R->L, left T->B
@@ -72,6 +87,13 @@ def test_2d_symmetry_and_boundary_ordering():
     h = de.spacing
     assert np.flatnonzero(de.l_ib[:, 0]).tolist() == [0]
     assert de.l_ib[0, 0] == pytest.approx(-2 / h**2)
+    # channel k couples to the k-th node of the interior's outer ring,
+    # counterclockwise from (1, 1); rows are numbered x-fastest, (i, j) -> 4(j-1) + i-1
+    ring = [(1, 1), (2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (4, 4), (4, 5),
+            (3, 5), (2, 5), (1, 5), (1, 4), (1, 3), (1, 2)]
+    assert de.channel_rows.tolist() == [4 * (j - 1) + i - 1 for i, j in ring]
+    rows, cols = np.nonzero(de.l_ib)
+    assert rows[np.argsort(cols)].tolist() == de.channel_rows.tolist()
 
 
 @pytest.mark.parametrize("name", ["1d-variable", "2d-variable"])
@@ -88,9 +110,104 @@ def test_boundary_channels_couple_to_distinct_rows(name):
     rows, cols = np.nonzero(de.l_ib)
     assert np.array_equal(np.sort(cols), np.arange(de.n_boundary))
     assert len(set(rows.tolist())) == de.n_boundary
-    gram = de.l_bi @ de.l_ib
+    gram = de.l_ib.T @ de.l_ib
     assert np.array_equal(gram, np.diag(np.diag(gram)))
     assert np.all(np.diag(gram) > 0)
+
+
+# The per-node loop assembly of dense L_II and L_IB that the vectorized
+# builders replaced, kept as the reference for their entries.
+
+def loop_assembly_1d(n, p, a, interval=(0.0, 1.0)):
+    x0, x1 = interval
+    h = (x1 - x0) / (n + 1)
+    xs = x0 + h * np.arange(n + 2)
+    phalf = np.array([p(x0 + h * (k + 0.5)) for k in range(n + 1)], dtype=float)
+    avals = np.array([a(x) for x in xs[1:-1]], dtype=float)
+    l_ii = np.zeros((n, n))
+    for i in range(n):
+        l_ii[i, i] = (phalf[i] + phalf[i + 1]) / h**2 + avals[i]
+        if i > 0:
+            l_ii[i, i - 1] = -phalf[i] / h**2
+        if i < n - 1:
+            l_ii[i, i + 1] = -phalf[i + 1] / h**2
+    l_ib = np.zeros((n, 2))
+    l_ib[0, 0] = -phalf[0] / h**2
+    l_ib[-1, 1] = -phalf[n] / h**2
+    return l_ii, l_ib
+
+
+def loop_assembly_2d(nx, ny, a11, a22, a, rect):
+    x0, x1, y0, _ = rect
+    h = (x1 - x0) / (nx + 1)
+
+    def xpos(i):
+        return x0 + h * i
+
+    def ypos(j):
+        return y0 + h * j
+
+    def idx(i, j):
+        return (j - 1) * nx + (i - 1)
+
+    def snap(v, n):
+        return 0 if v <= 1 else n + 1 if v >= n else v
+
+    blist = ([(i, 0) for i in (0, *range(2, nx))]
+             + [(nx + 1, j) for j in (0, *range(2, ny))]
+             + [(i, ny + 1) for i in (nx + 1, *range(nx - 1, 1, -1))]
+             + [(0, j) for j in (ny + 1, *range(ny - 1, 1, -1))])
+    bindex = {ij: k for k, ij in enumerate(blist)}
+    l_ii = np.zeros((nx * ny, nx * ny))
+    l_ib = np.zeros((nx * ny, len(blist)))
+    for j in range(1, ny + 1):
+        for i in range(1, nx + 1):
+            row = idx(i, j)
+            cw = a11(xpos(i - 0.5), ypos(j))
+            ce = a11(xpos(i + 0.5), ypos(j))
+            cs = a22(xpos(i), ypos(j - 0.5))
+            cn = a22(xpos(i), ypos(j + 0.5))
+            l_ii[row, row] = (cw + ce + cs + cn) / h**2 + a(xpos(i), ypos(j))
+            for coef, ii, jj in ((cw, i - 1, j), (ce, i + 1, j),
+                                 (cs, i, j - 1), (cn, i, j + 1)):
+                val = -coef / h**2
+                if 1 <= ii <= nx and 1 <= jj <= ny:
+                    l_ii[row, idx(ii, jj)] = val
+                else:
+                    l_ib[row, bindex[(snap(ii, nx), snap(jj, ny))]] += val
+    return l_ii, l_ib
+
+
+def p_1d(x):
+    return 1 + x * x
+
+
+def a11_2d(x, y):
+    return 1 + x
+
+
+def a22_2d(x, y):
+    return 2 + np.sin(3 * y)
+
+
+def a_2d(x, y):
+    return x * y
+
+
+@pytest.mark.parametrize("name", ["1d-variable", "2d-variable", "2d-wide"])
+def test_stencil_bit_identical_to_loop_assembly(name):
+    # the parameter sets of test_boundary_channels_couple_to_distinct_rows,
+    # plus a grid wider than tall: variable coefficients, nx != ny, a11 != a22
+    if name == "1d-variable":
+        de = build_1d(9, p=p_1d, a=np.cos)
+        ref = loop_assembly_1d(9, p_1d, np.cos)
+    else:
+        nx, ny, rect = {"2d-variable": (5, 7, (0.0, 0.6, 0.0, 0.8)),
+                        "2d-wide": (7, 4, (0.0, 0.8, 0.0, 0.5))}[name]
+        de = build_2d(nx, ny, a11=a11_2d, a22=a22_2d, a=a_2d, rect=rect)
+        ref = loop_assembly_2d(nx, ny, a11_2d, a22_2d, a_2d, rect)
+    assert np.array_equal(de.l_ii, ref[0])
+    assert np.array_equal(de.l_ib, ref[1])
 
 
 def test_dirichlet_resolvent_positive():
@@ -115,8 +232,12 @@ BANDED_PROBLEMS = {
 
 @pytest.mark.parametrize("name", sorted(BANDED_PROBLEMS))
 def test_banded_bandwidths(name):
-    build, bands = BANDED_PROBLEMS[name]
-    assert build().banded_l_ii[0] == bands
+    # the stored upper band has one row per diagonal of the true bandwidth
+    build, (lower, upper) = BANDED_PROBLEMS[name]
+    de = build()
+    assert de.band.shape == (upper + 1, de.n_interior)
+    rows, cols = np.nonzero(de.l_ii)
+    assert (int(np.max(rows - cols)), int(np.max(cols - rows))) == (lower, upper)
 
 
 @pytest.mark.parametrize("name", sorted(BANDED_PROBLEMS))
@@ -178,9 +299,9 @@ def test_eta_extension_rejects_spectrum():
 
 def test_disconnected_boundary_node_rejected():
     de = build_1d(10)
-    l_ib = de.l_ib.copy()
-    l_ib[:, 1] = 0.0
-    cut = dataclasses.replace(de, l_ib=l_ib, l_bi=l_ib.T.copy())
+    coupling = de.coupling.copy()
+    coupling[1] = 0.0
+    cut = dataclasses.replace(de, coupling=coupling)
     tau = RationalNevanlinna(alpha=(np.zeros((2, 2)),), beta=(np.eye(2),))
     with pytest.raises(RankDeficientCoupling):
         elliptic_triple(cut)
@@ -244,7 +365,7 @@ def test_weyl_matches_dense_closed_form(et1d, et2d):
         n = de.n_interior
         for lam in (1 + 1j, 0.5 - 0.75j, -3.0):
             sol = np.linalg.solve(de.l_ii - lam * np.eye(n), et.extension)
-            ref = de.weight * (et.eta - lam) * (de.l_bi @ sol)
+            ref = de.weight * (et.eta - lam) * (de.l_ib.T @ sol)
             assert np.linalg.norm(et.weyl(lam) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -269,7 +390,7 @@ def test_gambar_identity_elliptic(et1d):
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         r = np.linalg.solve(de.l_ii - lam * np.eye(n), h)
         lhs = de.weight * et1d.gamma(np.conj(lam)).conj().T @ h
-        rhs = -de.weight * de.l_bi @ r
+        rhs = -de.weight * de.l_ib.T @ r
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -331,7 +452,7 @@ def dense_direct_solve(et, tau, lam, g):
     sys = np.zeros((n + nb, n + nb), dtype=complex)
     sys[:n, :n] = de.l_ii - lam * np.eye(n)
     sys[:n, n:] = (et.eta - lam) * et.extension
-    sys[n:, :n] = -de.weight * de.l_bi
+    sys[n:, :n] = -de.weight * de.l_ib.T
     sys[n:, n:] = tau.eval(lam)
     sol = np.linalg.solve(sys, np.concatenate([g, np.zeros(nb)]))
     return sol[:n] + et.extension @ sol[n:]
@@ -370,3 +491,47 @@ def test_sparse_routes_match_dense_references(problem, tau_name, lam):
     ref = np.linalg.solve(lin.matrix - lam * np.eye(lin.size), rhs)[:n]
     assert np.linalg.norm(compressed_resolvent(lin, lam, g) - ref) \
         <= 1e-12 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# storage: no dense interior-size array outside the linearization and the
+# generic triple
+
+
+def test_solve_and_count_build_no_dense_l_ii(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense L_II built")
+
+    monkeypatch.setattr(DiscreteElliptic, "l_ii", property(refuse))
+    de = build_2d(6, 4, a11=a11_2d, a22=a22_2d, a=a_2d, rect=(0.0, 1.4, 0.0, 1.0))
+    et = elliptic_triple(de)
+    tau = reference_taus(de.n_boundary)["rational"][0]
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal(de.n_interior) + 1j * rng.standard_normal(de.n_interior)
+    rep = krein_resolve(et, tau, 1.3 + 0.8j, g)
+    f = direct_solve(et, tau, 1.3 + 0.8j, g)
+    assert np.linalg.norm(rep.f - f) <= 1e-10 * np.linalg.norm(f)
+    assert max(rep.pde_residual, rep.bc_residual) <= 1e-10
+    assert eigenvalue_count(et, tau, 2.345) >= 0
+
+
+def test_dense_memory_guard(monkeypatch):
+    # the limit is lowered on a small problem, so nothing large is allocated
+    de = build_1d(10)
+    et = elliptic_triple(de)
+    tau = RationalNevanlinna(alpha=(np.zeros((2, 2)), -2 * np.eye(2)),
+                             beta=(np.eye(2), np.eye(2)))
+    realized = realize_rational(tau)
+    size = de.n_interior + realized.state.dim
+    a_bytes = size * size * 8                      # a real tau gives a real A
+    basis_bytes = 2 * de.n_interior * (de.n_interior + de.n_boundary) * 16   # stored complex
+    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", a_bytes)
+    assert build_linearization(et, realized).matrix.nbytes == a_bytes
+    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", a_bytes - 1)
+    with pytest.raises(ConfigError):
+        build_linearization(et, realized)
+    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", basis_bytes - 1)
+    with pytest.raises(ConfigError):
+        elliptic_triple(de).bt
+    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", basis_bytes)
+    assert elliptic_triple(de).bt.t_basis.nbytes == basis_bytes

@@ -173,7 +173,7 @@ def _dense_coupling_linearization(et, realized):
     s[n:n + nk, n:] = np.eye(nk)
     q[n + nk:n + nk + nb, n:n + nb] = np.eye(nb)
     q[n + nk:n + nk + nb, n + nb:] = -realized.g0
-    q[n + nk + nb:, :n] = -w * de.l_bi
+    q[n + nk + nb:, :n] = -w * de.l_ib.T
     q[n + nk + nb:, n + nb:] = realized.g1
     u = np.linalg.solve(q, s)
     r = np.zeros((n + nk, nu), dtype=complex)
