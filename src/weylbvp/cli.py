@@ -51,27 +51,37 @@ _ALLOWED_BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
 _ALLOWED_NAMES = {"pi": math.pi, "e": math.e}
 
 
-def _eval_node(node, env):
+def _compile(node, names):
+    """The validated tree as nested closures over the argument tuple: the
+    same functions in the same order as a walk of the tree, without the
+    dispatch at every point."""
     if isinstance(node, ast.Expression):
-        return _eval_node(node.body, env)
+        return _compile(node.body, names)
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return float(node.value)
+        value = node.value      # an int too large for a float fails per point
+        return lambda args: float(value)
     if isinstance(node, ast.Name):
-        if node.id in env:
-            return env[node.id]
+        if node.id in names:
+            i = names.index(node.id)
+            return lambda args: args[i]
         if node.id in _ALLOWED_NAMES:
-            return _ALLOWED_NAMES[node.id]
+            value = _ALLOWED_NAMES[node.id]
+            return lambda args: value
         raise ConfigError(f"unknown variable '{node.id}' in coefficient expression")
     if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-        return _ALLOWED_BINOPS[type(node.op)](
-            _eval_node(node.left, env), _eval_node(node.right, env))
+        op = _ALLOWED_BINOPS[type(node.op)]
+        left, right = _compile(node.left, names), _compile(node.right, names)
+        return lambda args: op(left(args), right(args))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        v = _eval_node(node.operand, env)
-        return -v if isinstance(node.op, ast.USub) else v
+        operand = _compile(node.operand, names)
+        if isinstance(node.op, ast.USub):
+            return lambda args: -operand(args)
+        return operand
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
             and node.func.id in _ALLOWED_FUNCS and not node.keywords:
-        args = [_eval_node(a, env) for a in node.args]
-        return _ALLOWED_FUNCS[node.func.id](*args)
+        func = _ALLOWED_FUNCS[node.func.id]
+        params = [_compile(a, names) for a in node.args]
+        return lambda args: func(*[p(args) for p in params])
     raise ConfigError(f"unsupported syntax in coefficient expression: {ast.dump(node)}")
 
 
@@ -84,10 +94,11 @@ def make_coefficient(spec, names):
             tree = ast.parse(spec, mode="eval")
         except SyntaxError as exc:
             raise ConfigError(f"cannot parse coefficient expression: {exc}") from exc
+        expr = _compile(tree, list(names))
 
         def fn(*args):
             try:
-                return float(_eval_node(tree, dict(zip(names, args))))
+                return float(expr(args))
             except (ArithmeticError, ValueError, TypeError) as exc:
                 # division by zero, overflow, a math domain error, a bad call
                 raise ConfigError(f"coefficient {spec!r} at {args}: {exc}") from exc

@@ -7,10 +7,12 @@ components).  All queries depend only on the column span.
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, SpectrumPoint
 
@@ -44,6 +46,27 @@ def _inverse_onenorm(solve: Callable[..., np.ndarray], n: int) -> float:
         x = np.zeros(n, dtype=complex)
         x[j] = 1
     return est
+
+
+def dense_lu(mat: np.ndarray, error: type, what: str) -> tuple:
+    """LU of a square dense matrix S (``scipy.linalg.lu_factor``, which may
+    overwrite ``mat``), guarded: raises ``error`` at an exactly zero pivot or
+    when the condition estimate ||S||_1 est||S^{-1}||_1 reaches
+    ``COND_LIMIT``.  The dense counterpart of ``elliptic.sparse_lu``.
+    """
+    norm = float(np.abs(mat).sum(axis=0).max())
+    with warnings.catch_warnings():  # an exactly zero pivot is caught below
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
+    if not np.all(lu[0].diagonal()):
+        raise error(f"{what} is singular")
+    cond = norm * _inverse_onenorm(
+        lambda b, trans="N": scipy.linalg.lu_solve(lu, b, trans=0 if trans == "N" else 2),
+        mat.shape[0])
+    if not cond < COND_LIMIT:
+        raise error(f"{what} is numerically singular "
+                    f"(1-norm condition estimate {cond:.3e})")
+    return lu
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -155,9 +178,10 @@ class KreinSpace:
         if not np.all(np.isfinite(g)):
             raise DimensionMismatch("gram must be finite")
         # one eigvalsh gives the scale (the 2-norm of a Hermitian G), the
-        # condition number and the inertia; residuals are measured in the
-        # Frobenius norm, which bounds the 2-norm from above
-        w = np.linalg.eigvalsh(g)
+        # condition number and the inertia (the default identity's spectrum
+        # is known); residuals are measured in the Frobenius norm, which
+        # bounds the 2-norm from above
+        w = np.ones(self.dim) if self.gram is None else np.linalg.eigvalsh(g)
         absw = np.abs(w)
         scale = float(absw.max())
         if np.linalg.norm(g - g.conj().T) > 1e-12 * max(1.0, scale):

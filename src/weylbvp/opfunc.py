@@ -85,8 +85,11 @@ class RationalNevanlinna:
 
     alpha: tuple
     beta: tuple
-    # beta_i^{1/2} and the sorted poles, computed once from the coefficients
+    # beta_i^{1/2}, the pole terms (w_i, C_i) with alpha_i = V_i diag(w_i) V_i^H
+    # and C_i = beta_i^{1/2} V_i, and the sorted poles, computed once from the
+    # coefficients
     _roots: tuple = field(init=False, repr=False, compare=False)
+    _pole_terms: tuple = field(init=False, repr=False, compare=False)
     _poles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,13 +103,15 @@ class RationalNevanlinna:
         if any(a.shape != (g, g) for a in alphas) or any(b.shape != (g, g) for b in betas):
             raise DimensionMismatch("all coefficient blocks must be g x g")
         roots = tuple(psd_sqrt(b) for b in betas)  # validates PSD
-        vals = [np.linalg.eigvalsh(a) for a in alphas[1:]]
-        poles = np.sort(np.concatenate(vals)) if vals else np.zeros(0)
-        for arr in (*roots, poles):
+        eigs = [np.linalg.eigh(a) for a in alphas[1:]]
+        terms = tuple((w, r @ v) for (w, v), r in zip(eigs, roots[1:]))
+        poles = np.sort(np.concatenate([w for w, _ in terms])) if terms else np.zeros(0)
+        for arr in (*roots, *(a for term in terms for a in term), poles):
             arr.setflags(write=False)
         object.__setattr__(self, "alpha", alphas)
         object.__setattr__(self, "beta", betas)
         object.__setattr__(self, "_roots", roots)
+        object.__setattr__(self, "_pole_terms", terms)
         object.__setattr__(self, "_poles", poles)
 
     @property
@@ -124,16 +129,14 @@ class RationalNevanlinna:
         return list(self._roots)
 
     def eval(self, lam: complex) -> np.ndarray:
-        g = self.boundary_dim
-        out = self.alpha[0] + lam * self.beta[0]
-        for a, r in zip(self.alpha[1:], self._roots[1:]):
-            try:
-                out = out + r @ np.linalg.solve(a - lam * np.eye(g), r)
-            except np.linalg.LinAlgError:
-                raise PoleOrSpectrum(f"{lam} is a pole of the rational function")
+        """alpha_1 + lam beta_1 + sum_i (C_i / (w_i - lam)) C_i^H, checked
+        against the poles before any division."""
         dist = np.min(np.abs(self._poles - lam)) if self.terms > 1 else np.inf
         if dist < 1e-12 * max(1.0, abs(lam)):
             raise PoleOrSpectrum(f"{lam} is a pole of the rational function")
+        out = self.alpha[0] + lam * self.beta[0]
+        for w, c in self._pole_terms:
+            out = out + (c / (w - lam)) @ c.conj().T
         return out
 
     def __call__(self, lam: complex) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import (
     RankDeficientCoupling,
     SpectrumPoint,
 )
-from .krein import COND_LIMIT
+from .krein import dense_lu
 from .elliptic import DiscreteElliptic, EllipticTriple, _check_dense, elliptic_triple, sparse_lu
 from .opfunc import PoleOrSpectrum, RationalNevanlinna
 from .realize import realize_rational
@@ -228,37 +228,41 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
         A = [[L_II + L_IB Gamma_0 Q w L_BI,  L_IB Gamma_0 P],
              [second Q w L_BI,               second P]].
     The full coupling system is singular exactly when C is (f_D and y enter
-    it through identity blocks), so the rank guard runs on C, the matrix
-    that is inverted; nothing of interior size is decomposed.  A dense A
-    above ``DENSE_LIMIT_BYTES`` raises ``ConfigError`` before allocation.
+    it through identity blocks), so the guard is one ``dense_lu`` of C, which
+    raises ``RankDeficientCoupling``; the four blocks come from one
+    transposed solve for [Gamma_0; second] C^{-1}, and nothing of interior
+    size is decomposed.  A dense A above ``DENSE_LIMIT_BYTES`` raises
+    ``ConfigError`` before allocation.
     """
     de = et.de
     n, nb = de.n_interior, de.n_boundary
     if realized.boundary_dim != nb:
         raise DimensionMismatch("realized boundary dimension must match n_B")
     nk = realized.state.dim
-    g0 = realized.g0
-    coupling = np.vstack([realized.first, realized.g1 + et.boundary_block @ g0])
-    sv = np.linalg.svd(coupling, compute_uv=False)
-    if realized.t_dim != nk + nb or sv[-1] <= sv[0] / COND_LIMIT:
+    if realized.t_dim != nk + nb:
         raise RankDeficientCoupling("coupling conditions do not determine the action")
-    inv = np.linalg.inv(coupling)
-    second, gram = realized.second, realized.state.gram
-    # a real realization (real tau) gives a real A, stored real so that W A,
-    # its Hermitian form and the eigensolve run in real arithmetic
-    if not any(np.any(m.imag) for m in (inv, g0, second, gram)):
-        inv, g0, second, gram = inv.real, g0.real, second.real, gram.real
-    p, q = inv[:, :nk], inv[:, nk:]
+    g0, second, gram = realized.g0, realized.second, realized.state.gram
+    coupling = np.vstack([realized.first, realized.g1 + et.boundary_block @ g0])
+    # a real realization (real tau) gives a real C and a real A, factored and
+    # stored real so that W A, its Hermitian form and the eigensolve run in
+    # real arithmetic
+    if not any(np.any(m.imag) for m in (coupling, g0, second, gram)):
+        coupling, g0, second, gram = coupling.real, g0.real, second.real, gram.real
+    lu = dense_lu(coupling, RankDeficientCoupling, "the coupling matrix C")
+    # X C = [Gamma_0; second] as C^T X^T = [Gamma_0; second]^T
+    blocks = scipy.linalg.lu_solve(lu, np.vstack([g0, second]).T, trans=1).T
+    g0p, g0q = blocks[:nb, :nk], blocks[:nb, nk:]
+    sp, sq = blocks[nb:, :nk], blocks[nb:, nk:]
 
-    _check_dense((n + nk, n + nk), inv.dtype, "the linearization")
-    a_mat = np.zeros((n + nk, n + nk), dtype=inv.dtype)
+    _check_dense((n + nk, n + nk), blocks.dtype, "the linearization")
+    a_mat = np.zeros((n + nk, n + nk), dtype=blocks.dtype)
     a_mat[:n, :n] = de.l_ii
     # L_IB and w L_BI touch only the channel rows and columns of A
     rows, w_coupling = de.channel_rows, de.weight * de.coupling
-    a_mat[np.ix_(rows, rows)] += de.coupling[:, None] * (g0 @ q) * w_coupling
-    a_mat[rows, n:] = de.coupling[:, None] * (g0 @ p)
-    a_mat[n:, rows] = (second @ q) * w_coupling
-    a_mat[n:, n:] = second @ p
+    a_mat[np.ix_(rows, rows)] += de.coupling[:, None] * g0q * w_coupling
+    a_mat[rows, n:] = de.coupling[:, None] * g0p
+    a_mat[n:, rows] = sq * w_coupling
+    a_mat[n:, n:] = sp
 
     return Linearization(matrix=a_mat, weight=de.weight, state_gram=np.ascontiguousarray(gram))
 

@@ -7,7 +7,6 @@ in the boundary space, which carries the Euclidean inner product.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,14 +15,13 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NonInvertibleTrace, SpectrumPoint
 from .krein import (
-    COND_LIMIT,
     DEFAULT_RTOL,
     KreinSpace,
     LinearRelation,
     Subspace,
     _as_matrix,
-    _inverse_onenorm,
     column_space,
+    dense_lu,
     nullspace,
 )
 
@@ -146,27 +144,15 @@ class BoundaryTriple:
         and M(lam) = Gamma_1 K^{-1}[0; I]; ``WeylData.resolvent_coords``
         solves K c = (h, 0) for (A_0 - lam)^{-1}.  A basis of T has
         t = n + g columns (else ``NonInvertibleTrace``), and then K_lam is
-        singular exactly when lam is an eigenvalue of A_0: raises
-        ``SpectrumPoint`` where the 1-norm condition estimate
-        ||K||_1 est||K^{-1}||_1 reaches ``COND_LIMIT``.
+        singular exactly when lam is an eigenvalue of A_0: ``dense_lu``
+        raises ``SpectrumPoint`` there.
         """
         n, g = self.state.dim, self.boundary_dim
         if self.t_dim != n + g:
             raise NonInvertibleTrace(
                 f"dim T = {self.t_dim} != dim H + boundary dimension = {n + g}")
-        k = np.vstack([self.second - lam * self.first, self.g0])
-        norm = float(np.abs(k).sum(axis=0).max())
-        with warnings.catch_warnings():  # an exactly zero pivot is caught below
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(k, overwrite_a=True)
-        cond = np.inf
-        if np.all(lu[0].diagonal()):
-            cond = norm * _inverse_onenorm(
-                lambda b, trans="N": scipy.linalg.lu_solve(lu, b, trans=0 if trans == "N" else 2),
-                n + g)
-        if not cond < COND_LIMIT:
-            raise SpectrumPoint(f"{lam} is an eigenvalue of A_0 "
-                                f"(1-norm condition estimate {cond:.3e})")
+        lu = dense_lu(np.vstack([self.second - lam * self.first, self.g0]), SpectrumPoint,
+                      f"K_lambda at the eigenvalue lambda={lam} of A_0")
         rhs = np.zeros((n + g, g), dtype=complex)
         rhs[n:] = np.eye(g)
         coeff = scipy.linalg.lu_solve(lu, rhs)

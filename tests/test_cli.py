@@ -2,11 +2,12 @@
 
 import csv
 import json
+import math
 
 import pytest
 
-from weylbvp import BoundaryTriple
-from weylbvp.cli import main
+from weylbvp import BoundaryTriple, ConfigError
+from weylbvp.cli import main, make_coefficient
 
 
 BASE = {
@@ -114,6 +115,30 @@ def test_bad_coefficient_expression_exits_1(tmp_path):
         "dim": 1, "n": 10, "coeff": {"p": "__import__('os')"}}})
     code, _ = run(tmp_path, cfg, "solve")
     assert code == 1
+
+
+@pytest.mark.parametrize("expr, names, plain", [
+    ("1+0.5*sin(pi*x)", ["x"], lambda x: 1 + 0.5 * math.sin(math.pi * x)),
+    ("exp(-x**2)/sqrt(1+x)", ["x"], lambda x: math.exp(-x ** 2) / math.sqrt(1 + x)),
+    ("-x - -3 + +abs(x-0.25)", ["x"], lambda x: -x - -3 + +abs(x - 0.25)),
+    ("tanh(x*y) - cos(e*y)**3 + 2", ["x", "y"],
+     lambda x, y: math.tanh(x * y) - math.cos(math.e * y) ** 3 + 2),
+    ("(x+1)**y / (y+2)", ["x", "y"], lambda x, y: (x + 1) ** y / (y + 2)),
+])
+def test_coefficient_expression_matches_plain_math(expr, names, plain):
+    fn = make_coefficient(expr, names)
+    points = [k / 37 for k in range(38)]
+    for x in points:
+        args = (x,) if len(names) == 1 else (x, 1 - x)
+        assert fn(*args) == float(plain(*args))       # bit for bit
+
+
+def test_coefficient_expression_names_the_failing_point():
+    with pytest.raises(ConfigError, match=r"'1/\(x-0\.5\)' at \(0\.5,\): float division"):
+        make_coefficient("1/(x-0.5)", ["x"])        # the eager check at 0.5
+    fn = make_coefficient("1/(x-0.25)", ["x"])
+    with pytest.raises(ConfigError, match=r"at \(0\.25,\): float division by zero"):
+        fn(0.25)
 
 
 def test_report_deterministic(tmp_path):

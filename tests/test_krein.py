@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scipy.linalg
+
 from weylbvp import (
     DimensionMismatch,
     KreinSpace,
     LinearRelation,
+    RankDeficientCoupling,
     SpectrumPoint,
     column_space,
     intersect,
     nullspace,
 )
+from weylbvp.krein import dense_lu
 
 
 def hilbert(n):
@@ -104,6 +108,15 @@ def test_kreinspace_one_eigvalsh_no_svd(monkeypatch):
     assert calls == {"eigvalsh": 1, "eigh": 0, "svd": 0}
 
 
+def test_kreinspace_default_gram_takes_no_eigensolve(monkeypatch):
+    explicit = KreinSpace(5, gram=np.eye(5))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("eigvalsh"))
+    default = KreinSpace(5)
+    assert default.signature() == explicit.signature() == (5, 0)
+    assert default.is_hilbert and explicit.is_hilbert
+    assert np.array_equal(default.gram, explicit.gram)
+
+
 def test_kreinspace_rejects_singular_gram_with_and_without_j():
     g = np.diag([1.0, 1e-13])                  # cond 1e13 > COND_LIMIT
     with pytest.raises(DimensionMismatch, match="singular"):
@@ -131,6 +144,35 @@ def test_pair_gram_reproduces_indefinite_product():
     lhs = np.vdot(h, k @ f)
     rhs = 1j * (sp.ip(f[:3], h[3:]) - sp.ip(f[3:], h[:3]))
     assert abs(lhs - rhs) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the guarded dense LU
+
+
+@pytest.mark.parametrize("error", [RankDeficientCoupling, SpectrumPoint])
+def test_dense_lu_raises_at_an_exact_zero_pivot(error):
+    # the second pivot of [[1, 2], [2, 4]] is exactly 1 - 0.5 * 2 = 0
+    with pytest.raises(error, match="S is singular"):
+        dense_lu(np.array([[1.0, 2.0], [2.0, 4.0]]), error, "S")
+
+
+@pytest.mark.parametrize("error", [RankDeficientCoupling, SpectrumPoint])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_lu_raises_above_the_condition_limit(error, dtype):
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    mat = (q * np.array([1.0, 1.0, 0.5, 1.0, 2.0, 1e-13])) @ q.T   # cond ~2e13
+    with pytest.raises(error, match="numerically singular"):
+        dense_lu(mat.astype(dtype), error, "S")
+
+
+def test_dense_lu_returns_the_factor_of_a_well_conditioned_matrix():
+    rng = np.random.default_rng(5)
+    mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 6 * np.eye(6)
+    b = rng.standard_normal(6)
+    lu = dense_lu(mat.copy(), SpectrumPoint, "S")
+    assert np.allclose(mat @ scipy.linalg.lu_solve(lu, b), b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

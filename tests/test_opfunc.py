@@ -82,6 +82,42 @@ def test_rational_eval_reuses_roots_and_poles(monkeypatch):
     assert np.allclose(tau.poles(), [1.0, 2.0, 3.0])
 
 
+def _random_rational(rng, g, m):
+    """Random Hermitian alpha_i and PSD beta_i (beta_2 of rank g - 1)."""
+    def herm():
+        a = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
+        return (a + a.conj().T) / 2
+
+    def psd(rank):
+        b = rng.standard_normal((g, rank)) + 1j * rng.standard_normal((g, rank))
+        return b @ b.conj().T
+
+    return RationalNevanlinna(alpha=tuple(herm() for _ in range(m)),
+                              beta=(psd(g), psd(g - 1), *(psd(g) for _ in range(m - 2))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_eval_matches_the_solve_formula(seed):
+    rng = np.random.default_rng(seed)
+    g, m = 5, 3
+    tau = _random_rational(rng, g, m)
+    roots = tau.beta_sqrts()
+    for lam in (0.3 + 1.7j, -2.1 - 0.4j, 0.5j, float(tau.poles()[-1]) + 1.0):
+        ref = tau.alpha[0] + lam * tau.beta[0]
+        for a, r in zip(tau.alpha[1:], roots[1:]):
+            ref = ref + r @ np.linalg.solve(a - lam * np.eye(g), r)
+        got = tau.eval(lam)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_rational_eval_rejects_a_pole_and_its_neighbourhood():
+    tau = _random_rational(np.random.default_rng(9), 4, 3)
+    for pole in tau.poles():
+        for lam in (pole, pole + 1e-13, pole - 1e-13, complex(pole, 1e-13)):
+            with pytest.raises(PoleOrSpectrum):
+                tau.eval(lam)
+
+
 def test_representation_form_brute_force():
     sp = KreinSpace(1)
     a0 = LinearRelation.from_graph(sp, np.array([[1.0]]))

@@ -137,14 +137,18 @@ def test_sparse_guards_raise_at_linearization_eigenvalues(build):
 def test_exactly_singular_factorization_is_a_domain_error():
     # with eta = 0 and tau(lam) = lam, M(0) + tau(0) = 0: lambda = 0 is an
     # eigenvalue of multiplicity n_B, and on the h = 1/4 grid SuperLU meets an
-    # exact zero pivot in both sparse routes
+    # exact zero pivot in the direct oracle
     et = elliptic_triple(build_1d(3), eta=0.0)
     tau = linear_tau(2)
-    lin = build_linearization_rational(et.de, tau, et.eta)
     with pytest.raises(SingularSystem) as direct:
         direct_solve(et, tau, 0.0, np.ones(3))
+    # A's entries come from an LU of C, so its exact singularity at 0 is lost
+    # to rounding; a zero row makes A - 0 exactly singular by construction
+    lin = build_linearization_rational(et.de, tau, et.eta)
+    matrix = lin.matrix.copy()
+    matrix[1] = 0
     with pytest.raises(SpectrumPoint) as compressed:
-        compressed_resolvent(lin, 0.0, np.ones(3))
+        compressed_resolvent(dataclasses.replace(lin, matrix=matrix), 0.0, np.ones(3))
     for info in (direct, compressed):
         assert isinstance(info.value.__cause__, RuntimeError)
 
@@ -230,6 +234,28 @@ def test_rank_deficient_coupling_rejected(et1d):
                          realized.g1 * keep)
     with pytest.raises(RankDeficientCoupling):
         build_linearization(et1d, cut)
+
+
+@pytest.mark.parametrize("which", ["rational", "constant"])
+def test_linearization_takes_one_lu_and_no_svd_or_inverse(which, et2d, monkeypatch):
+    import scipy.linalg
+    nb = et2d.de.n_boundary
+    realized = realize_rational(rational_m2(nb)) if which == "rational" \
+        else realize_constant(2.0 * np.eye(nb), 3.7j)
+    reference = build_linearization(et2d, realized).matrix
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD or explicit inverse in build_linearization")
+
+    for owner, name in ((np.linalg, "svd"), (np.linalg, "inv"), (scipy.linalg, "svd")):
+        monkeypatch.setattr(owner, name, forbidden)
+    factors = []
+    lu_factor = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda a, **k: factors.append(a.shape) or lu_factor(a, **k))
+    lin = build_linearization(et2d, realized)
+    assert factors == [(realized.t_dim, realized.t_dim)]
+    assert np.array_equal(lin.matrix, reference)
 
 
 def test_w_symmetry_residual_never_below_two_norm_ratio(et1d):
