@@ -72,9 +72,7 @@ from .solver import (
     compressed_resolvent,
     eigen_correspondence,
     homogeneous_scan,
-    in_solvable_set,
     krein_resolve,
-    solvability_margin,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -323,8 +323,8 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
     corr = eigen_correspondence(lin, et, tau, window, tol=tol)
     write_csv(out_dir / "scan.csv", ["lambda", "count"], corr["counts"])
     write_csv(out_dir / "eigenvalues.csv",
-              ["lambda", "sigma_min", "pde_residual", "bc_residual"],
-              [[e["lambda"], e["sigma_min"], e["pde_residual"], e["bc_residual"]]
+              ["lambda", "pde_residual", "bc_residual"],
+              [[e["lambda"], e["pde_residual"], e["bc_residual"]]
                for e in corr["eigenvalues"]])
     report = {
         "action": "eigen",

@@ -60,9 +60,15 @@ def dense_lu(mat: np.ndarray, error: type, what: str) -> tuple:
         lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
     if not np.all(lu[0].diagonal()):
         raise error(f"{what} is singular")
-    cond = norm * _inverse_onenorm(
-        lambda b, trans="N": scipy.linalg.lu_solve(lu, b, trans=0 if trans == "N" else 2),
-        mat.shape[0])
+
+    def solve(b, trans="N"):
+        # b's real and imaginary parts as two columns: a complex b would cast
+        # a real factor to complex at each solve
+        x = scipy.linalg.lu_solve(lu, np.column_stack([b.real, b.imag]),
+                                  trans=0 if trans == "N" else 2)
+        return x[:, 0] + 1j * x[:, 1]
+
+    cond = norm * _inverse_onenorm(solve, mat.shape[0])
     if not cond < COND_LIMIT:
         raise error(f"{what} is numerically singular "
                     f"(1-norm condition estimate {cond:.3e})")

@@ -1,8 +1,9 @@
 """Solution machinery for spectral-parameter-dependent boundary conditions:
-the perturbed-resolvent formula, the linearized block operator on the
-product space, the solvability set, the eigenvalue count and the count
-certificate of the linearization's eigenvalues, and eigenvalue
-correspondence and completeness checks.
+the perturbed-resolvent formula (whose guard is the only sigma_min of
+M + tau), the linearized block operator on the product space, the
+eigenvalue count and the count certificate of the linearization's
+eigenvalues, and the eigenvalue correspondence and completeness check by
+counts and residuals.
 """
 
 from __future__ import annotations
@@ -37,21 +38,6 @@ class SolveReport:
     pde_residual: float
     bc_residual: float
     sigma_min: float
-
-
-def solvability_margin(et: EllipticTriple, tau, lam: complex) -> tuple[float, float]:
-    """(sigma_min, norm) of M(lam) + tau(lam)."""
-    mt = et.weyl(lam) + tau.eval(lam)
-    s = np.linalg.svd(mt, compute_uv=False)
-    return float(s[-1]), float(s[0])
-
-
-def in_solvable_set(et: EllipticTriple, tau, lam: complex) -> bool:
-    try:
-        smin, scale = solvability_margin(et, tau, lam)
-    except (PoleOrSpectrum, SpectrumPoint):
-        return False
-    return smin > U_THRESHOLD * max(scale, 1e-300)
 
 
 def _problem_residuals(et: EllipticTriple, tau_lam: np.ndarray, lam: complex,
@@ -418,27 +404,29 @@ def eigen_correspondence(lin: Linearization, et: EllipticTriple, tau, window,
     and its completeness: ``homogeneous_scan`` certifies by counts that the
     linearization's real eigenvalues there are every eigenvalue of the
     problem, with multiplicity, and the interior part of each eigenvector
-    must solve the homogeneous problem to ``tol``.
+    must solve the homogeneous problem to ``tol``.  Each eigenvalue takes one
+    evaluation of tau, at the real lambda, and no M(lambda): the boundary
+    residual already checks (tau(lambda) + h^d L_BI E_eta) y = h^d L_BI f at
+    the eigenvector's trace y.  An eigenvalue on a pole of tau, where the
+    boundary condition is undefined, is a failure.
     """
     scan = homogeneous_scan(et, tau, window, lin, tol)
     n = lin.n_interior
     failures = []
     entries = []
     for lam, vec in zip(scan.roots, scan.vectors.T):
+        try:
+            tau_lam = tau.eval(lam)
+        except PoleOrSpectrum:
+            failures.append(f"eigenvalue {lam:.6g} hits a pole of tau")
+            continue
         f = vec[:n]
         fnorm = float(np.linalg.norm(f))
         if fnorm <= 1e-10 * float(np.linalg.norm(vec)):
             failures.append(f"eigenvector at {lam:.6g} has vanishing interior part")
             continue
-        try:
-            smin, scale = solvability_margin(et, tau, complex(lam))
-        except (PoleOrSpectrum, SpectrumPoint):
-            failures.append(f"eigenvalue {lam:.6g} hits a pole or Dirichlet point")
-            continue
-        r1, r2 = _problem_residuals(et, tau.eval(complex(lam)), complex(lam),
-                                    f / fnorm, np.zeros(n))
-        entries.append({"lambda": lam, "sigma_min": smin,
-                        "pde_residual": r1, "bc_residual": r2})
+        r1, r2 = _problem_residuals(et, tau_lam, lam, f / fnorm, np.zeros(n))
+        entries.append({"lambda": lam, "pde_residual": r1, "bc_residual": r2})
         if max(r1, r2) > tol:
             failures.append(f"homogeneous residual {max(r1, r2):.3e} at {lam:.6g}")
     failures += scan.failures

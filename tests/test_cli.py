@@ -167,7 +167,7 @@ def test_eigen_writes_tables(tmp_path):
     assert report["scan_roots"]
     with open(out / "eigenvalues.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda", "sigma_min", "pde_residual", "bc_residual"]
+    assert rows[0] == ["lambda", "pde_residual", "bc_residual"]
     assert len(rows) >= 2
     assert (out / "scan.csv").exists()
 

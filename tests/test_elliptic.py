@@ -19,7 +19,6 @@ from weylbvp import (
     build_1d,
     build_2d,
     build_linearization,
-    build_linearization_rational,
     compressed_resolvent,
     direct_solve,
     elliptic_triple,
@@ -306,7 +305,7 @@ def test_disconnected_boundary_node_rejected():
     with pytest.raises(RankDeficientCoupling):
         elliptic_triple(cut)
     with pytest.raises(RankDeficientCoupling):
-        build_linearization_rational(cut, tau)
+        build_linearization(elliptic_triple(cut), realize_rational(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +464,7 @@ def reference_taus(nb):
     theta = 2.0 * np.eye(nb)
     return {
         "rational": (rational,
-                     lambda et: build_linearization_rational(et.de, rational, et.eta)),
+                     lambda et: build_linearization(et, realize_rational(rational))),
         "constant": (ConstantFunction(theta=theta),
                      lambda et: build_linearization(et, realize_constant(theta, 3.7j))),
     }

@@ -24,7 +24,6 @@ from weylbvp import (
     build_1d,
     build_2d,
     build_linearization,
-    build_linearization_rational,
     compressed_resolvent,
     direct_solve,
     eigen_correspondence,
@@ -36,13 +35,8 @@ from weylbvp import (
     realize_rational,
 )
 from weylbvp import solver
-from weylbvp.solver import (
-    WINDOW_PAD,
-    Linearization,
-    eigenvalue_count,
-    in_solvable_set,
-    solvability_margin,
-)
+from weylbvp.elliptic import EllipticTriple
+from weylbvp.solver import WINDOW_PAD, Linearization, eigenvalue_count
 
 
 def rational_m2(g):
@@ -69,9 +63,27 @@ def taus_for(nb):
             rational_m2(nb)]
 
 
+def hidden_pole_tau():
+    """beta_2 = diag(1, 0) hides the pole -2 from tau in one direction, so the
+    linearization has an eigenvalue at the pole itself."""
+    return RationalNevanlinna(alpha=(np.zeros((2, 2)), -2 * np.eye(2)),
+                              beta=(np.eye(2), np.diag([1.0, 0.0])))
+
+
+def in_solvable_set(et, tau, lam):
+    """Whether lam passes the guards of ``krein_resolve``: off the Dirichlet
+    spectrum and the poles, and sigma_min(M + tau) above ``OutsideU``'s
+    threshold."""
+    try:
+        krein_resolve(et, tau, lam, np.zeros(et.de.n_interior))
+    except (OutsideU, PoleOrSpectrum, SpectrumPoint):
+        return False
+    return True
+
+
 def lin_for(et, tau):
     if isinstance(tau, RationalNevanlinna):
-        return build_linearization_rational(et.de, tau, et.eta)
+        return build_linearization(et, realize_rational(tau))
     return build_linearization(et, realize_constant(tau.theta, 3.7j))
 
 
@@ -103,7 +115,7 @@ def test_three_way_oracle_equivalence(which, et1d, et2d):
 def test_three_routes_agree_at_2d_50x50():
     et = elliptic_triple(build_2d(50, 50))
     tau = rational_m2(et.de.n_boundary)
-    lin = build_linearization_rational(et.de, tau, et.eta)
+    lin = build_linearization(et, realize_rational(tau))
     n = et.de.n_interior
     rng = np.random.default_rng(50)
     for lam in (3.0 + 1.5j, 40.0 - 0.5j):
@@ -125,7 +137,7 @@ def test_sparse_guards_raise_at_linearization_eigenvalues(build):
     # (invisible to an all-ones start of the condition estimate) are included
     et = elliptic_triple(build())
     tau = rational_m2(et.de.n_boundary)
-    lin = build_linearization_rational(et.de, tau, et.eta)
+    lin = build_linearization(et, realize_rational(tau))
     g = np.ones(et.de.n_interior, dtype=complex)
     for lam in lin.eigenvalues():
         with pytest.raises(SingularSystem):
@@ -144,7 +156,7 @@ def test_exactly_singular_factorization_is_a_domain_error():
         direct_solve(et, tau, 0.0, np.ones(3))
     # A's entries come from an LU of C, so its exact singularity at 0 is lost
     # to rounding; a zero row makes A - 0 exactly singular by construction
-    lin = build_linearization_rational(et.de, tau, et.eta)
+    lin = build_linearization(et, realize_rational(tau))
     matrix = lin.matrix.copy()
     matrix[1] = 0
     with pytest.raises(SpectrumPoint) as compressed:
@@ -199,7 +211,7 @@ def test_rational_matches_general_linearization(et1d, et2d):
         tau = rational_m2(nb)
         const = 2.0 * np.eye(nb)
         for lin, realized in (
-                (build_linearization_rational(et.de, tau, et.eta), realize_rational(tau)),
+                (build_linearization(et, realize_rational(tau)), realize_rational(tau)),
                 (lin_for(et, ConstantFunction(theta=const)), realize_constant(const, 3.7j))):
             a_ref, w_ref = _dense_coupling_linearization(et, realized)
             assert np.linalg.norm(lin.matrix - a_ref, 2) <= 1e-8
@@ -211,7 +223,7 @@ def test_real_tau_gives_real_linearization(et1d):
     # eigensolve run in real arithmetic; A - lam stays complex in the
     # compressed resolvent, at a real lam too
     tau = rational_m2(2)
-    lin = build_linearization_rational(et1d.de, tau, et1d.eta)
+    lin = build_linearization(et1d, realize_rational(tau))
     assert np.isrealobj(lin.matrix) and np.isrealobj(lin.state_gram)
     assert np.isrealobj(lin.weighted_matrix)
     assert np.iscomplexobj(lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2))).matrix)
@@ -258,8 +270,29 @@ def test_linearization_takes_one_lu_and_no_svd_or_inverse(which, et2d, monkeypat
     assert np.array_equal(lin.matrix, reference)
 
 
+def test_real_coupling_takes_real_solves(et2d, monkeypatch):
+    # the condition estimate of a real C solves real columns: a complex
+    # right-hand side would cast the real LU to complex at each solve; the
+    # estimate only reads the factor, so A is bit-identical to the A of an
+    # unguarded LU
+    import scipy.linalg
+    realized = realize_rational(rational_m2(et2d.de.n_boundary))
+    lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
+    monkeypatch.setattr(solver, "dense_lu", lambda mat, error, what: lu_factor(mat))
+    unguarded = build_linearization(et2d, realized).matrix
+    monkeypatch.undo()
+    kinds = []
+    monkeypatch.setattr(scipy.linalg, "lu_solve",
+                        lambda lu, b, **k: kinds.append(np.asarray(b).dtype.kind)
+                        or lu_solve(lu, b, **k))
+    lin = build_linearization(et2d, realized)
+    assert np.isrealobj(lin.matrix)
+    assert len(kinds) > 1 and set(kinds) == {"f"}
+    assert np.array_equal(lin.matrix, unguarded)
+
+
 def test_w_symmetry_residual_never_below_two_norm_ratio(et1d):
-    lin = build_linearization_rational(et1d.de, rational_m2(2), et1d.eta)
+    lin = build_linearization(et1d, realize_rational(rational_m2(2)))
     assert lin.w_symmetry_residual() <= 1e-10
     a = lin.matrix.copy()
     a[3, 7] += 1e-3
@@ -280,12 +313,11 @@ def test_outside_u_at_scan_root(et1d):
     scan = homogeneous_scan(et1d, tau, (0.2, 9.0), lin_for(et1d, tau))
     assert scan.roots, "expected at least one homogeneous eigenvalue"
     root = scan.roots[0]
-    with pytest.raises(OutsideU):
+    with pytest.raises(OutsideU) as info:
         krein_resolve(et1d, tau, root, np.ones(40))
     # the two singularity notions agree: the trace operator M + tau is
     # numerically singular exactly where the assembled system is
-    smin, scale = solvability_margin(et1d, tau, root)
-    assert smin <= 1e-6 * max(scale, 1.0)
+    assert info.value.sigma_min <= 1e-6 * max(info.value.scale, 1.0)
     assert not in_solvable_set(et1d, tau, root)
     assert in_solvable_set(et1d, tau, root + 0.5j)
 
@@ -347,12 +379,34 @@ def test_solve_and_eigen_take_no_lstsq(et2d, monkeypatch):
     assert report["ok"]
 
 
+def test_eigen_takes_no_svd_and_one_weyl_per_count(et2d, monkeypatch):
+    # each certified eigenvalue is checked by its residuals alone: M(x) is
+    # evaluated only at the count points, and nothing takes an SVD
+    import scipy.linalg
+    tau = rational_m2(et2d.de.n_boundary)
+    lin = lin_for(et2d, tau)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD on the eigen path")
+
+    for owner in (np.linalg, scipy.linalg):
+        monkeypatch.setattr(owner, "svd", forbidden)
+    points = []
+    weyl = EllipticTriple.weyl
+    monkeypatch.setattr(EllipticTriple, "weyl",
+                        lambda self, lam: points.append(lam) or weyl(self, lam))
+    report = eigen_correspondence(lin, et2d, tau, (0.2, 9.0))
+    assert report["ok"] and report["eigenvalues"]
+    assert len(points) == len(report["counts"])
+    assert sorted(points) == [x for x, _ in report["counts"]]
+
+
 # ---------------------------------------------------------------------------
 # spectra of the linearization
 
 
 def test_hilbert_spectrum_real(et1d):
-    lin = build_linearization_rational(et1d.de, rational_m2(2), et1d.eta)
+    lin = build_linearization(et1d, realize_rational(rational_m2(2)))
     assert lin.is_hilbert
     ev = lin.eigenvalues()
     assert np.max(np.abs(ev.imag)) <= 1e-9
@@ -390,7 +444,7 @@ def _count_eigensolves(monkeypatch):
 @pytest.mark.parametrize("which", ["1d", "2d"])
 def test_hilbert_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
     et = {"1d": et1d, "2d": et2d}[which]
-    lin = build_linearization_rational(et.de, rational_m2(et.de.n_boundary), et.eta)
+    lin = build_linearization(et, realize_rational(rational_m2(et.de.n_boundary)))
     calls = _count_eigensolves(monkeypatch)
     lam, v = lin.eigenpairs()
     assert calls == ["eigh"]
@@ -421,7 +475,7 @@ def _simple_eigenvalue(ev, start):
                          ids=["1d-99", "2d-8x8"])
 def test_windowed_eigenpairs_match_full_solve(build):
     et = elliptic_triple(build())
-    lin = build_linearization_rational(et.de, rational_m2(et.de.n_boundary), et.eta)
+    lin = build_linearization(et, realize_rational(rational_m2(et.de.n_boundary)))
     full = np.sort(lin.eigenpairs()[0].real)
     size, scale = full.size, max(1.0, float(np.max(np.abs(full))))
     a, w = lin.matrix, lin.gram
@@ -444,7 +498,7 @@ def test_windowed_eigenpairs_match_full_solve(build):
 @pytest.mark.parametrize("which", ["1d", "2d"])
 def test_hilbert_windowed_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
     et = {"1d": et1d, "2d": et2d}[which]
-    lin = build_linearization_rational(et.de, rational_m2(et.de.n_boundary), et.eta)
+    lin = build_linearization(et, realize_rational(rational_m2(et.de.n_boundary)))
     full = np.sort(lin.eigenvalues().real)
     window = (_gap_midpoint(full, 0, 5), _gap_midpoint(full, 10, 20))
     inside = int(np.count_nonzero((full > window[0]) & (full <= window[1])))
@@ -465,7 +519,7 @@ def test_krein_eigenpairs_nonreal_pair(et1d):
 
 
 def test_compressed_resolvent_far_field_bound(et1d):
-    lin = build_linearization_rational(et1d.de, linear_tau(2), et1d.eta)
+    lin = build_linearization(et1d, realize_rational(linear_tau(2)))
     rng = np.random.default_rng(31)
     g = rng.standard_normal(40)
     lam = 1e6j
@@ -500,7 +554,7 @@ def test_scan_constant_tau_matches_fixed_extension(et1d):
 @pytest.mark.parametrize("tau_name", ["linear", "rational"])
 def test_eigen_correspondence_both_directions(tau_name, et1d):
     tau = {"linear": linear_tau(2), "rational": rational_m2(2)}[tau_name]
-    lin = build_linearization_rational(et1d.de, tau, et1d.eta)
+    lin = build_linearization(et1d, realize_rational(tau))
     report = eigen_correspondence(lin, et1d, tau, (0.2, 9.0), tol=1e-6)
     assert report["ok"], report["failures"]
     assert report["eigenvalues"], "expected eigenvalues in the window"
@@ -571,11 +625,9 @@ def test_scan_merges_eigenvalues_closer_than_two_tol(et1d):
 
 
 def test_scan_finds_eigenvalue_at_pole(et1d):
-    # beta_2 = diag(1, 0) hides the pole -2 from tau in one direction, so the
-    # linearization has an eigenvalue at the pole itself, where N is
+    # the linearization has an eigenvalue at the hidden pole -2, where N is
     # undefined: at the window's lower end, the end moves outward past it
-    tau = RationalNevanlinna(alpha=(np.zeros((2, 2)), -2 * np.eye(2)),
-                             beta=(np.eye(2), np.diag([1.0, 0.0])))
+    tau = hidden_pole_tau()
     lin = lin_for(et1d, tau)
     for window in ((-3.0, -1.0), (-2.0, 0.0)):
         scan = homogeneous_scan(et1d, tau, window, lin)
@@ -584,6 +636,22 @@ def test_scan_finds_eigenvalue_at_pole(et1d):
         assert scan.window_count == len(scan.roots) == len(expected)
         assert np.min(np.abs(expected + 2.0)) <= 1e-10
         assert np.max(np.abs(np.array(scan.roots) - expected)) <= 1e-6
+
+
+def test_correspondence_reports_eigenvalue_at_pole(et1d):
+    # tau is undefined at the hidden pole -2, so the eigenvalue there fails as
+    # a pole, and every other eigenvalue of the window keeps its residuals
+    tau = hidden_pole_tau()
+    report = eigen_correspondence(lin_for(et1d, tau), et1d, tau, (-3.0, -1.0))
+    roots = report["scan_roots"]
+    at_pole = [lam for lam in roots if abs(lam + 2.0) <= 1e-10]
+    assert len(at_pole) == 1 and len(roots) > 1
+    assert not report["ok"]
+    assert report["failures"] == [f"eigenvalue {at_pole[0]:.6g} hits a pole of tau"]
+    others = [lam for lam in roots if lam not in at_pole]
+    assert [e["lambda"] for e in report["eigenvalues"]] == others
+    for e in report["eigenvalues"]:
+        assert max(e["pde_residual"], e["bc_residual"]) <= 1e-6
 
 
 def test_scan_2d_has_no_corner_roots(et2d):
