@@ -42,7 +42,6 @@ from .opfunc import (
     ConstantFunction,
     RationalNevanlinna,
     RepresentationForm,
-    check_minimality,
     decompose,
     negative_squares,
     strict_kernel,

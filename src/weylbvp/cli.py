@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, MathDomainError, WeylbvpError
+from .errors import ConfigError, MathDomainError
 from .krein import LinearRelation
 from .opfunc import (
     ConstantFunction,
@@ -540,9 +540,6 @@ def main(argv=None) -> int:
     except MathDomainError as exc:
         print(f"math domain error: {exc}", file=sys.stderr)
         return 2
-    except WeylbvpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -276,11 +276,6 @@ class EllipticTriple:
         boundary condition adds to tau(lam) once the trace is eliminated."""
         return self.de.weight * self.de.apply_l_bi(self.extension)
 
-    def gamma(self, lam: complex) -> np.ndarray:
-        """(I + (lam - eta)(T_D - lam)^{-1}) E_eta."""
-        sol = self.de.dirichlet_solve(lam, self.extension)
-        return self.extension + (lam - self.eta) * sol
-
     def weyl(self, lam: complex) -> np.ndarray:
         """h^d (eta - lam) L_BI (T_D - lam)^{-1} E_eta."""
         sol = self.de.dirichlet_solve(lam, self.extension)

@@ -33,7 +33,7 @@ class InsufficientSamples(ConfigError):
     """Too few sample points for the requested analysis."""
 
 
-class NotStrict(WeylbvpError):
+class NotStrict(MathDomainError):
     """Function has a nontrivial common kernel; the strict construction does not apply."""
 
 
@@ -53,7 +53,7 @@ class NonPositiveCoefficient(ConfigError):
     """A diffusion coefficient was sampled nonpositive."""
 
 
-class RankDeficientCoupling(WeylbvpError):
+class RankDeficientCoupling(MathDomainError):
     """A coupling does not determine its unknowns: a boundary channel is
     disconnected from the interior, or the coupling conditions of a
     linearization fail to determine it uniquely."""

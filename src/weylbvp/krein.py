@@ -82,19 +82,20 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def orthonormal_columns(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Orthonormal basis of range(m), dropping directions below rtol*sigma_max."""
+def orthonormal_columns(m) -> np.ndarray:
+    """Orthonormal basis of range(m), dropping directions below
+    DEFAULT_RTOL*sigma_max."""
     a = _as_matrix(m)
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    rank = int(np.count_nonzero(s > rtol * s[0]))
+    rank = int(np.count_nonzero(s > DEFAULT_RTOL * s[0]))
     return u[:, :rank]
 
 
-def nullspace(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def nullspace(m) -> np.ndarray:
     """Orthonormal basis of ker(m)."""
     a = _as_matrix(m)
     ncols = a.shape[1]
@@ -103,7 +104,7 @@ def nullspace(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(ncols, dtype=complex)
-    rank = int(np.count_nonzero(s > rtol * s[0]))
+    rank = int(np.count_nonzero(s > DEFAULT_RTOL * s[0]))
     return vh[rank:].conj().T
 
 
@@ -130,9 +131,6 @@ class Subspace:
         rest = other.basis - self.project(other.basis)
         return float(np.linalg.norm(rest, 2))
 
-    def contains(self, other: "Subspace", tol: float = 1e-10) -> bool:
-        return self.containment_residual(other) <= tol
-
     def gap(self, other: "Subspace") -> float:
         return max(self.containment_residual(other), other.containment_residual(self))
 
@@ -140,14 +138,14 @@ class Subspace:
         return self.gap(other) <= tol
 
 
-def column_space(m, rtol: float = DEFAULT_RTOL, ambient: int | None = None) -> Subspace:
+def column_space(m, ambient: int | None = None) -> Subspace:
     a = _as_matrix(m)
     if ambient is None:
         ambient = a.shape[0]
-    return Subspace(ambient, orthonormal_columns(a, rtol))
+    return Subspace(ambient, orthonormal_columns(a))
 
 
-def intersect(u: Subspace, v: Subspace, rtol: float = DEFAULT_RTOL) -> Subspace:
+def intersect(u: Subspace, v: Subspace) -> Subspace:
     """Intersection of two subspaces via the nullspace of the stacked bases."""
     if u.ambient != v.ambient:
         raise DimensionMismatch("ambient dimensions differ")
@@ -155,9 +153,9 @@ def intersect(u: Subspace, v: Subspace, rtol: float = DEFAULT_RTOL) -> Subspace:
         return Subspace(u.ambient, np.zeros((u.ambient, 0), dtype=complex))
     # vectors (a, b) with Bu a = Bv b parameterize the intersection
     stacked = np.hstack([u.basis, -v.basis])
-    null = nullspace(stacked, rtol)
+    null = nullspace(stacked)
     vecs = u.basis @ null[: u.dim]
-    return column_space(vecs, rtol, ambient=u.ambient)
+    return column_space(vecs, ambient=u.ambient)
 
 
 @dataclass(frozen=True)
@@ -228,10 +226,6 @@ class KreinSpace:
         w = self._gram_eigs
         return int(np.count_nonzero(w > 0)), int(np.count_nonzero(w < 0))
 
-    def ip(self, x: np.ndarray, y: np.ndarray):
-        """[x, y] = y^* G x."""
-        return np.vdot(y, self.gram @ x)
-
     def pair_gram(self) -> np.ndarray:
         """Gram matrix of the indefinite product on H x H:
         [[f^, g^]] = i([f, g'] - [f', g]) = g^* K f^."""
@@ -250,11 +244,11 @@ class LinearRelation:
     basis: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_span(cls, space: KreinSpace, m, rtol: float = DEFAULT_RTOL) -> "LinearRelation":
+    def from_span(cls, space: KreinSpace, m) -> "LinearRelation":
         a = _as_matrix(m)
         if a.shape[0] != 2 * space.dim:
             raise DimensionMismatch("spanning matrix must have 2*dim rows")
-        return cls(space, orthonormal_columns(a, rtol))
+        return cls(space, orthonormal_columns(a))
 
     @classmethod
     def from_graph(cls, space: KreinSpace, a) -> "LinearRelation":
@@ -287,19 +281,13 @@ class LinearRelation:
         null = nullspace(self.basis.conj().T @ k)
         return LinearRelation(self.space, null)
 
-    def symmetry_residual(self) -> float:
-        return self.adjoint().span_subspace().containment_residual(self.span_subspace())
-
-    def is_symmetric(self, tol: float = 1e-10) -> bool:
-        return self.symmetry_residual() <= tol
-
     def selfadjointness_residual(self) -> float:
         return self.span_subspace().gap(self.adjoint().span_subspace())
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
         return self.dim == self.adjoint().dim and self.selfadjointness_residual() <= tol
 
-    def resolvent(self, lam: complex, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    def resolvent(self, lam: complex) -> np.ndarray:
         """Matrix of (A - lam)^{-1}; raises SpectrumPoint if not boundedly invertible."""
         n = self.space.dim
         c = self.second - lam * self.first
@@ -310,7 +298,7 @@ class LinearRelation:
         scale = 1.0 + abs(lam)
         if s.size < n or s[n - 1] <= scale / COND_LIMIT:
             raise SpectrumPoint(f"ran(A - {lam}) is not all of H")
-        keep = s > rtol * s[0]                 # the cutoff of pinv(c, rcond=rtol)
+        keep = s > DEFAULT_RTOL * s[0]         # the cutoff of pinv(c, rcond=DEFAULT_RTOL)
         res = (self.first @ vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
         # a nonzero kernel of (A - lam) shows up as an unreachable first component
         # (relative to max(1, norm(first)), which is 1 for an orthonormal basis)
@@ -318,18 +306,3 @@ class LinearRelation:
         if defect > 1e-8:
             raise SpectrumPoint(f"ker(A - {lam}) is nontrivial")
         return res
-
-    def eigen_kernel(self, lam: complex, rtol: float = DEFAULT_RTOL) -> Subspace:
-        """ker(A - lam) = {f : {f, lam f} in A} as a subspace of H."""
-        null = nullspace(self.second - lam * self.first, rtol)
-        return column_space(self.first @ null, rtol, ambient=self.space.dim)
-
-    def parts(self, rtol: float = DEFAULT_RTOL) -> dict[str, Subspace]:
-        """Canonical subspaces dom, ran, ker and the multivalued part."""
-        n = self.space.dim
-        return {
-            "dom": column_space(self.first, rtol, ambient=n),
-            "ran": column_space(self.second, rtol, ambient=n),
-            "ker": column_space(self.first @ nullspace(self.second, rtol), rtol, ambient=n),
-            "mul": column_space(self.second @ nullspace(self.first, rtol), rtol, ambient=n),
-        }

@@ -3,8 +3,8 @@
 Three concrete families: a selfadjoint constant, a rational function with
 Hermitian/PSD coefficient matrices, and an abstract resolvent-based
 representation form.  Shared analysis: strictness kernels, block
-decomposition into a strict part plus constant blocks, minimality and
-negative-squares diagnostics.
+decomposition into a strict part plus constant blocks, and a
+negative-squares diagnostic.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     SpectrumPoint,
 )
 from .krein import (
-    DEFAULT_RTOL,
     KreinSpace,
     LinearRelation,
     Subspace,
@@ -191,16 +190,16 @@ class RepresentationForm:
         return self.eval(lam)
 
 
-def default_samples(g: int, seed: int = 0, radius: float = 2.0,
-                    count: int | None = None) -> list[complex]:
-    """Deterministic nonreal sample points in C+ and C- for kernel analysis."""
+def default_samples(g: int, seed: int = 0, count: int | None = None) -> list[complex]:
+    """Deterministic nonreal sample points in C+ and C- for kernel analysis,
+    with real part in [-2, 2] and imaginary part of modulus in [0.3, 2]."""
     if count is None:
         count = 2 * g + 3
     rng = np.random.default_rng(seed)
     pts = []
     for k in range(count):
-        re = rng.uniform(-radius, radius)
-        im = rng.uniform(0.3, radius)
+        re = rng.uniform(-2.0, 2.0)
+        im = rng.uniform(0.3, 2.0)
         pts.append(complex(re, im if k % 2 == 0 else -im))
     return pts
 
@@ -213,16 +212,16 @@ def nevanlinna_kernel(tau, lam: complex, mu: complex) -> np.ndarray:
     return (tau.eval(lam) - tau.eval(mu).conj().T) / denom
 
 
-def strict_kernel(tau, samples=None, mu0: complex | None = None,
-                  rtol: float = DEFAULT_RTOL, seed: int = 0) -> Subspace:
+def strict_kernel(tau, samples=None, mu0: complex | None = None) -> Subspace:
     """Common kernel of the difference quotients (tau(lam)-tau(mu0)^*)/(lam-conj(mu0)).
 
     The function is strict when the result is trivial.  For a representation
-    form the result equals ker(gamma), which is cross-checked.
+    form the result equals ker(gamma), which is cross-checked.  The samples
+    default to ``default_samples``.
     """
     g = tau.boundary_dim
     if samples is None:
-        samples = default_samples(g, seed=seed)
+        samples = default_samples(g)
     samples = list(samples)
     if len(samples) < 2:
         raise InsufficientSamples("need at least two sample points")
@@ -233,14 +232,14 @@ def strict_kernel(tau, samples=None, mu0: complex | None = None,
         if abs(lam - np.conj(mu0)) < 1e-12:
             continue
         k = nevanlinna_kernel(tau, lam, mu0)
-        ker = column_space(nullspace(k, rtol), rtol, ambient=g)
-        result = ker if result is None else intersect(result, ker, rtol)
+        ker = column_space(nullspace(k), ambient=g)
+        result = ker if result is None else intersect(result, ker)
         if result.dim == 0:
             break
     if result is None:
         raise InsufficientSamples("all samples degenerate against mu0")
     if isinstance(tau, RepresentationForm):
-        ker_gamma = column_space(nullspace(tau.gamma, rtol), rtol, ambient=g)
+        ker_gamma = column_space(nullspace(tau.gamma), ambient=g)
         if not result.equals(ker_gamma, tol=1e-8):
             raise InsufficientSamples(
                 "sampled kernel disagrees with ker(gamma); enlarge the sample set"
@@ -250,15 +249,13 @@ def strict_kernel(tau, samples=None, mu0: complex | None = None,
 
 @dataclass(frozen=True)
 class Decomposition:
-    """2x2 block splitting of tau against the strict-kernel subspace.
+    """2x2 block splitting of tau against the strict-kernel subspace, frozen at mu0.
 
     ``iota_strict``/``iota_hat`` are orthonormal bases of the complement of
     the common kernel and of the kernel itself; ``constant_*`` are the frozen
     tau(mu0) blocks that complete the strict part.
     """
 
-    tau: object
-    mu0: complex
     iota_strict: np.ndarray = field(repr=False)
     iota_hat: np.ndarray = field(repr=False)
     constant_cross: np.ndarray = field(repr=False)   # pi' tau(mu0) iota^
@@ -270,29 +267,16 @@ class Decomposition:
         return self.iota_strict.shape[1]
 
     @property
-    def kernel_dim(self) -> int:
-        return self.iota_hat.shape[1]
-
-    def strict_eval(self, lam: complex) -> np.ndarray:
-        return self.iota_strict.conj().T @ self.tau.eval(lam) @ self.iota_strict
-
-    def reassemble(self, lam: complex) -> np.ndarray:
-        u = np.hstack([self.iota_strict, self.iota_hat])
-        top = np.hstack([self.strict_eval(lam), self.constant_cross])
-        bot = np.hstack([self.constant_cross2, self.constant_block])
-        return u @ np.vstack([top, bot]) @ u.conj().T
-
-    @property
     def basis(self) -> np.ndarray:
         return np.hstack([self.iota_strict, self.iota_hat])
 
 
-def decompose(tau, mu0: complex, kernel: Subspace | None = None,
-              samples=None, seed: int = 0) -> Decomposition:
-    """Split tau into a strict part plus constant blocks frozen at mu0."""
+def decompose(tau, mu0: complex, kernel: Subspace | None = None) -> Decomposition:
+    """Split tau into a strict part plus constant blocks frozen at mu0; the
+    kernel defaults to ``strict_kernel`` at the default samples."""
     g = tau.boundary_dim
     if kernel is None:
-        kernel = strict_kernel(tau, samples=samples, mu0=mu0, seed=seed)
+        kernel = strict_kernel(tau, mu0=mu0)
     iota_hat = kernel.basis
     # orthonormal complement of the kernel
     if kernel.dim == 0:
@@ -302,8 +286,6 @@ def decompose(tau, mu0: complex, kernel: Subspace | None = None,
         iota_strict = orthonormal_columns(proj)
     t0 = tau.eval(mu0)
     return Decomposition(
-        tau=tau,
-        mu0=mu0,
         iota_strict=iota_strict,
         iota_hat=iota_hat,
         constant_cross=iota_strict.conj().T @ t0 @ iota_hat,
@@ -312,27 +294,7 @@ def decompose(tau, mu0: complex, kernel: Subspace | None = None,
     )
 
 
-def check_minimality(rf: RepresentationForm, samples=None,
-                     seed: int = 0) -> tuple[bool, int]:
-    """Whether span{(I+(lam-l0)(A0-lam)^{-1})gamma x : lam in samples} fills H."""
-    n = rf.space.dim
-    if samples is None:
-        samples = default_samples(rf.boundary_dim, seed=seed, count=2 * n + 3)
-    l0 = complex(rf.lambda0)
-    cols = []
-    for lam in samples:
-        try:
-            res = rf.a0.resolvent(lam)
-        except SpectrumPoint:
-            continue
-        cols.append((np.eye(n) + (lam - l0) * res) @ rf.gamma)
-    if not cols:
-        raise InsufficientSamples("no sample lies in the resolvent set of A0")
-    reached = orthonormal_columns(np.hstack(cols)).shape[1]
-    return reached == n, reached
-
-
-def negative_squares(tau, points, vectors: np.ndarray | None = None) -> int:
+def negative_squares(tau, points) -> int:
     """Negative eigenvalue count of the sampled Nevanlinna-kernel Gram matrix.
 
     A lower bound for the number of negative squares of the kernel; monotone
@@ -346,17 +308,7 @@ def negative_squares(tau, points, vectors: np.ndarray | None = None) -> int:
         for j, lj in enumerate(points):
             # entry (j, i) block: [K(li, lj) x_i, x_j] with Euclidean boundary pairing
             gram[j * g:(j + 1) * g, i * g:(i + 1) * g] = nevanlinna_kernel(tau, li, lj)
-    if vectors is not None:
-        v = _as_matrix(vectors)
-        gram = v.conj().T @ gram @ v
     gram = (gram + gram.conj().T) / 2
     w = np.linalg.eigvalsh(gram)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     return int(np.count_nonzero(w < -1e-10 * scale))
-
-
-def symmetry_residual(tau, lam: complex) -> float:
-    """Residual of tau(conj(lam)) = tau(lam)^*."""
-    a = tau.eval(np.conj(lam))
-    b = tau.eval(lam).conj().T
-    return float(np.linalg.norm(a - b, 2) / max(1.0, np.linalg.norm(b, 2)))

@@ -18,7 +18,7 @@ from .errors import (
     NotStrict,
     RealTheta,
 )
-from .krein import KreinSpace, LinearRelation, nullspace
+from .krein import KreinSpace, nullspace
 from .opfunc import (
     ConstantFunction,
     Decomposition,
@@ -26,58 +26,51 @@ from .opfunc import (
     RepresentationForm,
     decompose,
     default_samples,
-    psd_sqrt,
     strict_kernel,
 )
 from .triple import BoundaryTriple, verify_triple_identities
 
 
-def realize_strict(rf: RepresentationForm, mu: complex | None = None) -> BoundaryTriple:
+def realize_strict(rf: RepresentationForm) -> BoundaryTriple:
     """Boundary triple with Weyl function rf, for strict rf (ker gamma = {0}).
 
-    The domain relation is A0 extended by the defect span at the anchor mu;
-    Gamma_0 reads off the defect coordinate and Gamma_1 combines the
-    abstract conormal derivative with tau(mu).
+    The domain relation is A0 extended by the defect span at the anchor
+    l0 = rf.lambda0, where gamma(l0) = rf.gamma; Gamma_0 reads off the
+    defect coordinate and Gamma_1 combines the abstract conormal derivative
+    with tau(l0).
     """
     g = rf.boundary_dim
-    n = rf.space.dim
     if nullspace(rf.gamma).shape[1] > 0:
         raise NotStrict("gamma has a nontrivial kernel; decompose first")
-    if mu is None:
-        mu = complex(rf.lambda0)
-    mu = complex(mu)
     l0 = complex(rf.lambda0)
-    res_mu = rf.a0.resolvent(mu)  # raises SpectrumPoint off rho(A0)
-    gamma_mu = (np.eye(n) + (mu - l0) * res_mu) @ rf.gamma
+    gamma = rf.gamma
 
     f0, f0p = rf.a0.first, rf.a0.second
-    t_basis = np.block([[f0, gamma_mu], [f0p, mu * gamma_mu]])
+    t_basis = np.block([[f0, gamma], [f0p, l0 * gamma]])
     na = rf.a0.dim
     g0 = np.hstack([np.zeros((g, na), dtype=complex), np.eye(g, dtype=complex)])
-    gamma_mu_plus = gamma_mu.conj().T @ rf.space.gram
-    g1 = np.hstack([gamma_mu_plus @ (f0p - np.conj(mu) * f0), rf.eval(mu)])
+    gamma_plus = gamma.conj().T @ rf.space.gram
+    g1 = np.hstack([gamma_plus @ (f0p - np.conj(l0) * f0), rf.eval(l0)])
     return BoundaryTriple(rf.space, g, t_basis, g0, g1)
 
 
-def realize_constant(theta: np.ndarray, vartheta: complex,
-                     mu: complex | None = None) -> BoundaryTriple:
+def realize_constant(theta: np.ndarray, vartheta: complex) -> BoundaryTriple:
     """Boundary triple over a Krein space C^{2g} whose Weyl function is the
     constant Hermitian matrix theta.
 
     The state relation is the graph of the block matrix [[vt, I], [0, conj(vt)]]
     with the indefinite product given by the flip Gram [[0, I], [I, 0]]; the
-    state space has signature (g, g).
+    state space has signature (g, g).  The defect span is taken at
+    mu = vartheta / 2.
     """
     theta = np.asarray(theta, dtype=complex)
     g = theta.shape[0]
     vt = complex(vartheta)
     if abs(vt.imag) < 1e-12:
         raise RealTheta("the spectral anchor must be nonreal")
-    if mu is None:
-        mu = vt / 2  # nonreal, never equals vt or conj(vt)
-    mu = complex(mu)
+    mu = vt / 2  # nonreal; apart from vt and conj(vt) unless vt is tiny
     if min(abs(mu - vt), abs(mu - np.conj(vt))) < 1e-12:
-        raise RealTheta("mu must avoid the anchor pair")
+        raise RealTheta("the spectral anchor is too close to 0")
 
     eye = np.eye(g, dtype=complex)
     zero = np.zeros((g, g), dtype=complex)
@@ -95,16 +88,6 @@ def realize_constant(theta: np.ndarray, vartheta: complex,
     gamma_mu_plus = gamma_mu.conj().T @ flip  # = [0, I]
     g1 = np.hstack([gamma_mu_plus @ (b0 - np.conj(mu) * np.eye(2 * g)), theta])
     return BoundaryTriple(space, g, t_basis, g0, g1)
-
-
-def constant_state_resolvent(vartheta: complex, lam: complex, g: int) -> np.ndarray:
-    """Closed-form resolvent of the companion block used by realize_constant."""
-    vt = complex(vartheta)
-    eye = np.eye(g, dtype=complex)
-    return np.block([
-        [eye / (vt - lam), eye / ((lam - vt) * (np.conj(vt) - lam))],
-        [np.zeros((g, g), dtype=complex), eye / (np.conj(vt) - lam)],
-    ])
 
 
 def couple(t_strict: BoundaryTriple, t_const: BoundaryTriple,
@@ -180,13 +163,14 @@ def default_vartheta(samples) -> complex:
     return 1j * (2.0 + radius)
 
 
-def realize(tau, mu0: complex | None = None, vartheta: complex | None = None,
-            samples=None, seed: int = 0) -> BoundaryTriple:
+def realize(tau, vartheta: complex | None = None, samples=None,
+            seed: int = 0) -> BoundaryTriple:
     """Build a boundary triple whose Weyl function equals tau.
 
     Rational functions take the explicit Hilbert-state path; constants the
     companion-block path; representation forms go through strictness
-    analysis, with non-strict functions split and re-coupled.
+    analysis, with non-strict functions split at the first sample and
+    re-coupled.
     """
     if isinstance(tau, RationalNevanlinna):
         return realize_rational(tau)
@@ -200,12 +184,11 @@ def realize(tau, mu0: complex | None = None, vartheta: complex | None = None,
     g = tau.boundary_dim
     if samples is None:
         samples = default_samples(g, seed=seed)
-    if mu0 is None:
-        mu0 = samples[0]
+    mu0 = samples[0]
     if vartheta is None:
-        vartheta = default_vartheta(list(samples) + [mu0])
+        vartheta = default_vartheta(samples)
 
-    kernel = strict_kernel(tau, samples=samples, mu0=mu0, seed=seed)
+    kernel = strict_kernel(tau, samples=samples, mu0=mu0)
     if kernel.dim == 0:
         return realize_strict(tau)
     dec = decompose(tau, mu0, kernel=kernel)

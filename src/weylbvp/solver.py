@@ -113,13 +113,6 @@ class Linearization:
     def n_interior(self) -> int:
         return self.size - self.state_gram.shape[0]
 
-    @property
-    def gram(self) -> np.ndarray:
-        """W as a dense matrix, built on each call: nothing on the solve or
-        eigen path reads it, only checks against the definition do."""
-        return scipy.linalg.block_diag(self.weight * np.eye(self.n_interior),
-                                       self.state_gram)
-
     @cached_property
     def weighted_matrix(self) -> np.ndarray:
         """W A, row block by row block: no matrix product of interior size."""
@@ -177,12 +170,6 @@ class Linearization:
         form[n:, n:] = scipy.linalg.solve_triangular(chol, state.conj().T,
                                                      lower=True).conj().T
         return form
-
-    def eigenvalues(self) -> np.ndarray:
-        if self.is_hilbert:
-            return scipy.linalg.eigh(self._hermitian_form(),
-                                     eigvals_only=True).astype(complex)
-        return scipy.linalg.eigvals(self.matrix)
 
     def eigenpairs(self, window: tuple[float, float] | None = None):
         """(eigenvalues, eigenvectors in the original coordinates); in the
@@ -258,8 +245,9 @@ def build_linearization_rational(de: DiscreteElliptic, tau: RationalNevanlinna,
     """The linearization for a rational tau, on C^{n_I} x (C^{n_B})^m:
     ``build_linearization`` of the elliptic triple and ``realize_rational(tau)``.
 
-    This entry stays because the benchmark's set-up and the tests call it
-    by name.
+    Its one caller is the benchmark's set-up (``perfbench/run.py``), which
+    has already built the elliptic triple and so builds the eta-extension a
+    second time here.
     """
     return build_linearization(elliptic_triple(de, eta), realize_rational(tau))
 

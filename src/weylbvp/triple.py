@@ -14,16 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NonInvertibleTrace, SpectrumPoint
-from .krein import (
-    DEFAULT_RTOL,
-    KreinSpace,
-    LinearRelation,
-    Subspace,
-    _as_matrix,
-    column_space,
-    dense_lu,
-    nullspace,
-)
+from .krein import DEFAULT_RTOL, KreinSpace, LinearRelation, _as_matrix, dense_lu, nullspace
 
 
 @dataclass(frozen=True)
@@ -80,19 +71,9 @@ class BoundaryTriple:
         return self.t_basis[self.state.dim:]
 
     @cached_property
-    def relation(self) -> LinearRelation:
-        return LinearRelation.from_span(self.state, self.t_basis)
-
-    @cached_property
     def a0(self) -> LinearRelation:
         """ker Gamma_0, the distinguished selfadjoint relation."""
         return LinearRelation.from_span(self.state, self.t_basis @ nullspace(self.g0))
-
-    @cached_property
-    def kernel_relation(self) -> LinearRelation:
-        """ker Gamma = ker Gamma_0 \\cap ker Gamma_1 (the symmetric restriction)."""
-        null = nullspace(np.vstack([self.g0, self.g1]))
-        return LinearRelation.from_span(self.state, self.t_basis @ null)
 
     # -- boundary-space adjoints -------------------------------------------
 
@@ -115,27 +96,14 @@ class BoundaryTriple:
                     float(np.max(np.linalg.norm(rhs, axis=0))))
         return float(np.linalg.norm(lhs - rhs) / scale)
 
-    def validate(self, tol: float = 1e-10) -> None:
-        res = self.green_residual()
-        if res > tol:
-            raise DimensionMismatch(f"Green identity violated: residual {res:.3e}")
-        if not self.a0.is_selfadjoint(tol):
-            raise DimensionMismatch("ker Gamma_0 is not selfadjoint")
-        if np.linalg.matrix_rank(self.g0) < self.boundary_dim:
-            raise DimensionMismatch("Gamma_0 is not surjective")
-
-    def is_ordinary(self, rtol: float = DEFAULT_RTOL) -> bool:
+    def is_ordinary(self) -> bool:
         """True when the stacked boundary map (Gamma_0; Gamma_1) is surjective."""
         stacked = np.vstack([self.g0, self.g1])
         s = np.linalg.svd(stacked, compute_uv=False)
-        return s.size >= 2 * self.boundary_dim and s[2 * self.boundary_dim - 1] > rtol * s[0]
+        rank = 2 * self.boundary_dim
+        return s.size >= rank and s[rank - 1] > DEFAULT_RTOL * s[0]
 
     # -- gamma-field and Weyl function ---------------------------------------
-
-    def defect_subspace(self, lam: complex, rtol: float = DEFAULT_RTOL) -> Subspace:
-        """ker(T - lam) as a subspace of the state space."""
-        null = nullspace(self.second - lam * self.first, rtol)
-        return column_space(self.first @ null, rtol, ambient=self.state.dim)
 
     def weyl_data(self, lam: complex) -> WeylData:
         """gamma(lam) and M(lam) from one guarded LU of the t x t matrix
@@ -158,24 +126,18 @@ class BoundaryTriple:
         coeff = scipy.linalg.lu_solve(lu, rhs)
         return WeylData(lam, self.first @ coeff, self.g1 @ coeff, lu)
 
-    def gamma(self, lam: complex) -> np.ndarray:
-        return self.weyl_data(lam).gamma_mat
-
-    def weyl(self, lam: complex) -> np.ndarray:
-        return self.weyl_data(lam).m_mat
-
 
 def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:
     scale = max([1.0] + [float(np.linalg.norm(r)) for r in refs])
     return float(np.linalg.norm(diff)) / scale
 
 
-def verify_triple_identities(bt: BoundaryTriple, samples, lambda0: complex | None = None,
-                             seed: int = 0,
+def verify_triple_identities(bt: BoundaryTriple, samples, seed: int = 0,
                              data: dict[complex, WeylData] | None = None) -> dict[str, float]:
     """Max scaled residuals of the gamma-field/Weyl identities at sample points.
 
-    Checks, for all pairs (lam, mu) of samples in rho(A_0):
+    Checks, for all pairs (lam, mu) of samples in rho(A_0) and the first
+    nonreal sample l0:
       id1:    gamma(lam) = (I + (lam-mu)(A0-lam)^{-1}) gamma(mu)
       gambar: gamma(conj(lam))^+ h = Gamma_1 {(A0-lam)^{-1} h, (I+lam(A0-lam)^{-1}) h}
       id2:    M(lam) - M(mu)^* = (lam - conj(mu)) gamma(mu)^+ gamma(lam)
@@ -187,11 +149,10 @@ def verify_triple_identities(bt: BoundaryTriple, samples, lambda0: complex | Non
     that the caller has already factored; they are not factored again.
     """
     samples = list(samples)
-    if lambda0 is None:
-        lambda0 = next(s for s in samples if abs(complex(s).imag) > 0)
+    lambda0 = next(s for s in samples if abs(complex(s).imag) > 0)
     rng = np.random.default_rng(seed)
     n = bt.state.dim
-    points = list(dict.fromkeys([*samples, lambda0]))
+    points = list(dict.fromkeys(samples))
     data = {lam: (data or {}).get(lam) or bt.weyl_data(lam) for lam in points}
     # gambar needs gamma(conj lam); of a conjugate that is no sample only
     # gamma is kept, not its LU

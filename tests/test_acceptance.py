@@ -4,6 +4,7 @@ printing a single PASS/FAIL line with the measured quantity.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from weylbvp import (
     ConstantFunction,
@@ -29,7 +30,6 @@ from weylbvp import (
     realize_strict,
     verify_triple_identities,
 )
-from weylbvp.realize import constant_state_resolvent
 
 
 def report(name, ok, detail):
@@ -39,6 +39,16 @@ def report(name, ok, detail):
 
 POINTS = [2j, 1 + 1j, -0.5 + 0.8j, 2 - 1.5j, -1.2 - 0.6j,
           0.3 + 2j, -2 + 0.4j, 1.5 + 0.9j, -0.8 - 1.7j, 0.1 - 0.5j]
+
+
+def constant_state_resolvent(vartheta, lam, g):
+    """Closed-form resolvent of the companion block used by realize_constant."""
+    vt = complex(vartheta)
+    eye = np.eye(g, dtype=complex)
+    return np.block([
+        [eye / (vt - lam), eye / ((lam - vt) * (np.conj(vt) - lam))],
+        [np.zeros((g, g), dtype=complex), eye / (np.conj(vt) - lam)],
+    ])
 
 
 def seeded_rep_form(dim, g, seed):
@@ -151,7 +161,8 @@ def test_realization_fidelity():
         bt = realize(tau)
         for lam in POINTS:
             t = tau.eval(lam)
-            err = np.linalg.norm(bt.weyl(lam) - t, 2) / max(1.0, np.linalg.norm(t, 2))
+            m = bt.weyl_data(lam).m_mat
+            err = np.linalg.norm(m - t, 2) / max(1.0, np.linalg.norm(t, 2))
             worst = max(worst, err)
     report("realized Weyl function reproduces the input function",
            worst <= 1e-9, f"worst relative residual {worst:.3e} over "
@@ -170,7 +181,7 @@ def test_constant_realization_resolvent_and_signature():
         float(np.max(np.abs(rel.resolvent(lam)
                             - constant_state_resolvent(vt, lam, g))))
         for lam in (1 + 1j, -0.5, 3j + 1, 0.3 - 0.7j))
-    weyl_err = max(float(np.linalg.norm(bt.weyl(lam) - theta))
+    weyl_err = max(float(np.linalg.norm(bt.weyl_data(lam).m_mat - theta))
                    for lam in POINTS[:6])
     sig = bt.state.signature()
     ok = res_err <= 1e-12 and weyl_err <= 1e-12 and sig == (g, g)
@@ -215,7 +226,8 @@ def test_solver_oracle_equivalence():
 
 def symmetrized(lin):
     """W^{1/2} A W^{-1/2}, Hermitian when W is positive definite."""
-    w, v = np.linalg.eigh(lin.gram)
+    gram = scipy.linalg.block_diag(lin.weight * np.eye(lin.n_interior), lin.state_gram)
+    w, v = np.linalg.eigh(gram)
     assert w[0] > 0, "product metric is indefinite"
     root = (v * np.sqrt(w)) @ v.conj().T
     inv_root = (v / np.sqrt(w)) @ v.conj().T
@@ -223,7 +235,6 @@ def symmetrized(lin):
 
 
 def test_linearization_selfadjointness():
-    import scipy.linalg
     et = elliptic_triple(build_1d(99))
     nb = et.de.n_boundary
     wsym = []

@@ -68,6 +68,30 @@ def test_solve_outside_solvable_set_exits_2(tmp_path):
     assert code == 2
 
 
+def test_singular_coupling_matrix_exits_2(tmp_path, capsys):
+    # theta = -(B + B^T)/2 cancels the boundary block B = h^d L_BI E_eta in
+    # the linearization's coupling matrix C: C is singular, which is a
+    # domain error of this valid config, not an internal one
+    import numpy as np
+    from weylbvp import build_1d, elliptic_triple
+    b = elliptic_triple(build_1d(40)).boundary_block
+    theta = [[[v, 0.0] for v in row] for row in (-(b + b.T) / 2).tolist()]
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 1, "n": 40},
+                               "tau": {"kind": "constant", "theta": theta}})
+    for action in ("eigen", "verify"):
+        code, _ = run(tmp_path, cfg, action)
+        assert code == 2
+        assert "math domain error" in capsys.readouterr().err
+
+
+def test_disconnected_boundary_channel_exits_2(tmp_path, capsys):
+    # p = 1e-300 leaves every boundary channel numerically uncoupled
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 1, "n": 20, "coeff": {"p": 1e-300}}})
+    code, _ = run(tmp_path, cfg, "solve")
+    assert code == 2
+    assert "math domain error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("action", ["solve", "verify"])
 def test_singular_sparse_factorization_exits_2(tmp_path, monkeypatch, action):
     # SuperLU reports an exactly singular matrix as a RuntimeError; the

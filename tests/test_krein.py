@@ -23,6 +23,12 @@ def hilbert(n):
     return KreinSpace(n)
 
 
+def symmetry_residual(rel):
+    """How far the relation's span is from lying in its adjoint's: zero
+    exactly when the relation is symmetric."""
+    return rel.adjoint().span_subspace().containment_residual(rel.span_subspace())
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -142,7 +148,8 @@ def test_pair_gram_reproduces_indefinite_product():
     f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     lhs = np.vdot(h, k @ f)
-    rhs = 1j * (sp.ip(f[:3], h[3:]) - sp.ip(f[3:], h[:3]))
+    # [x, y] = y^* G x
+    rhs = 1j * (np.vdot(h[3:], sp.gram @ f[:3]) - np.vdot(h[:3], sp.gram @ f[3:]))
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -212,7 +219,7 @@ def test_hermitian_graph_selfadjoint():
 
 def test_nilpotent_graph_not_symmetric():
     a = LinearRelation.from_graph(hilbert(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert not a.is_symmetric()
+    assert symmetry_residual(a) > 1e-10
 
 
 def test_restriction_symmetric_not_selfadjoint():
@@ -222,7 +229,7 @@ def test_restriction_symmetric_not_selfadjoint():
     a0 = np.diag([1.0, 3.0])
     basis = np.vstack([np.eye(2)[:, :1], a0[:, :1]])
     a = LinearRelation.from_span(sp, basis)
-    assert a.is_symmetric()
+    assert symmetry_residual(a) <= 1e-10
     assert not a.is_selfadjoint()
 
 
@@ -265,6 +272,13 @@ def test_resolvent_multivalued_block():
     assert np.allclose(r, np.diag([0.0, 1.0 / 3.0]), atol=1e-12)
 
 
+def test_resolvent_purely_multivalued():
+    # {0} x H: the resolvent of a purely multivalued relation is the zero operator
+    basis = np.vstack([np.zeros((2, 2)), np.eye(2)])
+    a = LinearRelation.from_span(hilbert(2), basis)
+    assert np.allclose(a.resolvent(1.0 + 1.0j), 0.0)
+
+
 def test_resolvent_spectrum_point():
     a = LinearRelation.from_graph(hilbert(2), np.diag([1.0, 2.0]))
     with pytest.raises(SpectrumPoint):
@@ -289,38 +303,6 @@ def test_selfadjoint_resolvent_norm_bound():
     a = LinearRelation.from_graph(hilbert(5), m)
     for lam in (1.0j, 2.0 - 0.5j, -1.0 + 0.25j):
         assert np.linalg.norm(a.resolvent(lam), 2) <= 1.0 / abs(lam.imag) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# parts
-
-
-def test_parts_of_operator_graph():
-    a = LinearRelation.from_graph(hilbert(2), np.eye(2))
-    p = a.parts()
-    assert p["mul"].dim == 0
-    assert p["dom"].dim == 2
-
-
-def test_parts_multivalued():
-    sp = hilbert(2)
-    # {0} x H: dom = {0}, mul = H
-    basis = np.vstack([np.zeros((2, 2)), np.eye(2)])
-    a = LinearRelation.from_span(sp, basis)
-    p = a.parts()
-    assert p["dom"].dim == 0
-    assert p["mul"].dim == 2
-    # the resolvent of a purely multivalued relation is the zero operator
-    assert np.allclose(a.resolvent(1.0 + 1.0j), 0.0)
-
-
-def test_parts_mixed_block():
-    sp = hilbert(2)
-    basis = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 4.0]])
-    a = LinearRelation.from_span(sp, basis)
-    p = a.parts()
-    assert p["mul"].dim == 1
-    assert np.allclose(np.abs(p["mul"].basis[:, 0]), [1, 0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

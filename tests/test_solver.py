@@ -7,6 +7,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from weylbvp import (
@@ -14,6 +15,7 @@ from weylbvp import (
     ConstantFunction,
     KreinSpace,
     LinearRelation,
+    MathDomainError,
     OutsideU,
     PoleOrSpectrum,
     RankDeficientCoupling,
@@ -81,6 +83,16 @@ def in_solvable_set(et, tau, lam):
     return True
 
 
+def product_gram(lin):
+    """The product metric W = h^d I (+) G as a dense matrix."""
+    return scipy.linalg.block_diag(lin.weight * np.eye(lin.n_interior), lin.state_gram)
+
+
+def elliptic_gamma(et, lam):
+    """(I + (lam - eta)(T_D - lam)^{-1}) E_eta, the closed-form gamma-field."""
+    return et.extension + (lam - et.eta) * et.de.dirichlet_solve(lam, et.extension)
+
+
 def lin_for(et, tau):
     if isinstance(tau, RationalNevanlinna):
         return build_linearization(et, realize_rational(tau))
@@ -126,6 +138,40 @@ def test_three_routes_agree_at_2d_50x50():
         assert np.linalg.norm(compressed_resolvent(lin, lam, g) - f1) <= 1e-10 * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n1=st.integers(5, 40), n2=st.integers(3, 8),
+       p0=st.floats(0.5, 3.0), p1=st.floats(-0.4, 2.0), a0=st.floats(0.0, 5.0),
+       seed=st.integers(0, 2**32 - 1), re=st.floats(-10.0, 100.0),
+       im=st.floats(0.1, 5.0), sign=st.sampled_from([-1, 1]))
+def test_three_routes_agree_on_random_problems(dim, n1, n2, p0, p1, a0, seed, re, im, sign):
+    # 1D with p = p0 + p1 x > 0 or a 2D square, a potential a0, an m = 2
+    # rational tau with random Hermitian alpha and PSD beta (beta_1 >= 0.1 I)
+    # and a nonreal lambda: the three routes agree, or the problem is refused
+    # as a domain error
+    de = build_1d(n1, p=lambda x: p0 + p1 * x, a=a0) if dim == 1 else build_2d(n2, n2, a=a0)
+    et = elliptic_triple(de)
+    nb, n = de.n_boundary, de.n_interior
+    rng = np.random.default_rng(seed)
+
+    def square():
+        return rng.standard_normal((nb, nb)) + 1j * rng.standard_normal((nb, nb))
+
+    alpha = tuple((m + m.conj().T) / 2 for m in (square(), square()))
+    b1, b2 = (m @ m.conj().T for m in (square(), square()))
+    tau = RationalNevanlinna(alpha=alpha, beta=(b1 + 0.1 * np.eye(nb), b2))
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    lam = complex(re, sign * im)
+    try:
+        f1 = krein_resolve(et, tau, lam, g).f
+        f2 = direct_solve(et, tau, lam, g)
+        f3 = compressed_resolvent(build_linearization(et, realize_rational(tau)), lam, g)
+    except MathDomainError:
+        return
+    scale = max(np.linalg.norm(f) for f in (f1, f2, f3))
+    pair = max(np.linalg.norm(f1 - f2), np.linalg.norm(f1 - f3), np.linalg.norm(f2 - f3))
+    assert pair <= 1e-10 * scale
+
+
 # ---------------------------------------------------------------------------
 # singularity guards of the sparse routes
 
@@ -139,7 +185,7 @@ def test_sparse_guards_raise_at_linearization_eigenvalues(build):
     tau = rational_m2(et.de.n_boundary)
     lin = build_linearization(et, realize_rational(tau))
     g = np.ones(et.de.n_interior, dtype=complex)
-    for lam in lin.eigenvalues():
+    for lam in lin.eigenpairs()[0]:
         with pytest.raises(SingularSystem):
             direct_solve(et, tau, lam, g)
         with pytest.raises(SpectrumPoint):
@@ -215,7 +261,7 @@ def test_rational_matches_general_linearization(et1d, et2d):
                 (lin_for(et, ConstantFunction(theta=const)), realize_constant(const, 3.7j))):
             a_ref, w_ref = _dense_coupling_linearization(et, realized)
             assert np.linalg.norm(lin.matrix - a_ref, 2) <= 1e-8
-            assert np.linalg.norm(lin.gram - w_ref, 2) <= 1e-12
+            assert np.linalg.norm(product_gram(lin) - w_ref, 2) <= 1e-12
 
 
 def test_real_tau_gives_real_linearization(et1d):
@@ -250,7 +296,6 @@ def test_rank_deficient_coupling_rejected(et1d):
 
 @pytest.mark.parametrize("which", ["rational", "constant"])
 def test_linearization_takes_one_lu_and_no_svd_or_inverse(which, et2d, monkeypatch):
-    import scipy.linalg
     nb = et2d.de.n_boundary
     realized = realize_rational(rational_m2(nb)) if which == "rational" \
         else realize_constant(2.0 * np.eye(nb), 3.7j)
@@ -275,7 +320,6 @@ def test_real_coupling_takes_real_solves(et2d, monkeypatch):
     # right-hand side would cast the real LU to complex at each solve; the
     # estimate only reads the factor, so A is bit-identical to the A of an
     # unguarded LU
-    import scipy.linalg
     realized = realize_rational(rational_m2(et2d.de.n_boundary))
     lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
     monkeypatch.setattr(solver, "dense_lu", lambda mat, error, what: lu_factor(mat))
@@ -297,7 +341,7 @@ def test_w_symmetry_residual_never_below_two_norm_ratio(et1d):
     a = lin.matrix.copy()
     a[3, 7] += 1e-3
     bad = dataclasses.replace(lin, matrix=a)
-    wa = bad.gram @ bad.matrix
+    wa = product_gram(bad) @ bad.matrix
     two_norm_ratio = (np.linalg.norm(wa - wa.conj().T, 2)
                       / max(1.0, np.linalg.norm(wa, 2)))
     assert bad.w_symmetry_residual() > 1e-10
@@ -352,7 +396,7 @@ def test_uniqueness_defect_perturbation(dim, et1d, et2d):
         traces.append(np.eye(nb)[0])
         assert np.allclose(de.boundary_coords[0], [0.0, 0.0])
     for x in traces:
-        defect = et.gamma(lam) @ x
+        defect = elliptic_gamma(et, lam) @ x
         # the defect element solves the interior equation with trace x ...
         assert np.linalg.norm(
             (de.l_ii - lam * np.eye(n)) @ defect + de.l_ib @ x) <= 1e-8
@@ -364,7 +408,6 @@ def test_uniqueness_defect_perturbation(dim, et1d, et2d):
 
 def test_solve_and_eigen_take_no_lstsq(et2d, monkeypatch):
     # the residual checks recover the trace by a diagonal solve
-    import scipy.linalg
 
     def forbidden(*args, **kwargs):
         raise AssertionError("least squares on the solve or eigen path")
@@ -382,7 +425,6 @@ def test_solve_and_eigen_take_no_lstsq(et2d, monkeypatch):
 def test_eigen_takes_no_svd_and_one_weyl_per_count(et2d, monkeypatch):
     # each certified eigenvalue is checked by its residuals alone: M(x) is
     # evaluated only at the count points, and nothing takes an SVD
-    import scipy.linalg
     tau = rational_m2(et2d.de.n_boundary)
     lin = lin_for(et2d, tau)
 
@@ -408,7 +450,7 @@ def test_eigen_takes_no_svd_and_one_weyl_per_count(et2d, monkeypatch):
 def test_hilbert_spectrum_real(et1d):
     lin = build_linearization(et1d, realize_rational(rational_m2(2)))
     assert lin.is_hilbert
-    ev = lin.eigenvalues()
+    ev = lin.eigenpairs()[0]
     assert np.max(np.abs(ev.imag)) <= 1e-9
 
 
@@ -420,14 +462,13 @@ def test_krein_state_allows_nonreal_eigenvalues(et1d):
     lin = lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2)))
     assert not lin.is_hilbert
     assert lin.w_symmetry_residual() <= 1e-10
-    ev = lin.eigenvalues()
+    ev = lin.eigenpairs()[0]
     nonreal = ev[np.abs(ev.imag) > 1e-6]
     assert nonreal.size > 0
     assert min(abs(z - vt) for z in nonreal) <= 1e-6
 
 
 def _count_eigensolves(monkeypatch):
-    import scipy.linalg
     calls = []
     for owner in (np.linalg, scipy.linalg):
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
@@ -449,10 +490,10 @@ def test_hilbert_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
     lam, v = lin.eigenpairs()
     assert calls == ["eigh"]
     assert lin.is_hilbert and calls == ["eigh"]    # cached, no second solve
-    a, w = lin.matrix, lin.gram
+    a, w = lin.matrix, product_gram(lin)
     assert np.linalg.norm(a @ v - v * lam, 2) <= 1e-10 * np.linalg.norm(a, 2)
     assert np.linalg.norm(v.conj().T @ w @ v - np.eye(lin.size), 2) <= 1e-12
-    ev = lin.eigenvalues()
+    ev = lin.eigenpairs()[0]
     assert calls == ["eigh", "eigh"]
     assert np.max(np.abs(ev - lam)) <= 1e-10 * np.max(np.abs(lam))
 
@@ -478,7 +519,7 @@ def test_windowed_eigenpairs_match_full_solve(build):
     lin = build_linearization(et, realize_rational(rational_m2(et.de.n_boundary)))
     full = np.sort(lin.eigenpairs()[0].real)
     size, scale = full.size, max(1.0, float(np.max(np.abs(full))))
-    a, w = lin.matrix, lin.gram
+    a, w = lin.matrix, product_gram(lin)
     # ends between eigenvalues, then ends on (simple) eigenvalues, widened by
     # the floor that eigen_correspondence adds to the half-open (a, b]
     lo, hi = _gap_midpoint(full, 1, size // 4), _gap_midpoint(full, size // 2, 3 * size // 4)
@@ -499,7 +540,7 @@ def test_windowed_eigenpairs_match_full_solve(build):
 def test_hilbert_windowed_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
     et = {"1d": et1d, "2d": et2d}[which]
     lin = build_linearization(et, realize_rational(rational_m2(et.de.n_boundary)))
-    full = np.sort(lin.eigenvalues().real)
+    full = np.sort(lin.eigenpairs()[0].real)
     window = (_gap_midpoint(full, 0, 5), _gap_midpoint(full, 10, 20))
     inside = int(np.count_nonzero((full > window[0]) & (full <= window[1])))
     calls = _count_eigensolves(monkeypatch)
@@ -541,7 +582,7 @@ def test_scan_constant_tau_matches_fixed_extension(et1d):
     tau = ConstantFunction(theta=theta)
     lin = build_linearization(et1d, realize_constant(theta, 4.0 + 3.7j))
     assert not lin.is_hilbert
-    ev = lin.eigenvalues()
+    ev = lin.eigenpairs()[0]
     assert np.min(np.abs(ev - (4.0 + 3.7j))) <= 1e-6
     scan = homogeneous_scan(et1d, tau, (0.5, 9.5), lin)
     assert not scan.failures
@@ -564,7 +605,7 @@ def test_eigen_correspondence_both_directions(tau_name, et1d):
 
 
 def window_eigenvalues(lin, lo, hi):
-    ev = lin.eigenvalues()
+    ev = lin.eigenpairs()[0]
     real = np.sort(ev.real[np.abs(ev.imag) <= 1e-8])
     return real[(real >= lo) & (real <= hi)]
 

@@ -8,14 +8,16 @@ import scipy.linalg
 
 from weylbvp import (
     BoundaryTriple,
-    DimensionMismatch,
     KreinSpace,
+    LinearRelation,
     NonInvertibleTrace,
     RationalNevanlinna,
     SpectrumPoint,
     build_1d,
     build_2d,
+    column_space,
     elliptic_triple,
+    nullspace,
     realize_constant,
     realize_rational,
     verify_triple_identities,
@@ -26,6 +28,28 @@ def sample_points(seed=0, count=10):
     rng = np.random.default_rng(seed)
     return [complex(rng.uniform(-2, 2), rng.uniform(0.3, 2) * (-1) ** k)
             for k in range(count)]
+
+
+def kernel_relation(bt):
+    """ker Gamma = ker Gamma_0 \\cap ker Gamma_1 (the symmetric restriction)."""
+    null = nullspace(np.vstack([bt.g0, bt.g1]))
+    return LinearRelation.from_span(bt.state, bt.t_basis @ null)
+
+
+def symmetry_residual(rel):
+    """How far the relation's span is from lying in its adjoint's."""
+    return rel.adjoint().span_subspace().containment_residual(rel.span_subspace())
+
+
+def defect_subspace(bt, lam):
+    """ker(T - lam) as a subspace of the state space."""
+    null = nullspace(bt.second - lam * bt.first)
+    return column_space(bt.first @ null, ambient=bt.state.dim)
+
+
+def elliptic_gamma(et, lam):
+    """(I + (lam - eta)(T_D - lam)^{-1}) E_eta, the closed-form gamma-field."""
+    return et.extension + (lam - et.eta) * et.de.dirichlet_solve(lam, et.extension)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +77,7 @@ def test_a0_selfadjoint(elliptic_bt, rational_bt):
 
 
 def test_kernel_relation_symmetric(elliptic_bt):
-    assert elliptic_bt.kernel_relation.is_symmetric(tol=1e-10)
+    assert symmetry_residual(kernel_relation(elliptic_bt)) <= 1e-10
 
 
 def test_domain_decomposition(elliptic_bt):
@@ -69,21 +93,21 @@ def test_domain_decomposition(elliptic_bt):
 
 
 def test_defect_subspace_dimension(elliptic_bt):
-    assert elliptic_bt.defect_subspace(0.5 + 0.5j).dim == elliptic_bt.boundary_dim
+    assert defect_subspace(elliptic_bt, 0.5 + 0.5j).dim == elliptic_bt.boundary_dim
 
 
 def test_defect_at_a0_eigenvalue_inflates():
     # toy triple: A0 = diag(1, 2), one boundary channel attached to e1;
     # at lam = 2 the A0-eigenvector e2 joins the defect space
-    from weylbvp import LinearRelation, RepresentationForm, realize_strict
+    from weylbvp import RepresentationForm, realize_strict
 
     sp = KreinSpace(2)
     a0 = LinearRelation.from_graph(sp, np.diag([1.0, 2.0]))
     rf = RepresentationForm(space=sp, a0=a0, gamma=np.array([[1.0], [0.0]]),
                             lambda0=1j, c=np.zeros((1, 1)))
     bt = realize_strict(rf)
-    assert bt.defect_subspace(0.5 + 0.5j).dim == 1
-    assert bt.defect_subspace(2.0).dim == 2
+    assert defect_subspace(bt, 0.5 + 0.5j).dim == 1
+    assert defect_subspace(bt, 2.0).dim == 2
 
 
 def test_gamma_weyl_identities(elliptic_bt, rational_bt):
@@ -156,7 +180,7 @@ def test_weyl_data_matches_closed_form(build):
     et = elliptic_triple(build())
     for lam in (0.3 + 0.8j, -1.2 - 0.4j, 5.0 + 0.1j):
         wd = et.bt.weyl_data(lam)
-        gam, m = et.gamma(lam), et.weyl(lam)
+        gam, m = elliptic_gamma(et, lam), et.weyl(lam)
         assert np.linalg.norm(wd.gamma_mat - gam) <= 1e-10 * max(1.0, np.linalg.norm(gam))
         assert np.linalg.norm(wd.m_mat - m) <= 1e-10 * max(1.0, np.linalg.norm(m))
 
@@ -218,15 +242,15 @@ def test_green_residual_bounds_the_two_norm_ratio(elliptic_bt, rational_bt):
 
 def test_weyl_symmetry(elliptic_bt):
     lam = 0.7 + 1.3j
-    m1 = elliptic_bt.weyl(np.conj(lam))
-    m2 = elliptic_bt.weyl(lam).conj().T
+    m1 = elliptic_bt.weyl_data(np.conj(lam)).m_mat
+    m2 = elliptic_bt.weyl_data(lam).m_mat.conj().T
     assert np.linalg.norm(m1 - m2, 2) <= 1e-10 * max(1.0, np.linalg.norm(m2, 2))
 
 
 def test_weyl_nevanlinna_property(elliptic_bt):
     # Hilbert state, so Im M(lam) >= 0 in the upper half-plane
     for lam in (1j, 0.5 + 2j, -3 + 0.25j):
-        m = elliptic_bt.weyl(lam)
+        m = elliptic_bt.weyl_data(lam).m_mat
         im = (m - m.conj().T) / 2j
         assert np.min(np.linalg.eigvalsh((im + im.conj().T) / 2)) >= -1e-10
 
@@ -238,12 +262,3 @@ def test_is_ordinary_and_rank_deficient(elliptic_bt):
         elliptic_bt.g0, np.zeros_like(elliptic_bt.g1))
     assert not broken.is_ordinary()
 
-
-def test_validate_catches_broken_green():
-    sp = KreinSpace(2)
-    t_basis = np.vstack([np.eye(2), np.diag([1.0, 2.0])])
-    g0 = np.array([[1.0, 0.0]])
-    g1 = np.array([[0.0, 1.0]])
-    bt = BoundaryTriple(sp, 1, t_basis, g0, g1)
-    with pytest.raises(DimensionMismatch):
-        bt.validate()
