@@ -271,6 +271,24 @@ class EllipticTriple:
         return BoundaryTriple(state, nb, t_basis, g0, g1)
 
     @cached_property
+    def direct_route(self) -> SparseRoute:
+        """The direct oracle's coupled system (see ``direct_solve``) as a
+        ``SparseRoute``, built on first use: the shift by lam acts on f and
+        tau(lam) is the trailing n_B x n_B block."""
+        de = self.de
+        l_ii, l_ib = de.sparse_blocks
+        shifted = l_ii - self.eta * scipy.sparse.identity(de.n_interior, format="csc")
+        base = scipy.sparse.bmat([
+            [l_ii, None, l_ib],
+            [shifted, -shifted, l_ib],
+            [None, -de.weight * l_ib.T, None],
+        ], format="coo")
+        # COLAMD, once per triple: the pattern is unsymmetric, and minimum
+        # degree on S + S^T fills it about 2.6 times more (six times the
+        # factor time at 2D 50x50)
+        return SparseRoute(base, de.n_interior, de.n_boundary, "COLAMD", SingularSystem)
+
+    @cached_property
     def boundary_block(self) -> np.ndarray:
         """h^d L_BI E_eta: the lambda-independent n_B x n_B term that the
         boundary condition adds to tau(lam) once the trace is eliminated."""
@@ -294,7 +312,10 @@ def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, singular: type,
     """Sparse LU of a square complex CSC matrix S under SuperLU's column
     ``ordering`` (its ``permc_spec``), guarded: raises ``singular`` when
     SuperLU finds S exactly singular or when the condition estimate
-    ||S||_1 est||S^{-1}||_1 reaches ``COND_LIMIT``.
+    ||S||_1 est||S^{-1}||_1 reaches ``COND_LIMIT``.  The one guarded sparse
+    factorization: a ``SparseRoute`` calls it under a fill-reducing ordering
+    once per operator, and under the natural ordering of its pre-permuted
+    matrix at every later lambda.
     """
     # imported on first use: the eigen and realize actions factor no sparse
     # matrix, and loading the package adds about 2 MB of resident memory
@@ -310,6 +331,96 @@ def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, singular: type,
     return lu
 
 
+class SparseRoute:
+    """The sparse matrix S(lam) = B - lam (I_k (+) 0) + (0 (+) T(lam)) of one
+    fixed operator, factored and solved at each lam: B is fixed (``base``),
+    the shift acts on the first k = ``shifted`` coordinates and T(lam) fills
+    a trailing square block of size ``block_size`` (tau(lam) in the direct
+    oracle; A - lam has none).
+
+    Everything independent of lam is built once per route, and the operators
+    make their routes at their first solve: the CSC pattern, which stores the
+    shifted diagonal and T's entries even where they are zero, B's values,
+    and the column order of the first guarded factorization under
+    ``ordering`` (``columns``: column j of the stored matrix is column
+    columns[j] of S).  Every later lam writes only its lam-dependent values
+    into the pre-permuted data and makes one ``sparse_lu`` under the natural
+    ordering; permuting columns changes neither 1-norm nor Hager's estimate,
+    so the guard is the same.  T's pattern is that of its first value; a
+    later value with a nonzero outside it grows the pattern, and the next
+    factorization orders again.
+    """
+
+    def __init__(self, base, shifted: int, block_size: int, ordering: str, singular: type):
+        coo = scipy.sparse.coo_array(base)
+        self.shape = coo.shape
+        self._shifted, self._ordering, self._singular = shifted, ordering, singular
+        self._mask = np.zeros((block_size, block_size), dtype=bool)
+        # the shifted diagonal merged as zeros: b + 0.0 is exact where B has an entry
+        diag = np.arange(shifted)
+        self._assemble(np.concatenate([coo.row, diag]), np.concatenate([coo.col, diag]),
+                       np.concatenate([coo.data, np.zeros(shifted, coo.dtype)]), None)
+
+    def _assemble(self, rows, cols, vals, columns: np.ndarray | None) -> None:
+        """Store the matrix with these entries (zeros included) in CSC form,
+        column j holding column columns[j] of S (the natural order where
+        ``columns`` is None), and find the slots of the shifted diagonal and
+        of T's pattern."""
+        n = self.shape[0]
+        place = np.arange(n) if columns is None else np.argsort(columns)
+        mat = scipy.sparse.csc_array((vals, (rows, place[cols])), shape=self.shape)
+        # canonical CSC is sorted by (column, row): a slot is found by bisection
+        keys = np.repeat(np.arange(n), np.diff(mat.indptr)) * n + mat.indices
+        diag = np.arange(self._shifted)
+        br, bc = self._block_entries(self._mask)
+        self._diag = np.searchsorted(keys, place[diag] * n + diag)
+        self._block = np.searchsorted(keys, place[bc] * n + br)
+        # SuperLU's own index type, so that no factorization copies them
+        self._indptr, self._indices = mat.indptr.astype(np.intc), mat.indices.astype(np.intc)
+        self._data, self.columns = mat.data, columns
+
+    def _block_entries(self, mask: np.ndarray) -> tuple:
+        """(rows, columns) in S of the entries of T that ``mask`` marks."""
+        off = self.shape[0] - len(mask)
+        rows, cols = np.nonzero(mask)
+        return rows + off, cols + off
+
+    def _entries(self) -> tuple:
+        """(rows, columns, values) of the stored matrix, numbered as in S."""
+        cols = np.repeat(np.arange(self.shape[0]), np.diff(self._indptr))
+        if self.columns is not None:
+            cols = self.columns[cols]
+        return self._indices, cols, self._data
+
+    def solve(self, lam: complex, rhs: np.ndarray, what: str,
+              block: np.ndarray | None = None) -> np.ndarray:
+        """S(lam)^{-1} rhs with T(lam) = ``block``; raises the route's
+        ``singular`` error, naming ``what``, where ``sparse_lu`` does."""
+        if block is not None and np.any(block[~self._mask]):
+            grown = (block != 0) & ~self._mask
+            self._mask |= grown
+            br, bc = self._block_entries(grown)
+            rows, cols, vals = self._entries()
+            self._assemble(np.concatenate([rows, br]), np.concatenate([cols, bc]),
+                           np.concatenate([vals, np.zeros(len(br), vals.dtype)]), None)
+        data = self._data.astype(complex)
+        data[self._diag] -= lam
+        if block is not None:
+            data[self._block] = block[self._mask]
+        mat = scipy.sparse.csc_array((data, self._indices, self._indptr), shape=self.shape)
+        ordered = self.columns is not None
+        lu = sparse_lu(mat, "NATURAL" if ordered else self._ordering, self._singular, what)
+        sol = lu.solve(rhs)
+        if not ordered:
+            # argsort makes an array of its own: perm_c is a view that would
+            # keep this whole LU alive
+            self._assemble(*self._entries(), np.argsort(lu.perm_c))
+            return sol
+        x = np.empty_like(sol)
+        x[self.columns] = sol
+        return x
+
+
 def direct_solve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> np.ndarray:
     """Independent oracle: one sparse LU of the unreduced coupled system in
     (f, f_D, y),
@@ -317,22 +428,13 @@ def direct_solve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> np.nda
         (L_II - eta)(f - f_D) + L_IB y = 0,
         tau(lam) y - h^d L_BI f_D = 0.
     It never forms E_eta and never factors T_D - lam, so it is the route that
-    shares no factorization with the perturbed-resolvent formula.  Raises
+    shares no factorization with the perturbed-resolvent formula.  The
+    system's pattern, lam-independent values and column ordering are built
+    once per triple (``EllipticTriple.direct_route``); each lam writes the
+    shifted diagonal and tau(lam) and makes one LU.  Raises
     ``SingularSystem`` where the system is singular (see ``sparse_lu``).
     """
-    de = et.de
-    n, nb = de.n_interior, de.n_boundary
-    l_ii, l_ib = de.sparse_blocks
-    eye = scipy.sparse.identity(n, format="csc")
-    shifted = l_ii - et.eta * eye
-    sys = scipy.sparse.bmat([
-        [l_ii - lam * eye, None, l_ib],
-        [shifted, -shifted, l_ib],
-        [None, -de.weight * l_ib.T, scipy.sparse.csc_array(tau.eval(lam))],
-    ], format="csc", dtype=complex)
-    rhs = np.zeros(2 * n + nb, dtype=complex)
+    route, n = et.direct_route, et.de.n_interior
+    rhs = np.zeros(route.shape[0], dtype=complex)
     rhs[:n] = g
-    # COLAMD: the pattern is unsymmetric, and minimum degree on S + S^T fills
-    # it about 2.6 times more (six times the factor time at 2D 50x50)
-    lu = sparse_lu(sys, "COLAMD", SingularSystem, f"coupled system at lambda={lam}")
-    return lu.solve(rhs)[:n]
+    return route.solve(lam, rhs, f"coupled system at lambda={lam}", tau.eval(lam))[:n]

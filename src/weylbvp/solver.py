@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import (
     DimensionMismatch,
@@ -22,12 +21,15 @@ from .errors import (
     SpectrumPoint,
 )
 from .krein import dense_lu
-from .elliptic import DiscreteElliptic, EllipticTriple, _check_dense, elliptic_triple, sparse_lu
+from .elliptic import DiscreteElliptic, EllipticTriple, SparseRoute, _check_dense, elliptic_triple
 from .opfunc import PoleOrSpectrum, RationalNevanlinna
 from .realize import realize_rational
 from .triple import BoundaryTriple
 
 U_THRESHOLD = 1e-8
+# Largest residual (pde or boundary) that ``krein_resolve`` returns: the
+# tolerance to which the three routes must agree.
+RESIDUAL_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ def _problem_residuals(et: EllipticTriple, tau_lam: np.ndarray, lam: complex,
     f solves the problem iff a trace y exists with
         L_IB y = g - (T_D - lam) f          (interior equation)
         (tau(lam) + h^d L_BI E_eta) y = h^d L_BI f   (boundary condition)
-    Each channel couples to one interior row of its own, so the interior
-    equation gives y (its least-squares solution) from those rows, and the
+    Each channel couples to one interior row of its own, so y is that row of
+    the interior equation divided by the channel's L_IB entry, and the
     boundary condition is checked at that y.
     """
     de = et.de
@@ -68,6 +70,10 @@ def _problem_residuals(et: EllipticTriple, tau_lam: np.ndarray, lam: complex,
 def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> SolveReport:
     """Solve via the perturbed resolvent formula
     f = (T_D-lam)^{-1}g - gamma(lam)(M(lam)+tau(lam))^{-1} gamma(conj lam)^* g.
+
+    Raises ``SpectrumPoint`` on the Dirichlet spectrum, and where f's pde or
+    boundary residual exceeds ``RESIDUAL_LIMIT``: next to a Dirichlet
+    eigenvalue T_D - lam is so ill-conditioned that f misses the problem.
     """
     de = et.de
     if np.min(np.abs(de.dirichlet_eigs - lam)) < 1e-12 * max(
@@ -88,6 +94,9 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     gamma_bar_star = de.weight * gam.T
     f = base - gam @ np.linalg.solve(mt, gamma_bar_star @ g)
     r1, r2 = _problem_residuals(et, tau_lam, lam, f, g)
+    if not max(r1, r2) <= RESIDUAL_LIMIT:
+        raise SpectrumPoint(f"lambda={lam} is numerically in the spectrum: the perturbed "
+                            f"resolvent leaves residual {max(r1, r2):.3e}")
     return SolveReport(lam=lam, in_u=True, f=f,
                        pde_residual=r1, bc_residual=r2, sigma_min=smin)
 
@@ -131,10 +140,12 @@ class Linearization:
         return float(np.linalg.norm(wa - wa.conj().T) / max(1.0, scale))
 
     @cached_property
-    def sparse_matrix(self) -> scipy.sparse.csc_array:
-        """A in compressed sparse column form, built on first use: only the
-        compressed resolvent reads it."""
-        return scipy.sparse.csc_array(self.matrix)
+    def sparse_route(self) -> SparseRoute:
+        """A - lam as a ``SparseRoute``, built on first use: only the
+        compressed resolvent reads it.  Minimum degree on the pattern of
+        A + A^T orders it (A is W-selfadjoint, so its pattern is nearly
+        symmetric)."""
+        return SparseRoute(self.matrix, self.size, 0, "MMD_AT_PLUS_A", SpectrumPoint)
 
     @cached_property
     def _state_cholesky(self) -> np.ndarray | None:
@@ -254,20 +265,16 @@ def build_linearization_rational(de: DiscreteElliptic, tau: RationalNevanlinna,
 
 def compressed_resolvent(lin: Linearization, lam: complex, g: np.ndarray) -> np.ndarray:
     """Interior block of (A - lam)^{-1} applied to (g, 0, ..., 0), by one
-    sparse LU of A - lam, ordered by minimum degree on the pattern of A + A^T
-    (A is W-selfadjoint, so its pattern is nearly symmetric).  A is built
-    from E_eta, so this route checks the linearization rather than being
-    independent of the Krein formula; the direct oracle is the route that
-    shares no factorization with it.  Raises ``SpectrumPoint`` where A - lam
-    is singular (see ``sparse_lu``).
+    sparse LU of A - lam; its pattern, A's values and its column ordering are
+    built once per linearization (``Linearization.sparse_route``).  A is
+    built from E_eta, so this route checks the linearization rather than
+    being independent of the Krein formula; the direct oracle is the route
+    that shares no factorization with it.  Raises ``SpectrumPoint`` where
+    A - lam is singular (see ``sparse_lu``).
     """
-    n = lin.n_interior
-    shifted = lin.sparse_matrix - lam * scipy.sparse.identity(lin.size, dtype=complex,
-                                                              format="csc")
-    lu = sparse_lu(shifted, "MMD_AT_PLUS_A", SpectrumPoint, f"A - lambda at lambda={lam}")
     rhs = np.zeros(lin.size, dtype=complex)
-    rhs[:n] = g
-    return lu.solve(rhs)[:n]
+    rhs[:lin.n_interior] = g
+    return lin.sparse_route.solve(lam, rhs, f"A - lambda at lambda={lam}")[:lin.n_interior]
 
 
 # The count is undefined this close (relative) to a Dirichlet eigenvalue or a

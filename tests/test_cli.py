@@ -68,6 +68,19 @@ def test_solve_outside_solvable_set_exits_2(tmp_path):
     assert code == 2
 
 
+def test_solve_next_to_dirichlet_eigenvalue_exits_2(tmp_path, capsys):
+    # 1e-6 above the lowest Dirichlet eigenvalue the perturbed resolvent's
+    # residuals exceed the routes' tolerance: refused, not reported as solved
+    from weylbvp import build_1d
+    mu = float(build_1d(30).dirichlet_eigs[0])
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 1, "n": 30, "coeff": {"p": 1.0, "a": 0.0}},
+                               "lambda": [mu, 1e-6]})
+    code, out = run(tmp_path, cfg, "solve")
+    assert code == 2
+    assert "residual" in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
+
+
 def test_singular_coupling_matrix_exits_2(tmp_path, capsys):
     # theta = -(B + B^T)/2 cancels the boundary block B = h^d L_BI E_eta in
     # the linearization's coupling matrix C: C is singular, which is a

@@ -498,6 +498,63 @@ def test_sparse_routes_match_dense_references(problem, tau_name, lam):
         <= 1e-12 * np.linalg.norm(ref)
 
 
+def recorded_orderings(monkeypatch) -> list:
+    """The column ordering of every sparse factorization from now on."""
+    import scipy.sparse.linalg
+    orderings, splu = [], scipy.sparse.linalg.splu
+
+    def recording(mat, permc_spec):
+        orderings.append(permc_spec)
+        return splu(mat, permc_spec=permc_spec)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return orderings
+
+
+def test_cached_direct_route_matches_fresh_dense_solve(monkeypatch):
+    # one triple serves every lambda, in both half-planes: the first LU orders
+    # the columns and every later one reuses that order; a full tau after a
+    # diagonal one grows the pattern and orders again, and the diagonal tau
+    # then fits the grown pattern, its off-diagonal entries stored as zeros
+    orderings = recorded_orderings(monkeypatch)
+    et = elliptic_triple(BANDED_PROBLEMS["2d-4x6"][0]())
+    nb, n = et.de.n_boundary, et.de.n_interior
+    rng = np.random.default_rng(37)
+    diagonal = np.diag(rng.uniform(0.5, 2.0, nb))
+    full = rng.standard_normal((nb, nb)) + 1j * rng.standard_normal((nb, nb))
+    full = (full + full.conj().T) / 2
+    once = ["COLAMD", "NATURAL", "NATURAL"]
+    for theta, expected in ((diagonal, once), (full, once), (diagonal, ["NATURAL"] * 3)):
+        tau = ConstantFunction(theta=theta)
+        orderings.clear()
+        for lam in (1.3 + 0.8j, -0.4 - 1.1j, 7.0 + 0.3j):
+            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ref = dense_direct_solve(et, tau, lam, g)
+            assert np.linalg.norm(direct_solve(et, tau, lam, g) - ref) \
+                <= 1e-12 * np.linalg.norm(ref)
+        assert orderings == expected
+    # the kept ordering owns its memory: a view of SuperLU's perm_c would keep
+    # the first LU alive
+    assert et.direct_route.columns.base is None
+
+
+def test_cached_compressed_route_matches_fresh_dense_solve(monkeypatch):
+    orderings = recorded_orderings(monkeypatch)
+    et = elliptic_triple(BANDED_PROBLEMS["2d-4x6"][0]())
+    tau, linearize = reference_taus(et.de.n_boundary)["rational"]
+    lin = linearize(et)
+    n = et.de.n_interior
+    rng = np.random.default_rng(41)
+    for lam in (1.3 + 0.8j, -0.4 - 1.1j, 7.0 + 0.3j, 0.9):
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rhs = np.concatenate([g, np.zeros(lin.size - n)])
+        ref = np.linalg.solve(lin.matrix - lam * np.eye(lin.size), rhs)[:n]
+        assert np.linalg.norm(compressed_resolvent(lin, lam, g) - ref) \
+            <= 1e-12 * np.linalg.norm(ref)
+    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
+    assert lin.sparse_route.columns.base is None
+
+
 # ---------------------------------------------------------------------------
 # storage: no dense interior-size array outside the linearization and the
 # generic triple

@@ -176,20 +176,46 @@ def test_three_routes_agree_on_random_problems(dim, n1, n2, p0, p1, a0, seed, re
 # singularity guards of the sparse routes
 
 
-@pytest.mark.parametrize("build", [lambda: build_1d(99), lambda: build_2d(15, 15)],
-                         ids=["1d-99", "2d-15x15"])
-def test_sparse_guards_raise_at_linearization_eigenvalues(build):
-    # every eigenvalue, so that the modes odd under the grid's symmetries
-    # (invisible to an all-ones start of the condition estimate) are included
+GUARD_PROBLEMS = pytest.mark.parametrize(
+    "build", [lambda: build_1d(99), lambda: build_2d(15, 15)], ids=["1d-99", "2d-15x15"])
+
+
+def guarded_routes(build, first=None):
+    """(et, tau, lin, g) on a triple whose sparse routes, if ``first`` is
+    given, have solved there once and so keep their column ordering."""
     et = elliptic_triple(build())
     tau = rational_m2(et.de.n_boundary)
     lin = build_linearization(et, realize_rational(tau))
     g = np.ones(et.de.n_interior, dtype=complex)
+    if first is not None:
+        direct_solve(et, tau, first, g)
+        compressed_resolvent(lin, first, g)
+    return et, tau, lin, g
+
+
+def assert_sparse_guards_raise(et, tau, lin, g):
+    # every eigenvalue, so that the modes odd under the grid's symmetries
+    # (invisible to an all-ones start of the condition estimate) are included
     for lam in lin.eigenpairs()[0]:
         with pytest.raises(SingularSystem):
             direct_solve(et, tau, lam, g)
         with pytest.raises(SpectrumPoint):
             compressed_resolvent(lin, lam, g)
+
+
+@GUARD_PROBLEMS
+def test_sparse_guards_raise_at_linearization_eigenvalues(build):
+    assert_sparse_guards_raise(*guarded_routes(build))
+
+
+@GUARD_PROBLEMS
+def test_sparse_guards_raise_at_linearization_eigenvalues_after_ordering(build):
+    # every eigenvalue meets the reused ordering and its natural-order LU
+    et, tau, lin, g = guarded_routes(build, first=1 + 1j)
+    kept = (et.direct_route.columns, lin.sparse_route.columns)
+    assert all(columns is not None for columns in kept)
+    assert_sparse_guards_raise(et, tau, lin, g)
+    assert et.direct_route.columns is kept[0] and lin.sparse_route.columns is kept[1]
 
 
 def test_exactly_singular_factorization_is_a_domain_error():
@@ -215,6 +241,24 @@ def test_krein_resolve_zero_rhs(et1d):
     rep = krein_resolve(et1d, linear_tau(2), 1 + 1j, np.zeros(40))
     assert np.linalg.norm(rep.f) <= 1e-12
     assert rep.in_u
+
+
+def test_krein_resolve_refuses_next_to_a_dirichlet_eigenvalue():
+    # 1e-6 above the lowest Dirichlet eigenvalue, T_D - lam is so
+    # ill-conditioned that the Krein solution leaves pde and boundary
+    # residuals of a few 1e-8, while the sparse routes still agree
+    et = elliptic_triple(build_1d(30))
+    tau = rational_m2(2)
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    lam = complex(et.de.dirichlet_eigs[0], 1e-6)
+    with pytest.raises(SpectrumPoint, match="residual"):
+        krein_resolve(et, tau, lam, g)
+    f2 = direct_solve(et, tau, lam, g)
+    f3 = compressed_resolvent(build_linearization(et, realize_rational(tau)), lam, g)
+    assert np.linalg.norm(f2 - f3) <= 1e-10 * np.linalg.norm(f2)
+    rep = krein_resolve(et, tau, complex(et.de.dirichlet_eigs[0], 1e-2), g)
+    assert max(rep.pde_residual, rep.bc_residual) <= solver.RESIDUAL_LIMIT
 
 
 def _dense_coupling_linearization(et, realized):
