@@ -17,14 +17,10 @@ from .errors import (
     InsufficientSamples,
     MathDomainError,
     NonAdjointBlocks,
-    NonInvertibleTrace,
     NonPositiveCoefficient,
     NotStrict,
-    OutsideU,
-    PoleOrSpectrum,
     RankDeficientCoupling,
     RealTheta,
-    SingularSystem,
     SpectrumPoint,
     WeylbvpError,
 )

@@ -231,24 +231,10 @@ def make_rhs(cfg, de: DiscreteElliptic, seed) -> np.ndarray:
 # output helpers
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def write_report(out_dir: Path, report: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -285,7 +271,6 @@ def action_solve(cfg, args, out_dir: Path) -> tuple[int, dict]:
     report = {
         "action": "solve",
         "lambda": [lam.real, lam.imag],
-        "in_U": rep.in_u,
         "sigma_min": rep.sigma_min,
         "residuals": {"pde": rep.pde_residual, "boundary": rep.bc_residual,
                       "oracle_agreement": agree},
@@ -304,10 +289,6 @@ def _seed_from(cfg, args):
     return None if seed is None else decode_int(seed, "'seed'", least=0)
 
 
-def _make_linearization(cfg, et, tau, args):
-    return build_linearization(et, realize(tau, seed=_seed_from(cfg, args) or 0))
-
-
 def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
     de = parse_problem(cfg.get("problem"))
     et = elliptic_triple(de, _eta_from(cfg))
@@ -318,7 +299,7 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
     window = _reals(cfg.get("window"), 2, "'window'")
     if not window[0] < window[1]:
         raise ConfigError(f"'window' must have lo < hi, got {list(window)}")
-    lin = _make_linearization(cfg, et, tau, args)
+    lin = build_linearization(et, realize(tau, seed=_seed_from(cfg, args) or 0))
     tol = args.tol if args.tol is not None else 1e-6
     corr = eigen_correspondence(lin, et, tau, window, tol=tol)
     write_csv(out_dir / "scan.csv", ["lambda", "count"], corr["counts"])
@@ -392,7 +373,11 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
     if closed > tol:
         failures.append(f"closed-form Weyl mismatch {closed:.3e}")
 
-    lin = _make_linearization(cfg, et, tau, args)
+    # one realization: the linearization is built from the triple that the
+    # realization suite verifies
+    rsamples = default_samples(tau.boundary_dim, seed=seed, count=10)
+    realized = realize(tau, samples=rsamples, seed=seed)
+    lin = build_linearization(et, realized)
     suites["w_symmetry_residual"] = lin.w_symmetry_residual()
     if suites["w_symmetry_residual"] > 1e-10:
         failures.append("linearization is not W-selfadjoint")
@@ -412,8 +397,6 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
     if oracle > 1e-10:
         failures.append(f"oracle disagreement {oracle:.3e}")
 
-    rsamples = default_samples(tau.boundary_dim, seed=seed, count=10)
-    realized = realize(tau, samples=rsamples, seed=seed)
     ver = verify_realization(realized, tau, rsamples, seed=seed)
     suites["realization"] = ver
     if ver["weyl_residual"] > 1e-9:

@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     NonPositiveCoefficient,
     RankDeficientCoupling,
-    SingularSystem,
     SpectrumPoint,
 )
 from .krein import COND_LIMIT, KreinSpace, _inverse_onenorm
@@ -286,7 +285,7 @@ class EllipticTriple:
         # COLAMD, once per triple: the pattern is unsymmetric, and minimum
         # degree on S + S^T fills it about 2.6 times more (six times the
         # factor time at 2D 50x50)
-        return SparseRoute(base, de.n_interior, de.n_boundary, "COLAMD", SingularSystem)
+        return SparseRoute(base, de.n_interior, de.n_boundary, "COLAMD")
 
     @cached_property
     def boundary_block(self) -> np.ndarray:
@@ -307,10 +306,10 @@ def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticT
     return EllipticTriple(de=de, eta=float(eta), extension=de.eta_extension(eta))
 
 
-def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, singular: type,
+def sparse_lu(mat: scipy.sparse.csc_array, ordering: str,
               what: str) -> scipy.sparse.linalg.SuperLU:
     """Sparse LU of a square complex CSC matrix S under SuperLU's column
-    ``ordering`` (its ``permc_spec``), guarded: raises ``singular`` when
+    ``ordering`` (its ``permc_spec``), guarded: raises ``SpectrumPoint`` when
     SuperLU finds S exactly singular or when the condition estimate
     ||S||_1 est||S^{-1}||_1 reaches ``COND_LIMIT``.  The one guarded sparse
     factorization: a ``SparseRoute`` calls it under a fill-reducing ordering
@@ -323,11 +322,11 @@ def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, singular: type,
     try:
         lu = scipy.sparse.linalg.splu(mat, permc_spec=ordering)
     except RuntimeError as exc:          # "Factor is exactly singular"
-        raise singular(f"{what} is singular") from exc
+        raise SpectrumPoint(f"{what} is singular") from exc
     cond = float(abs(mat).sum(axis=0).max()) * _inverse_onenorm(lu.solve, mat.shape[0])
     if not cond < COND_LIMIT:
-        raise singular(f"{what} is numerically singular "
-                       f"(1-norm condition estimate {cond:.3e})")
+        raise SpectrumPoint(f"{what} is numerically singular "
+                            f"(1-norm condition estimate {cond:.3e})")
     return lu
 
 
@@ -351,10 +350,10 @@ class SparseRoute:
     factorization orders again.
     """
 
-    def __init__(self, base, shifted: int, block_size: int, ordering: str, singular: type):
+    def __init__(self, base, shifted: int, block_size: int, ordering: str):
         coo = scipy.sparse.coo_array(base)
         self.shape = coo.shape
-        self._shifted, self._ordering, self._singular = shifted, ordering, singular
+        self._shifted, self._ordering = shifted, ordering
         self._mask = np.zeros((block_size, block_size), dtype=bool)
         # the shifted diagonal merged as zeros: b + 0.0 is exact where B has an entry
         diag = np.arange(shifted)
@@ -394,8 +393,8 @@ class SparseRoute:
 
     def solve(self, lam: complex, rhs: np.ndarray, what: str,
               block: np.ndarray | None = None) -> np.ndarray:
-        """S(lam)^{-1} rhs with T(lam) = ``block``; raises the route's
-        ``singular`` error, naming ``what``, where ``sparse_lu`` does."""
+        """S(lam)^{-1} rhs with T(lam) = ``block``; raises ``SpectrumPoint``,
+        naming ``what``, where ``sparse_lu`` does."""
         if block is not None and np.any(block[~self._mask]):
             grown = (block != 0) & ~self._mask
             self._mask |= grown
@@ -409,7 +408,7 @@ class SparseRoute:
             data[self._block] = block[self._mask]
         mat = scipy.sparse.csc_array((data, self._indices, self._indptr), shape=self.shape)
         ordered = self.columns is not None
-        lu = sparse_lu(mat, "NATURAL" if ordered else self._ordering, self._singular, what)
+        lu = sparse_lu(mat, "NATURAL" if ordered else self._ordering, what)
         sol = lu.solve(rhs)
         if not ordered:
             # argsort makes an array of its own: perm_c is a view that would
@@ -432,7 +431,7 @@ def direct_solve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> np.nda
     system's pattern, lam-independent values and column ordering are built
     once per triple (``EllipticTriple.direct_route``); each lam writes the
     shifted diagonal and tau(lam) and makes one LU.  Raises
-    ``SingularSystem`` where the system is singular (see ``sparse_lu``).
+    ``SpectrumPoint`` where the system is singular (see ``sparse_lu``).
     """
     route, n = et.direct_route, et.de.n_interior
     rhs = np.zeros(route.shape[0], dtype=complex)

@@ -18,15 +18,9 @@ class DimensionMismatch(ConfigError):
 
 
 class SpectrumPoint(MathDomainError):
-    """The requested point belongs to the spectrum of the operator/relation."""
-
-
-class PoleOrSpectrum(MathDomainError):
-    """Evaluation point is a pole of the function or outside the resolvent set."""
-
-
-class NonInvertibleTrace(MathDomainError):
-    """Gamma_0 restricted to the defect subspace is singular."""
+    """The requested point lies in a spectrum: of the operator or relation
+    factored there, outside the solvability set (M + tau singular), or at a
+    pole of tau."""
 
 
 class InsufficientSamples(ConfigError):
@@ -58,19 +52,3 @@ class RankDeficientCoupling(MathDomainError):
     disconnected from the interior, or the coupling conditions of a
     linearization fail to determine it uniquely."""
 
-
-class OutsideU(MathDomainError):
-    """M(lambda) + tau(lambda) is numerically singular; problem not uniquely solvable."""
-
-    def __init__(self, lam, sigma_min, scale):
-        self.lam = lam
-        self.sigma_min = sigma_min
-        self.scale = scale
-        super().__init__(
-            f"lambda={lam} is outside the solvability set: "
-            f"sigma_min(M+tau)={sigma_min:.3e} (scale {scale:.3e})"
-        )
-
-
-class SingularSystem(MathDomainError):
-    """The assembled direct-solve system is numerically singular."""

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InsufficientSamples,
-    PoleOrSpectrum,
     SpectrumPoint,
 )
 from .krein import (
@@ -132,7 +131,7 @@ class RationalNevanlinna:
         against the poles before any division."""
         dist = np.min(np.abs(self._poles - lam)) if self.terms > 1 else np.inf
         if dist < 1e-12 * max(1.0, abs(lam)):
-            raise PoleOrSpectrum(f"{lam} is a pole of the rational function")
+            raise SpectrumPoint(f"{lam} is a pole of the rational function")
         out = self.alpha[0] + lam * self.beta[0]
         for w, c in self._pole_terms:
             out = out + (c / (w - lam)) @ c.conj().T
@@ -179,10 +178,7 @@ class RepresentationForm:
     def eval(self, lam: complex) -> np.ndarray:
         n = self.space.dim
         l0 = complex(self.lambda0)
-        try:
-            res = self.a0.resolvent(lam)
-        except SpectrumPoint as exc:
-            raise PoleOrSpectrum(str(exc)) from exc
+        res = self.a0.resolvent(lam)
         op = (lam - l0.real) * np.eye(n) + (lam - l0) * (lam - np.conj(l0)) * res
         return self.c + self.gamma_plus() @ op @ self.gamma
 
@@ -208,7 +204,7 @@ def nevanlinna_kernel(tau, lam: complex, mu: complex) -> np.ndarray:
     """K(lam, mu) = (tau(lam) - tau(mu)^*)/(lam - conj(mu))."""
     denom = lam - np.conj(mu)
     if abs(denom) < 1e-14:
-        raise PoleOrSpectrum("kernel undefined at lam = conj(mu)")
+        raise SpectrumPoint("kernel undefined at lam = conj(mu)")
     return (tau.eval(lam) - tau.eval(mu).conj().T) / denom
 
 

@@ -14,15 +14,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DimensionMismatch,
-    OutsideU,
-    RankDeficientCoupling,
-    SpectrumPoint,
-)
+from .errors import DimensionMismatch, RankDeficientCoupling, SpectrumPoint
 from .krein import dense_lu
 from .elliptic import DiscreteElliptic, EllipticTriple, SparseRoute, _check_dense, elliptic_triple
-from .opfunc import PoleOrSpectrum, RationalNevanlinna
+from .opfunc import RationalNevanlinna
 from .realize import realize_rational
 from .triple import BoundaryTriple
 
@@ -34,8 +29,6 @@ RESIDUAL_LIMIT = 1e-10
 
 @dataclass(frozen=True)
 class SolveReport:
-    lam: complex
-    in_u: bool
     f: np.ndarray = field(repr=False)
     pde_residual: float
     bc_residual: float
@@ -71,9 +64,10 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     """Solve via the perturbed resolvent formula
     f = (T_D-lam)^{-1}g - gamma(lam)(M(lam)+tau(lam))^{-1} gamma(conj lam)^* g.
 
-    Raises ``SpectrumPoint`` on the Dirichlet spectrum, and where f's pde or
-    boundary residual exceeds ``RESIDUAL_LIMIT``: next to a Dirichlet
-    eigenvalue T_D - lam is so ill-conditioned that f misses the problem.
+    Raises ``SpectrumPoint`` on the Dirichlet spectrum, outside the
+    solvability set, and where f's pde or boundary residual exceeds
+    ``RESIDUAL_LIMIT``: next to a Dirichlet eigenvalue T_D - lam is so
+    ill-conditioned that f misses the problem.
     """
     de = et.de
     if np.min(np.abs(de.dirichlet_eigs - lam)) < 1e-12 * max(
@@ -90,15 +84,15 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     s = np.linalg.svd(mt, compute_uv=False)
     smin, scale = float(s[-1]), float(s[0])
     if smin <= U_THRESHOLD * max(scale, 1e-300):
-        raise OutsideU(lam, smin, scale)
+        raise SpectrumPoint(f"lambda={lam} is outside the solvability set: "
+                            f"sigma_min(M+tau)={smin:.3e} (scale {scale:.3e})")
     gamma_bar_star = de.weight * gam.T
     f = base - gam @ np.linalg.solve(mt, gamma_bar_star @ g)
     r1, r2 = _problem_residuals(et, tau_lam, lam, f, g)
     if not max(r1, r2) <= RESIDUAL_LIMIT:
         raise SpectrumPoint(f"lambda={lam} is numerically in the spectrum: the perturbed "
                             f"resolvent leaves residual {max(r1, r2):.3e}")
-    return SolveReport(lam=lam, in_u=True, f=f,
-                       pde_residual=r1, bc_residual=r2, sigma_min=smin)
+    return SolveReport(f=f, pde_residual=r1, bc_residual=r2, sigma_min=smin)
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,7 @@ class Linearization:
         compressed resolvent reads it.  Minimum degree on the pattern of
         A + A^T orders it (A is W-selfadjoint, so its pattern is nearly
         symmetric)."""
-        return SparseRoute(self.matrix, self.size, 0, "MMD_AT_PLUS_A", SpectrumPoint)
+        return SparseRoute(self.matrix, self.size, 0, "MMD_AT_PLUS_A")
 
     @cached_property
     def _state_cholesky(self) -> np.ndarray | None:
@@ -223,8 +217,6 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
     if realized.boundary_dim != nb:
         raise DimensionMismatch("realized boundary dimension must match n_B")
     nk = realized.state.dim
-    if realized.t_dim != nk + nb:
-        raise RankDeficientCoupling("coupling conditions do not determine the action")
     g0, second, gram = realized.g0, realized.second, realized.state.gram
     coupling = np.vstack([realized.first, realized.g1 + et.boundary_block @ g0])
     # a real realization (real tau) gives a real C and a real A, factored and
@@ -297,13 +289,13 @@ def eigenvalue_count(et: EllipticTriple, tau, x: float) -> int:
     For a rational Nevanlinna tau this counts the eigenvalues of the
     selfadjoint linearization, for a constant tau the eigenvalues of the
     fixed extension (the real eigenvalues of its linearization).  Raises
-    ``PoleOrSpectrum`` within ``COUNT_GAP`` of a Dirichlet eigenvalue or a
+    ``SpectrumPoint`` within ``COUNT_GAP`` of a Dirichlet eigenvalue or a
     pole.
     """
     singular = np.concatenate([et.de.dirichlet_eigs, tau.poles()])
     scale = max(1.0, abs(x), float(np.max(np.abs(singular))))
     if np.min(np.abs(singular - x)) <= COUNT_GAP * scale:
-        raise PoleOrSpectrum(f"{x} is a Dirichlet eigenvalue or a pole of tau")
+        raise SpectrumPoint(f"{x} is a Dirichlet eigenvalue or a pole of tau")
     mt = et.weyl(x) + tau.eval(x)
     inertia = np.linalg.eigvalsh((mt + mt.conj().T) / 2)
     return int(np.count_nonzero(singular < x) + np.count_nonzero(inertia > 0))
@@ -350,7 +342,7 @@ def homogeneous_scan(et: EllipticTriple, tau, window, lin: Linearization,
     def count(x: float) -> int | None:
         try:
             counts[x] = eigenvalue_count(et, tau, x)
-        except PoleOrSpectrum:
+        except SpectrumPoint:
             return None
         return counts[x]
 
@@ -412,7 +404,7 @@ def eigen_correspondence(lin: Linearization, et: EllipticTriple, tau, window,
     for lam, vec in zip(scan.roots, scan.vectors.T):
         try:
             tau_lam = tau.eval(lam)
-        except PoleOrSpectrum:
+        except SpectrumPoint:
             failures.append(f"eigenvalue {lam:.6g} hits a pole of tau")
             continue
         f = vec[:n]

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NonInvertibleTrace, SpectrumPoint
+from .errors import DimensionMismatch, SpectrumPoint
 from .krein import DEFAULT_RTOL, KreinSpace, LinearRelation, _as_matrix, dense_lu, nullspace
 
 
@@ -52,6 +52,8 @@ class BoundaryTriple:
         t = tb.shape[1]
         if _as_matrix(self.g0).shape != (g, t) or _as_matrix(self.g1).shape != (g, t):
             raise DimensionMismatch("boundary maps must be g x t")
+        if t != n + g:
+            raise DimensionMismatch(f"dim T = {t} != dim H + boundary dimension = {n + g}")
         object.__setattr__(self, "t_basis", tb)
         object.__setattr__(self, "g0", _as_matrix(self.g0))
         object.__setattr__(self, "g1", _as_matrix(self.g1))
@@ -101,7 +103,7 @@ class BoundaryTriple:
         stacked = np.vstack([self.g0, self.g1])
         s = np.linalg.svd(stacked, compute_uv=False)
         rank = 2 * self.boundary_dim
-        return s.size >= rank and s[rank - 1] > DEFAULT_RTOL * s[0]
+        return bool(s.size >= rank and s[rank - 1] > DEFAULT_RTOL * s[0])
 
     # -- gamma-field and Weyl function ---------------------------------------
 
@@ -111,14 +113,11 @@ class BoundaryTriple:
         ker(T - lam) with Gamma_0 c = x, so gamma(lam) = first K^{-1}[0; I]
         and M(lam) = Gamma_1 K^{-1}[0; I]; ``WeylData.resolvent_coords``
         solves K c = (h, 0) for (A_0 - lam)^{-1}.  A basis of T has
-        t = n + g columns (else ``NonInvertibleTrace``), and then K_lam is
+        t = n + g columns (checked when the triple is built), so K_lam is
         singular exactly when lam is an eigenvalue of A_0: ``dense_lu``
         raises ``SpectrumPoint`` there.
         """
         n, g = self.state.dim, self.boundary_dim
-        if self.t_dim != n + g:
-            raise NonInvertibleTrace(
-                f"dim T = {self.t_dim} != dim H + boundary dimension = {n + g}")
         lu = dense_lu(np.vstack([self.second - lam * self.first, self.g0]), SpectrumPoint,
                       f"K_lambda at the eigenvalue lambda={lam} of A_0")
         rhs = np.zeros((n + g, g), dtype=complex)

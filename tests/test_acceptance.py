@@ -10,9 +10,9 @@ from weylbvp import (
     ConstantFunction,
     KreinSpace,
     LinearRelation,
-    OutsideU,
     RationalNevanlinna,
     RepresentationForm,
+    SpectrumPoint,
     build_1d,
     build_2d,
     build_linearization,
@@ -275,7 +275,7 @@ def test_nonreal_points_always_solvable_for_nevanlinna():
                       rng.uniform(0.05, 3) * rng.choice([-1, 1]))
         try:
             krein_resolve(et, tau, lam, rng.standard_normal(40))
-        except OutsideU:
+        except SpectrumPoint:
             bad.append(lam)
     report("every nonreal probe is solvable for a rational Nevanlinna "
            "boundary function (50 probes)", not bad, f"failures {bad}")

@@ -58,3 +58,25 @@ def test_every_error_class_has_an_exit_code():
     assert concrete
     unmapped = sorted(cls.__name__ for cls in concrete if not issubclass(cls, bases))
     assert not unmapped, f"error classes outside ConfigError/MathDomainError: {unmapped}"
+
+
+def raised_names(path):
+    """Names that a ``raise`` statement of one module raises: ``raise X`` and
+    ``raise X(...)``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised_by_name():
+    """A class that is only passed along as a value (an error-class
+    parameter) is a second name for a failure that another class already
+    raises; every concrete class must appear in some ``raise`` of the
+    package."""
+    concrete = {name for name, cls in inspect.getmembers(weylbvp.errors, inspect.isclass)
+                if cls.__module__ == weylbvp.errors.__name__
+                and cls not in (weylbvp.errors.WeylbvpError, ConfigError, MathDomainError)}
+    raised = {name for path in MODULES for name in raised_names(path)}
+    assert not concrete - raised, f"error classes never raised: {sorted(concrete - raised)}"

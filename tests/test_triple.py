@@ -8,9 +8,9 @@ import scipy.linalg
 
 from weylbvp import (
     BoundaryTriple,
+    DimensionMismatch,
     KreinSpace,
     LinearRelation,
-    NonInvertibleTrace,
     RationalNevanlinna,
     SpectrumPoint,
     build_1d,
@@ -204,11 +204,10 @@ def test_weyl_data_guard_at_constant_anchor():
 
 def test_weyl_data_rejects_redundant_basis(elliptic_bt):
     bt = elliptic_bt
-    wide = BoundaryTriple(bt.state, bt.boundary_dim,
-                          np.hstack([bt.t_basis, bt.t_basis[:, :1]]),
-                          np.hstack([bt.g0, bt.g0[:, :1]]), np.hstack([bt.g1, bt.g1[:, :1]]))
-    with pytest.raises(NonInvertibleTrace):
-        wide.weyl_data(1j)
+    with pytest.raises(DimensionMismatch, match=r"dim T = 28 != dim H \+ boundary dimension = 27"):
+        BoundaryTriple(bt.state, bt.boundary_dim,
+                       np.hstack([bt.t_basis, bt.t_basis[:, :1]]),
+                       np.hstack([bt.g0, bt.g0[:, :1]]), np.hstack([bt.g1, bt.g1[:, :1]]))
 
 
 def test_identities_catch_non_hermitian_perturbation(elliptic_bt):
