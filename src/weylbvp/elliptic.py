@@ -135,7 +135,12 @@ class DiscreteElliptic:
         return scale * v[self.channel_rows]
 
     def dirichlet_solve(self, lam: complex, rhs: np.ndarray) -> np.ndarray:
-        """(L_II - lam)^{-1} rhs for a vector or matrix rhs, by banded LU."""
+        """(L_II - lam)^{-1} rhs for a vector or matrix rhs, by banded LU; the
+        package's one Dirichlet guard raises ``SpectrumPoint`` within
+        1e-10 max(1, max|mu|) of a Dirichlet eigenvalue mu."""
+        eigs = self.dirichlet_eigs
+        if np.min(np.abs(eigs - lam)) < 1e-10 * max(1.0, float(np.max(np.abs(eigs)))):
+            raise SpectrumPoint(f"{lam} lies in the Dirichlet spectrum")
         u = self.band.shape[0] - 1
         shifted = self._full_band.astype(np.result_type(self._full_band, lam))
         shifted[u] -= lam                      # the main diagonal
@@ -147,9 +152,6 @@ class DiscreteElliptic:
         size = np.abs(self.coupling)
         if np.any(size <= 1e-12 * max(1.0, float(size.max(initial=0.0)))):
             raise RankDeficientCoupling("a boundary channel is disconnected from the interior")
-        if np.min(np.abs(self.dirichlet_eigs - eta)) < 1e-10 * max(
-                1.0, float(np.max(np.abs(self.dirichlet_eigs)))):
-            raise SpectrumPoint(f"eta={eta} lies in the Dirichlet spectrum")
         return -self.dirichlet_solve(eta, self.l_ib)
 
 
@@ -170,12 +172,15 @@ def build_1d(n: int, p=1.0, a=0.0, interval=(0.0, 1.0)) -> DiscreteElliptic:
     avals = np.array([asamp(x) for x in xs[1:-1]], dtype=float)
 
     band = np.zeros((2, n))
-    band[0, 1:] = -phalf[1:n] / h**2
-    band[1] = (phalf[:-1] + phalf[1:]) / h**2 + avals
+    # an overflowing stencil entry is refused by DiscreteElliptic, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        band[0, 1:] = -phalf[1:n] / h**2
+        band[1] = (phalf[:-1] + phalf[1:]) / h**2 + avals
+        coupling = -phalf[[0, n]] / h**2
     return DiscreteElliptic(
         dim=1, shape=(n,), spacing=h, band=band,
         channel_rows=np.array([0, n - 1]),
-        coupling=np.array([-phalf[0] / h**2, -phalf[n] / h**2]),
+        coupling=coupling,
         interior_coords=xs[1:-1].reshape(-1, 1),
         boundary_coords=np.array([[x0], [x1]]),
     )
@@ -214,12 +219,13 @@ def build_2d(nx: int, ny: int, a11=1.0, a22=1.0, a=0.0,
         raise NonPositiveCoefficient("diffusion coefficients must be positive")
     av = np.array([[sa(x, y) for x in xs[1:-1].tolist()] for y in ys[1:-1].tolist()],
                   dtype=float)
-    gx, gy = -ax / h**2, -ay / h**2            # the off-diagonal entries
-
-    band = np.zeros((nx + 1, nx * ny))
-    band[0].reshape(ny, nx)[1:] = gy[1:-1]             # L_II[r - nx, r]
-    band[nx - 1].reshape(ny, nx)[:, 1:] = gx[:, 1:-1]  # L_II[r - 1, r]
-    band[nx] = ((ax[:, :-1] + ax[:, 1:] + ay[:-1] + ay[1:]) / h**2 + av).ravel()
+    # an overflowing stencil entry is refused by DiscreteElliptic, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx, gy = -ax / h**2, -ay / h**2            # the off-diagonal entries
+        band = np.zeros((nx + 1, nx * ny))
+        band[0].reshape(ny, nx)[1:] = gy[1:-1]             # L_II[r - nx, r]
+        band[nx - 1].reshape(ny, nx)[:, 1:] = gx[:, 1:-1]  # L_II[r - 1, r]
+        band[nx] = ((ax[:, :-1] + ax[:, 1:] + ay[:-1] + ay[1:]) / h**2 + av).ravel()
 
     # the rows of the interior's outer ring, counterclockwise from (1, 1)
     rows = np.concatenate([np.arange(nx), nx * np.arange(2, ny) - 1,

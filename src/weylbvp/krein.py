@@ -270,39 +270,33 @@ class LinearRelation:
     def second(self) -> np.ndarray:
         return self.basis[self.space.dim:]
 
-    def span_subspace(self) -> Subspace:
-        return Subspace(2 * self.space.dim, self.basis)
-
-    def adjoint(self) -> "LinearRelation":
-        """Orthogonal companion with respect to [[. , .]] on H x H."""
-        k = self.space.pair_gram()
-        if self.dim == 0:
-            return LinearRelation(self.space, np.eye(2 * self.space.dim, dtype=complex))
-        null = nullspace(self.basis.conj().T @ k)
-        return LinearRelation(self.space, null)
-
     def selfadjointness_residual(self) -> float:
-        return self.span_subspace().gap(self.adjoint().span_subspace())
+        """||B^H K B||_F ||G^{-1}||_2 (B the basis, K = ``pair_gram()``), or 1
+        where dim A != dim H: A with dim A = dim H is selfadjoint iff it is
+        [[., .]]-neutral, and gap(A, A^+) <= ||K^{-1}||_2 ||B^H K B||_2 with
+        ||K^{-1}||_2 = ||G^{-1}||_2, so this never reads below that gap."""
+        if self.dim != self.space.dim:
+            return 1.0
+        neutral = self.basis.conj().T @ self.space.pair_gram() @ self.basis
+        return float(np.linalg.norm(neutral) / np.min(np.abs(self.space._gram_eigs)))
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
-        return self.dim == self.adjoint().dim and self.selfadjointness_residual() <= tol
+        return self.dim == self.space.dim and self.selfadjointness_residual() <= tol
 
     def resolvent(self, lam: complex) -> np.ndarray:
-        """Matrix of (A - lam)^{-1}; raises SpectrumPoint if not boundedly invertible."""
+        """(A - lam)^{-1} = first C^{-1}, C = second - lam first, by one
+        ``dense_lu``; raises ``SpectrumPoint`` where lam is not a resolvent
+        point, and at every lam where dim A != dim H.  C is bordered by its
+        natural scale 1 + |lam| >= ||C||, so the guard measures
+        (1 + |lam|) ||C^{-1}|| and refuses a C that is small as a whole."""
         n = self.space.dim
-        c = self.second - lam * self.first
-        # one SVD gives both the range check and the pseudoinverse
-        u, s, vh = np.linalg.svd(c, full_matrices=False) if c.size \
-            else (None, np.zeros(0), None)
-        # the basis is orthonormal, so norm(C) <= 1 + |lam| is the natural scale
-        scale = 1.0 + abs(lam)
-        if s.size < n or s[n - 1] <= scale / COND_LIMIT:
-            raise SpectrumPoint(f"ran(A - {lam}) is not all of H")
-        keep = s > DEFAULT_RTOL * s[0]         # the cutoff of pinv(c, rcond=DEFAULT_RTOL)
-        res = (self.first @ vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
-        # a nonzero kernel of (A - lam) shows up as an unreachable first component
-        # (relative to max(1, norm(first)), which is 1 for an orthonormal basis)
-        defect = np.linalg.norm(res @ c - self.first, 2)
-        if defect > 1e-8:
-            raise SpectrumPoint(f"ker(A - {lam}) is nontrivial")
-        return res
+        if self.dim != n:
+            raise SpectrumPoint(f"a relation of dimension {self.dim} in H x H with "
+                                f"dim H = {n} has no resolvent point")
+        bordered = np.zeros((n + 1, n + 1), dtype=complex)
+        bordered[:n, :n] = self.second - lam * self.first
+        bordered[n, n] = 1.0 + abs(lam)
+        lu = dense_lu(bordered, SpectrumPoint, f"A - {lam}")
+        # X C = first as C^T X^T = first^T; the border's row of X is zero
+        rhs = np.vstack([self.first.T, np.zeros((1, n))])
+        return scipy.linalg.lu_solve(lu, rhs, trans=1)[:n].T

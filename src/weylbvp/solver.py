@@ -64,15 +64,12 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     """Solve via the perturbed resolvent formula
     f = (T_D-lam)^{-1}g - gamma(lam)(M(lam)+tau(lam))^{-1} gamma(conj lam)^* g.
 
-    Raises ``SpectrumPoint`` on the Dirichlet spectrum, outside the
-    solvability set, and where f's pde or boundary residual exceeds
-    ``RESIDUAL_LIMIT``: next to a Dirichlet eigenvalue T_D - lam is so
-    ill-conditioned that f misses the problem.
+    Raises ``SpectrumPoint`` on the Dirichlet spectrum (the guard of
+    ``dirichlet_solve``), outside the solvability set, and where f's pde or
+    boundary residual exceeds ``RESIDUAL_LIMIT``: next to a Dirichlet
+    eigenvalue T_D - lam is so ill-conditioned that f misses the problem.
     """
     de = et.de
-    if np.min(np.abs(de.dirichlet_eigs - lam)) < 1e-12 * max(
-            1.0, float(np.max(np.abs(de.dirichlet_eigs)))):
-        raise SpectrumPoint(f"lambda={lam} lies in the Dirichlet spectrum")
     g = np.asarray(g, dtype=complex)
     # one factorization of T_D - lam serves the base solve, gamma(lam) and
     # M(lam); gamma(conj lam) = conj gamma(lam) because T_D and E_eta are real

@@ -31,6 +31,8 @@ from weylbvp import (
     verify_triple_identities,
 )
 
+from oracles import constant_state_resolvent
+
 
 def report(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -39,16 +41,6 @@ def report(name, ok, detail):
 
 POINTS = [2j, 1 + 1j, -0.5 + 0.8j, 2 - 1.5j, -1.2 - 0.6j,
           0.3 + 2j, -2 + 0.4j, 1.5 + 0.9j, -0.8 - 1.7j, 0.1 - 0.5j]
-
-
-def constant_state_resolvent(vartheta, lam, g):
-    """Closed-form resolvent of the companion block used by realize_constant."""
-    vt = complex(vartheta)
-    eye = np.eye(g, dtype=complex)
-    return np.block([
-        [eye / (vt - lam), eye / ((lam - vt) * (np.conj(vt) - lam))],
-        [np.zeros((g, g), dtype=complex), eye / (np.conj(vt) - lam)],
-    ])
 
 
 def seeded_rep_form(dim, g, seed):

@@ -320,11 +320,26 @@ def test_bad_coefficient_value_exits_1(tmp_path, p, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_nonfinite_2d_coefficient_exits_1(tmp_path):
-    cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 4, "ny": 4,
-                                           "coeff": {"a": float("inf")}}})
+@pytest.mark.parametrize("a", [1e308, -1e308, 1e300])
+@pytest.mark.parametrize("problem", [{"dim": 1, "n": 10}, {"dim": 2, "nx": 4, "ny": 4}],
+                         ids=["1d", "2d"])
+def test_huge_potential_puts_eta_in_the_dirichlet_spectrum(tmp_path, problem, a, capsys):
+    # a finite stencil whose eigenvalues are so large in magnitude that the default
+    # eta = mu_1 - 1 rounds onto mu_1: the eta-extension's solve refuses it
+    cfg = write_cfg(tmp_path, {"problem": {**problem, "coeff": {"a": a}}})
     code, _ = run(tmp_path, cfg, "solve")
-    assert code == 1
+    assert code == 2
+    assert "Dirichlet spectrum" in capsys.readouterr().err
+
+
+def test_nonfinite_2d_coefficient_exits_1(tmp_path, capsys):
+    # an infinite sample, and a finite one whose stencil overflows: refused
+    # with the config error line alone, no numpy warning
+    for coeff in ({"a": float("inf")}, {"a11": 1e308}):
+        cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 4, "ny": 4, "coeff": coeff}})
+        code, _ = run(tmp_path, cfg, "solve")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error")
 
 
 @pytest.mark.parametrize("flags", [["--seed", "abc"], ["--workers", "2"],

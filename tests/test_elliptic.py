@@ -28,10 +28,7 @@ from weylbvp import (
 )
 from weylbvp.solver import eigenvalue_count
 
-
-def elliptic_gamma(et, lam):
-    """(I + (lam - eta)(T_D - lam)^{-1}) E_eta, the closed-form gamma-field."""
-    return et.extension + (lam - et.eta) * et.de.dirichlet_solve(lam, et.extension)
+from oracles import elliptic_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +294,27 @@ def test_eta_extension_real_below_spectrum():
 
 def test_eta_extension_rejects_spectrum():
     de = build_1d(15)
-    with pytest.raises(SpectrumPoint):
+    with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
         de.eta_extension(float(de.dirichlet_eigs[0]))
+
+
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("de", [build_1d(30), build_2d(6, 6)], ids=["1d", "2d"])
+def test_every_dirichlet_entry_point_refuses_a_dirichlet_eigenvalue(de, k):
+    """The one guard in ``dirichlet_solve`` covers every solve with T_D - mu:
+    the Weyl function, the perturbed resolvent and the eta-extension."""
+    et = elliptic_triple(de)
+    mu = float(de.dirichlet_eigs[k])
+    tau = ConstantFunction(theta=2.0 * np.eye(de.n_boundary))
+    g = np.ones(de.n_interior, dtype=complex)
+    with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
+        de.dirichlet_solve(mu, g)
+    with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
+        et.weyl(mu)
+    with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
+        krein_resolve(et, tau, mu, g)
+    with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
+        elliptic_triple(de, mu)
 
 
 def test_disconnected_boundary_node_rejected():

@@ -18,15 +18,11 @@ from weylbvp import (
 )
 from weylbvp.krein import dense_lu
 
+from oracles import adjoint, adjoint_gap, span_subspace, symmetry_residual
+
 
 def hilbert(n):
     return KreinSpace(n)
-
-
-def symmetry_residual(rel):
-    """How far the relation's span is from lying in its adjoint's: zero
-    exactly when the relation is symmetric."""
-    return rel.adjoint().span_subspace().containment_residual(rel.span_subspace())
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +185,14 @@ def test_dense_lu_returns_the_factor_of_a_well_conditioned_matrix():
 def test_adjoint_identity_graph_selfadjoint():
     sp = hilbert(2)
     a = LinearRelation.from_graph(sp, np.eye(2))
-    assert a.adjoint().span_subspace().equals(a.span_subspace())
+    assert span_subspace(adjoint(a)).equals(span_subspace(a))
     assert a.is_selfadjoint()
 
 
 def test_adjoint_of_trivial_relation():
     sp = hilbert(2)
     a = LinearRelation(sp, np.zeros((4, 0), dtype=complex))
-    assert a.adjoint().dim == 4
+    assert adjoint(a).dim == 4
 
 
 def test_companion_block_selfadjoint_in_krein_space():
@@ -231,6 +227,45 @@ def test_restriction_symmetric_not_selfadjoint():
     a = LinearRelation.from_span(sp, basis)
     assert symmetry_residual(a) <= 1e-10
     assert not a.is_selfadjoint()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_relation_of_wrong_dimension_is_neither_selfadjoint_nor_resolvable(k):
+    # dim A < dim H leaves part of H out of ran(A - lam), dim A > dim H puts
+    # a vector in ker(A - lam): no lam is a resolvent point
+    basis = np.random.default_rng(k).standard_normal((4, k))
+    a = LinearRelation.from_span(hilbert(2), basis)
+    assert a.dim == k
+    with pytest.raises(SpectrumPoint, match="has no resolvent point"):
+        a.resolvent(1.0j)
+    assert a.selfadjointness_residual() == 1.0
+    assert not a.is_selfadjoint()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
+       st.booleans(), st.floats(min_value=-9.0, max_value=-1.0))
+def test_selfadjointness_residual_bounds_the_adjoint_gap(seed, n, krein, log_eps):
+    """||B^H K B||_F ||G^{-1}||_2 is never below gap(A, A^+), for a
+    G-selfadjoint graph G^{-1} H perturbed by eps in [1e-9, 1e-1], in a
+    Hilbert space and in a Krein space G = U diag(s d) U^H, J = U diag(s) U^H.
+    In dimension 1 the bound is attained (both sides are 2|Im a|/(1 + |a|^2)
+    for the graph of a), so the comparison allows both sides' absolute
+    roundoff, a few ulps of ||G|| ||G^{-1}||."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if krein:
+        u = np.linalg.qr(m)[0]
+        s = rng.choice([-1.0, 1.0], size=n)
+        g = (u * (s * rng.uniform(0.2, 5.0, size=n))) @ u.conj().T
+        sp = KreinSpace(n, gram=(g + g.conj().T) / 2, j=(u * s) @ u.conj().T)
+    else:
+        sp = KreinSpace(n, gram=m @ m.conj().T + np.eye(n))
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = np.linalg.solve(sp.gram, h + h.conj().T) + 10.0 ** log_eps * e / np.linalg.norm(e, 2)
+    rel = LinearRelation.from_graph(sp, a)
+    assert rel.selfadjointness_residual() >= adjoint_gap(rel) - 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +355,6 @@ def test_adjoint_involution_and_dimension(seed, n, k):
     sp = KreinSpace(n, gram=g)
     basis = rng.standard_normal((2 * n, k)) + 1j * rng.standard_normal((2 * n, k))
     a = LinearRelation.from_span(sp, basis)
-    adj = a.adjoint()
+    adj = adjoint(a)
     assert a.dim + adj.dim == 2 * n
-    assert adj.adjoint().span_subspace().gap(a.span_subspace()) <= 1e-10
+    assert span_subspace(adjoint(adj)).gap(span_subspace(a)) <= 1e-10

@@ -151,7 +151,7 @@ def test_representation_form_rejects_spectrum_point():
     a0 = LinearRelation.from_graph(sp, np.array([[1.0]]))
     rf = RepresentationForm(space=sp, a0=a0, gamma=np.array([[1.0]]),
                             lambda0=1j, c=np.zeros((1, 1)))
-    with pytest.raises(SpectrumPoint, match=r"ran\(A - 1\.0\) is not all of H"):
+    with pytest.raises(SpectrumPoint, match=r"A - 1\.0 is (numerically )?singular"):
         rf.eval(1.0)
 
 

@@ -26,6 +26,8 @@ from weylbvp import (
 )
 from weylbvp.opfunc import default_samples
 
+from oracles import constant_state_resolvent, span_subspace, symmetry_residual
+
 
 def scalar(x):
     return np.array([[x]], dtype=complex)
@@ -47,25 +49,10 @@ def kernel_relation(bt):
     return LinearRelation.from_span(bt.state, bt.t_basis @ null)
 
 
-def symmetry_residual(rel):
-    """How far the relation's span is from lying in its adjoint's."""
-    return rel.adjoint().span_subspace().containment_residual(rel.span_subspace())
-
-
 def eigen_kernel(rel, lam):
     """ker(A - lam) = {f : {f, lam f} in A} as a subspace of the state space."""
     null = nullspace(rel.second - lam * rel.first)
     return column_space(rel.first @ null, ambient=rel.space.dim)
-
-
-def constant_state_resolvent(vartheta, lam, g):
-    """Closed-form resolvent of the companion block used by realize_constant."""
-    vt = complex(vartheta)
-    eye = np.eye(g, dtype=complex)
-    return np.block([
-        [eye / (vt - lam), eye / ((lam - vt) * (np.conj(vt) - lam))],
-        [np.zeros((g, g), dtype=complex), eye / (np.conj(vt) - lam)],
-    ])
 
 
 def weyl_match(bt, tau, points, tol=1e-9):
@@ -189,7 +176,7 @@ def test_realize_constant_state_resolvent_formula():
         expected = constant_state_resolvent(vt, lam, 2)
         assert np.max(np.abs(rel.resolvent(lam) - expected)) <= 1e-12
     # a0 of the triple is that same block relation
-    assert bt.a0.span_subspace().equals(rel.span_subspace(), tol=1e-10)
+    assert span_subspace(bt.a0).equals(span_subspace(rel), tol=1e-10)
 
 
 def test_realize_constant_gamma_plus_formula():

@@ -37,6 +37,8 @@ from weylbvp import solver
 from weylbvp.elliptic import EllipticTriple
 from weylbvp.solver import WINDOW_PAD, Linearization, eigenvalue_count
 
+from oracles import elliptic_gamma
+
 
 def rational_m2(g):
     return RationalNevanlinna(alpha=(np.zeros((g, g)), -2 * np.eye(g)),
@@ -82,11 +84,6 @@ def in_solvable_set(et, tau, lam):
 def product_gram(lin):
     """The product metric W = h^d I (+) G as a dense matrix."""
     return scipy.linalg.block_diag(lin.weight * np.eye(lin.n_interior), lin.state_gram)
-
-
-def elliptic_gamma(et, lam):
-    """(I + (lam - eta)(T_D - lam)^{-1}) E_eta, the closed-form gamma-field."""
-    return et.extension + (lam - et.eta) * et.de.dirichlet_solve(lam, et.extension)
 
 
 def lin_for(et, tau):

@@ -23,6 +23,8 @@ from weylbvp import (
     verify_triple_identities,
 )
 
+from oracles import elliptic_gamma, symmetry_residual
+
 
 def sample_points(seed=0, count=10):
     rng = np.random.default_rng(seed)
@@ -36,20 +38,10 @@ def kernel_relation(bt):
     return LinearRelation.from_span(bt.state, bt.t_basis @ null)
 
 
-def symmetry_residual(rel):
-    """How far the relation's span is from lying in its adjoint's."""
-    return rel.adjoint().span_subspace().containment_residual(rel.span_subspace())
-
-
 def defect_subspace(bt, lam):
     """ker(T - lam) as a subspace of the state space."""
     null = nullspace(bt.second - lam * bt.first)
     return column_space(bt.first @ null, ambient=bt.state.dim)
-
-
-def elliptic_gamma(et, lam):
-    """(I + (lam - eta)(T_D - lam)^{-1}) E_eta, the closed-form gamma-field."""
-    return et.extension + (lam - et.eta) * et.de.dirichlet_solve(lam, et.extension)
 
 
 @pytest.fixture(scope="module")
