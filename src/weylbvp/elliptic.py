@@ -10,7 +10,7 @@ L_IB entry per boundary channel; every other form is derived from these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -22,13 +22,13 @@ from .errors import (
     RankDeficientCoupling,
     SpectrumPoint,
 )
-from .krein import COND_LIMIT, KreinSpace, _inverse_onenorm
-from .triple import BoundaryTriple
+from .krein import COND_LIMIT, _inverse_onenorm
+from .triple import WeylData
 
 
 # Bytes allowed for one dense array of interior size: the linearization's A
-# and the generic triple's basis are the only ones left, and above this
-# they are refused before allocation instead of exhausting the host.
+# is the only one left, and above this it is refused before allocation
+# instead of exhausting the host.
 DENSE_LIMIT_BYTES = 2**30
 
 
@@ -94,7 +94,8 @@ class DiscreteElliptic:
 
     @property
     def l_ii(self) -> np.ndarray:
-        """L_II as a dense matrix, built on each call."""
+        """L_II as a dense matrix, built on each call: a reference for small
+        sizes, which no action reads."""
         return self.sparse_blocks[0].toarray()
 
     @property
@@ -247,33 +248,23 @@ def build_2d(nx: int, ny: int, a11=1.0, a22=1.0, a=0.0,
 
 @dataclass(frozen=True)
 class EllipticTriple:
-    """Boundary triple of a discrete elliptic operator.
+    """Boundary triple of a discrete elliptic operator over (C^{n_I}, h^d I).
 
     States f = f_D + E_eta y are parameterized by the Dirichlet part f_D and
-    the boundary trace y; Gamma_0 reads y, Gamma_1 is the (sign-flipped,
-    weight-scaled) discrete conormal derivative of f_D.
+    the boundary trace y; Gamma_0 reads y, Gamma_1 = -h^d L_BI f_D is the
+    (sign-flipped, weight-scaled) discrete conormal derivative of f_D.  In
+    these T-coordinates first = [I, E_eta], second = [L_II, eta E_eta] and
+    K_lam = [second - lam first; Gamma_0] = [[L_II - lam, (eta - lam) E_eta],
+    [0, I]] is block upper triangular, so every point needs only the banded
+    solve of ``dirichlet_solve``: ``weyl_data``, ``green_residual`` and
+    ``gamma_plus`` give ``verify_triple_identities`` what a dense
+    ``BoundaryTriple`` gives it, and nothing of interior size n_I x n_I is
+    formed.
     """
 
     de: DiscreteElliptic
     eta: float
     extension: np.ndarray = field(repr=False)
-
-    @cached_property
-    def bt(self) -> BoundaryTriple:
-        """This triple as a generic ``BoundaryTriple`` over (C^{n_I}, h^d I) in
-        T-coordinates (f_D, y), built on first use: only verification reads it.
-        A basis above ``DENSE_LIMIT_BYTES`` raises ``ConfigError``."""
-        de, ext, w = self.de, self.extension, self.de.weight
-        n, nb = de.n_interior, de.n_boundary
-        _check_dense((2 * n, n + nb), complex, "the generic triple's basis")
-        t_basis = np.block([
-            [np.eye(n), ext],
-            [de.l_ii, self.eta * ext],
-        ])
-        g0 = np.hstack([np.zeros((nb, n)), np.eye(nb)])
-        g1 = np.hstack([-w * de.l_ib.T, np.zeros((nb, nb))])
-        state = KreinSpace(n, gram=w * np.eye(n))
-        return BoundaryTriple(state, nb, t_basis, g0, g1)
 
     @cached_property
     def direct_route(self) -> SparseRoute:
@@ -299,10 +290,56 @@ class EllipticTriple:
         boundary condition adds to tau(lam) once the trace is eliminated."""
         return self.de.weight * self.de.apply_l_bi(self.extension)
 
-    def weyl(self, lam: complex) -> np.ndarray:
-        """h^d (eta - lam) L_BI (T_D - lam)^{-1} E_eta."""
-        sol = self.de.dirichlet_solve(lam, self.extension)
+    def weyl_from_solve(self, lam: complex, sol: np.ndarray) -> np.ndarray:
+        """M(lam) = h^d (eta - lam) L_BI (T_D - lam)^{-1} E_eta from
+        sol = (T_D - lam)^{-1} E_eta: the package's one copy of the formula."""
         return self.de.weight * (self.eta - lam) * self.de.apply_l_bi(sol)
+
+    def weyl(self, lam: complex) -> np.ndarray:
+        """M(lam), the discrete Dirichlet-to-Neumann map shifted by eta."""
+        return self.weyl_from_solve(lam, self.de.dirichlet_solve(lam, self.extension))
+
+    def weyl_data(self, lam: complex) -> WeylData:
+        """gamma(lam) = E_eta + (lam - eta)(T_D - lam)^{-1} E_eta and M(lam)
+        from one guarded ``dirichlet_solve``.  The data's ``resolvent``
+        makes one banded solve per call: (T_D - lam)^{-1} x is the f_D part
+        of the element of A_0 = ker Gamma_0 (its y is 0), and
+        -h^d L_BI (T_D - lam)^{-1} x its Gamma_1 image."""
+        sol = self.de.dirichlet_solve(lam, self.extension)
+        return WeylData(lam, self.extension + (lam - self.eta) * sol,
+                        self.weyl_from_solve(lam, sol), partial(self._resolvent, lam))
+
+    def _resolvent(self, lam: complex, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        res = self.de.dirichlet_solve(lam, x)
+        return res, -self.de.weight * self.de.apply_l_bi(res)
+
+    def gamma_plus(self, gamma_mat: np.ndarray) -> np.ndarray:
+        """Adjoint G -> H of a map H <- G: gamma^+ = h^d gamma^H."""
+        return self.de.weight * gamma_mat.conj().T
+
+    def green_residual(self) -> float:
+        """``BoundaryTriple.green_residual`` of this triple, block by block in
+        the T-coordinates (f_D, y), with the same scale rule.  The left side
+        h^d (first^H second - second^H first) has the f_D-f_D block
+        h^d (L_II - L_II^T), kept sparse, two off-diagonal blocks n_B wide and
+        the y-y block h^d (eta - conj eta) E_eta^H E_eta, zero for the real
+        eta; the right side Gamma_0^H Gamma_1 - Gamma_1^H Gamma_0 has
+        h^d L_IB in the f_D-y block and -h^d L_BI in the y-f_D block."""
+        de, ext, eta, w = self.de, self.extension, self.eta, self.de.weight
+        l_ii = de.sparse_blocks[0]
+        skew = (w * (l_ii - l_ii.T)).power(2)
+        lt_ext = l_ii.T @ ext                          # L_II^H E_eta: L_II is real
+        upper = w * (eta * ext - lt_ext)               # rows f_D, columns y
+        lower = w * (lt_ext.conj().T - eta * ext.conj().T)   # rows y, columns f_D
+        bound = w * de.l_ib
+        skew_cols = np.asarray(skew.sum(axis=0)).ravel()
+        lhs_cols = np.concatenate([np.sqrt(skew_cols + np.sum(np.abs(lower) ** 2, axis=0)),
+                                   np.linalg.norm(upper, axis=0)])
+        rhs_cols = np.concatenate([np.linalg.norm(bound, axis=1), np.linalg.norm(bound, axis=0)])
+        scale = max(1.0, float(np.max(lhs_cols)), float(np.max(rhs_cols)))
+        diff = np.sqrt(skew_cols.sum() + np.linalg.norm(upper - bound) ** 2
+                       + np.linalg.norm(lower + bound.T) ** 2)
+        return float(diff / scale)
 
 
 def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticTriple:

@@ -77,7 +77,7 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     base, rd = sol[:, 0], sol[:, 1:]
     gam = et.extension + (lam - et.eta) * rd
     tau_lam = tau.eval(lam)
-    mt = de.weight * (et.eta - lam) * de.apply_l_bi(rd) + tau_lam
+    mt = et.weyl_from_solve(lam, rd) + tau_lam
     s = np.linalg.svd(mt, compute_uv=False)
     smin, scale = float(s[-1]), float(s[0])
     if smin <= U_THRESHOLD * max(scale, 1e-300):
@@ -229,7 +229,9 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
 
     _check_dense((n + nk, n + nk), blocks.dtype, "the linearization")
     a_mat = np.zeros((n + nk, n + nk), dtype=blocks.dtype)
-    a_mat[:n, :n] = de.l_ii
+    # L_II written from its sparse form, without a dense n x n copy
+    l_ii = de.sparse_blocks[0].tocoo()
+    a_mat[l_ii.row, l_ii.col] = l_ii.data
     # L_IB and w L_BI touch only the channel rows and columns of A
     rows, w_coupling = de.channel_rows, de.weight * de.coupling
     a_mat[np.ix_(rows, rows)] += de.coupling[:, None] * g0q * w_coupling

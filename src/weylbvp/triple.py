@@ -7,6 +7,7 @@ in the boundary space, which carries the Euclidean inner product.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,21 +20,15 @@ from .krein import DEFAULT_RTOL, KreinSpace, LinearRelation, _as_matrix, dense_l
 
 @dataclass(frozen=True)
 class WeylData:
-    """gamma(lam) and M(lam), with the LU of K_lam = [second - lam first; Gamma_0]
-    that gave them."""
+    """gamma(lam) and M(lam) of a triple at one point, and the resolvent of
+    A_0 that the point's factorization gives: ``resolvent(x)`` returns
+    ((A_0 - lam)^{-1} x, Gamma_1 of the element {(A_0 - lam)^{-1} x,
+    (I + lam (A_0 - lam)^{-1}) x} of A_0) for a matrix x, column by column."""
 
     lam: complex
     gamma_mat: np.ndarray
     m_mat: np.ndarray
-    lu: tuple = field(repr=False)
-
-    def resolvent_coords(self, h: np.ndarray) -> np.ndarray:
-        """T-coordinates c of the elements of A_0 = ker Gamma_0 with
-        (second - lam first) c = h: first c = (A_0 - lam)^{-1} h and
-        second c = h + lam (A_0 - lam)^{-1} h, column by column."""
-        h = _as_matrix(h)
-        rhs = np.vstack([h, np.zeros((self.m_mat.shape[0], h.shape[1]))])
-        return scipy.linalg.lu_solve(self.lu, rhs)
+    resolvent: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -111,19 +106,26 @@ class BoundaryTriple:
         """gamma(lam) and M(lam) from one guarded LU of the t x t matrix
         K_lam = [second - lam first; Gamma_0].  K c = (0, x) puts c in
         ker(T - lam) with Gamma_0 c = x, so gamma(lam) = first K^{-1}[0; I]
-        and M(lam) = Gamma_1 K^{-1}[0; I]; ``WeylData.resolvent_coords``
-        solves K c = (h, 0) for (A_0 - lam)^{-1}.  A basis of T has
-        t = n + g columns (checked when the triple is built), so K_lam is
-        singular exactly when lam is an eigenvalue of A_0: ``dense_lu``
-        raises ``SpectrumPoint`` there.
+        and M(lam) = Gamma_1 K^{-1}[0; I]; K c = (h, 0) puts c in A_0 with
+        first c = (A_0 - lam)^{-1} h.  The data's ``resolvent`` forms the
+        state resolvent first K^{-1}[I; 0] and its Gamma_1 image from this
+        LU, one solve on n columns, and applies them to x by two products.
+        It keeps neither, so a point's data holds nothing of size n x n, and
+        a point read only for gamma (a conjugate point) forms neither.  A basis
+        of T has t = n + g columns (checked when the triple is built), so
+        K_lam is singular exactly when lam is an eigenvalue of A_0:
+        ``dense_lu`` raises ``SpectrumPoint`` there.
         """
         n, g = self.state.dim, self.boundary_dim
         lu = dense_lu(np.vstack([self.second - lam * self.first, self.g0]), SpectrumPoint,
                       f"K_lambda at the eigenvalue lambda={lam} of A_0")
-        rhs = np.zeros((n + g, g), dtype=complex)
-        rhs[n:] = np.eye(g)
-        coeff = scipy.linalg.lu_solve(lu, rhs)
-        return WeylData(lam, self.first @ coeff, self.g1 @ coeff, lu)
+        coeff = scipy.linalg.lu_solve(lu, np.eye(n + g, g, -n, dtype=complex))
+
+        def resolvent(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            coords = scipy.linalg.lu_solve(lu, np.eye(n + g, n, dtype=complex))
+            return (self.first @ coords) @ x, (self.g1 @ coords) @ x
+
+        return WeylData(lam, self.first @ coeff, self.g1 @ coeff, resolvent)
 
 
 def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:
@@ -131,7 +133,7 @@ def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:
     return float(np.linalg.norm(diff)) / scale
 
 
-def verify_triple_identities(bt: BoundaryTriple, samples, seed: int = 0,
+def verify_triple_identities(triple, samples, seed: int = 0,
                              data: dict[complex, WeylData] | None = None) -> dict[str, float]:
     """Max scaled residuals of the gamma-field/Weyl identities at sample points.
 
@@ -142,22 +144,26 @@ def verify_triple_identities(bt: BoundaryTriple, samples, seed: int = 0,
       id2:    M(lam) - M(mu)^* = (lam - conj(mu)) gamma(mu)^+ gamma(lam)
       rep:    M(lam) = Re M(l0) + gamma(l0)^+((lam-Re l0) + (lam-l0)(lam-conj(l0))
               (A0-lam)^{-1}) gamma(l0)
-    One LU per distinct point (``weyl_data``) gives gamma and M there and,
-    at each sample, (A0-lam)^{-1} on the columns the identities need; no
-    interior-size inverse is formed.  ``data`` holds ``weyl_data`` of points
-    that the caller has already factored; they are not factored again.
+    ``triple`` is any triple with ``weyl_data`` and ``gamma_plus``: a
+    ``BoundaryTriple``, or an ``EllipticTriple``, whose data come from its
+    banded Dirichlet solve.  ``weyl_data`` is taken once per distinct point,
+    and at each sample one ``resolvent`` call on [gamma(mu_1) ... gamma(mu_k), h]
+    gives (A0-lam)^{-1} on every column the identities need.  ``data`` holds
+    ``weyl_data`` of points that the caller already has; they are not taken
+    again.
     """
     samples = list(samples)
     lambda0 = next(s for s in samples if abs(complex(s).imag) > 0)
     rng = np.random.default_rng(seed)
-    n = bt.state.dim
     points = list(dict.fromkeys(samples))
-    data = {lam: (data or {}).get(lam) or bt.weyl_data(lam) for lam in points}
+    data = {lam: (data or {}).get(lam) or triple.weyl_data(lam) for lam in points}
     # gambar needs gamma(conj lam); of a conjugate that is no sample only
-    # gamma is kept, not its LU
-    gamma_conj = {lam: (data.get(np.conj(lam)) or bt.weyl_data(np.conj(lam))).gamma_mat
+    # gamma is kept
+    gamma_conj = {lam: (data.get(np.conj(lam)) or triple.weyl_data(np.conj(lam))).gamma_mat
                   for lam in set(samples)}
-    gplus = {mu: bt.gamma_plus(data[mu].gamma_mat) for mu in points}
+    gplus = {mu: triple.gamma_plus(data[mu].gamma_mat) for mu in points}
+    gammas = np.hstack([data[mu].gamma_mat for mu in points])
+    n, g = gammas.shape[0], data[lambda0].m_mat.shape[0]
     out = {"id1": 0.0, "gambar": 0.0, "id2": 0.0, "rep": 0.0}
 
     wd0 = data[lambda0]
@@ -166,14 +172,14 @@ def verify_triple_identities(bt: BoundaryTriple, samples, seed: int = 0,
 
     for lam in samples:
         wl = data[lam]
-        # this point's LU applied to g columns per point mu, (A0-lam)^{-1} gamma(mu),
-        # and to a random h, whose element of A0 has T-coordinates c
-        res_gamma = {mu: bt.first @ wl.resolvent_coords(data[mu].gamma_mat) for mu in points}
+        # (A0-lam)^{-1} on gamma(mu) for every point mu and on a random h,
+        # and the Gamma_1 image of h's element of A0
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        c = wl.resolvent_coords(h)
+        res, image = wl.resolvent(np.column_stack([gammas, h]))
+        res_gamma = {mu: res[:, k * g:(k + 1) * g] for k, mu in enumerate(points)}
         # gambar at the random vector h
-        lhs = bt.gamma_plus(gamma_conj[lam]) @ h
-        rhs = (bt.g1 @ c).ravel()
+        lhs = triple.gamma_plus(gamma_conj[lam]) @ h
+        rhs = image[:, -1]
         out["gambar"] = max(out["gambar"], _rel(lhs - rhs, lhs, rhs))
         # representation of M via the fixed lambda0
         op = (lam - lambda0.real) * wd0.gamma_mat \

@@ -1,14 +1,15 @@
 """Reference computations shared by the test modules.
 
 The [[., .]]-adjoint of a relation by a full SVD and the subspace gaps built
-on it, the closed-form resolvent of the companion block and the closed-form
-gamma-field of the elliptic triple.  The package decides the same
-properties by cheaper means; these are what it is checked against.
+on it, the closed-form resolvent of the companion block, the closed-form
+gamma-field of the elliptic triple and that triple as a dense generic
+``BoundaryTriple``.  The package decides the same properties by cheaper
+means; these are what it is checked against.
 """
 
 import numpy as np
 
-from weylbvp import LinearRelation, Subspace, nullspace
+from weylbvp import BoundaryTriple, KreinSpace, LinearRelation, Subspace, nullspace
 
 
 def span_subspace(rel):
@@ -48,3 +49,16 @@ def constant_state_resolvent(vartheta, lam, g):
 def elliptic_gamma(et, lam):
     """(I + (lam - eta)(T_D - lam)^{-1}) E_eta, the closed-form gamma-field."""
     return et.extension + (lam - et.eta) * et.de.dirichlet_solve(lam, et.extension)
+
+
+def generic_elliptic_triple(et):
+    """The elliptic triple as a dense generic ``BoundaryTriple`` over
+    (C^{n_I}, h^d I) in T-coordinates (f_D, y): a 2 n_I x (n_I + n_B) basis,
+    for small sizes only.  Its ``weyl_data`` factors the whole (n_I + n_B)^2
+    matrix K_lam, where the package makes one banded solve."""
+    de, ext, w = et.de, et.extension, et.de.weight
+    n, nb = de.n_interior, de.n_boundary
+    t_basis = np.block([[np.eye(n), ext], [de.l_ii, et.eta * ext]])
+    g0 = np.hstack([np.zeros((nb, n)), np.eye(nb)])
+    g1 = np.hstack([-w * de.l_ib.T, np.zeros((nb, nb))])
+    return BoundaryTriple(KreinSpace(n, gram=w * np.eye(n)), nb, t_basis, g0, g1)

@@ -109,8 +109,8 @@ def all_triples():
         "constant": realize_constant(np.diag([1.0, -1.0]).astype(complex), 4j),
         "coupled": coupled_diag_lambda_five(),
         "rational": realize_rational(seeded_rational()),
-        "elliptic-1d": elliptic_triple(build_1d(40)).bt,
-        "elliptic-2d": elliptic_triple(build_2d(8, 8)).bt,
+        "elliptic-1d": elliptic_triple(build_1d(40)),
+        "elliptic-2d": elliptic_triple(build_2d(8, 8)),
     }
 
 

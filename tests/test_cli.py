@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from weylbvp import BoundaryTriple, ConfigError
+from weylbvp import BoundaryTriple, ConfigError, DiscreteElliptic, EllipticTriple, KreinSpace
 from weylbvp.cli import main, make_coefficient
 
 
@@ -244,20 +244,60 @@ def test_verify_passes(tmp_path):
 @pytest.mark.parametrize("tau", [BASE["tau"], {"kind": "constant", "theta": 2.0}],
                          ids=["rational", "constant"])
 def test_verify_factors_each_point_once(tmp_path, monkeypatch, tau):
-    # the closed-form Weyl check and the realization's Weyl residual read
-    # M(lam) from the LU that the identity check takes at the same point
+    # the elliptic triple's per-point data (one banded solve) and the
+    # realized triple's (one LU of K_lam) are each taken once per point; the
+    # realization's Weyl residual reads M(lam) from the data that its
+    # identity check takes at the same point
     calls = []
-    weyl_data = BoundaryTriple.weyl_data
 
-    def counted(self, lam):
-        calls.append((id(self), complex(lam)))
-        return weyl_data(self, lam)
+    def counting(cls):
+        weyl_data = cls.weyl_data
 
-    monkeypatch.setattr(BoundaryTriple, "weyl_data", counted)
+        def counted(self, lam):
+            calls.append((id(self), complex(lam)))
+            return weyl_data(self, lam)
+        return counted
+
+    for cls in (BoundaryTriple, EllipticTriple):
+        monkeypatch.setattr(cls, "weyl_data", counting(cls))
     code, out = run(tmp_path, write_cfg(tmp_path, {"tau": tau}), "verify")
     assert code == 0
     assert json.loads((out / "report.json").read_text())["ok"] is True
-    assert calls and len(calls) == len(set(calls))
+    assert len({triple for triple, _ in calls}) == 2
+    assert len(calls) == len(set(calls))
+
+
+def test_verify_stays_in_boundary_size(tmp_path, monkeypatch):
+    # no dense L_II and no state space of interior size: the elliptic triple
+    # is checked through its banded solve
+    def refuse(self):
+        raise AssertionError("dense L_II built")
+
+    dims = []
+    original = KreinSpace.__post_init__
+
+    def counting(self):
+        dims.append(self.dim)
+        original(self)
+
+    monkeypatch.setattr(DiscreteElliptic, "l_ii", property(refuse))
+    monkeypatch.setattr(KreinSpace, "__post_init__", counting)
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 8, "ny": 8}})
+    code, out = run(tmp_path, cfg, "verify")
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["ok"] is True
+    assert dims and 8 * 8 not in dims
+
+
+def test_verify_catches_a_wrong_closed_form(tmp_path, monkeypatch):
+    # the closed-form suite compares weyl with M from the unreduced Dirichlet
+    # problem, so a wrong weyl fails it
+    weyl = EllipticTriple.weyl
+    monkeypatch.setattr(EllipticTriple, "weyl", lambda self, lam: (1 + 1e-6) * weyl(self, lam))
+    code, out = run(tmp_path, write_cfg(tmp_path), "verify")
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert any(f.startswith("closed-form Weyl mismatch") for f in report["failures"])
 
 
 def test_realize_roundtrip(tmp_path):

@@ -25,10 +25,11 @@ from weylbvp import (
     krein_resolve,
     realize_constant,
     realize_rational,
+    verify_triple_identities,
 )
 from weylbvp.solver import eigenvalue_count
 
-from oracles import elliptic_gamma
+from oracles import elliptic_gamma, generic_elliptic_triple
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +345,8 @@ def et2d():
 
 
 def test_generic_triple_built_on_demand(monkeypatch):
-    # solve and eigen never read the generic form, so elliptic_triple builds
-    # no KreinSpace; verification builds it once and then reuses it
+    # the elliptic triple verifies itself in boundary size and builds no
+    # KreinSpace; only the dense generic oracle has one
     dims = []
     original = KreinSpace.__post_init__
 
@@ -356,28 +357,82 @@ def test_generic_triple_built_on_demand(monkeypatch):
     monkeypatch.setattr(KreinSpace, "__post_init__", counting)
     et = elliptic_triple(build_1d(30))
     assert dims == []
-    bt = et.bt
+    assert et.green_residual() <= 1e-12
+    assert max(verify_triple_identities(et, [0.5 + 1j, -0.3 - 0.7j]).values()) <= 1e-9
+    assert dims == []
+    bt = generic_elliptic_triple(et)
     assert dims == [30]
-    assert et.bt is bt and dims == [30]
     assert bt.green_residual() <= 1e-12
 
 
 def test_green_identity_exact(et1d, et2d):
-    assert et1d.bt.green_residual() <= 1e-12
-    assert et2d.bt.green_residual() <= 1e-12
+    for et in (et1d, et2d):
+        assert et.green_residual() <= 1e-12
+        assert generic_elliptic_triple(et).green_residual() <= 1e-12
 
 
 def test_gamma_closed_form(et1d):
+    bt = generic_elliptic_triple(et1d)
     for lam in (1 + 1j, -2.0, 0.5 + 0.25j):
-        gam = et1d.bt.weyl_data(lam).gamma_mat
-        assert np.linalg.norm(gam - elliptic_gamma(et1d, lam)) <= 1e-9
+        for gam in (et1d.weyl_data(lam).gamma_mat, bt.weyl_data(lam).gamma_mat):
+            assert np.linalg.norm(gam - elliptic_gamma(et1d, lam)) <= 1e-9
 
 
 def test_weyl_closed_form(et1d, et2d):
     for et in (et1d, et2d):
+        bt = generic_elliptic_triple(et)
         for lam in (1 + 1j, 0.5 - 0.75j):
-            m1, m2 = et.bt.weyl_data(lam).m_mat, et.weyl(lam)
+            m1, m2 = bt.weyl_data(lam).m_mat, et.weyl(lam)
             assert np.linalg.norm(m1 - m2, 2) <= 1e-9 * max(1.0, np.linalg.norm(m2, 2))
+            assert np.array_equal(et.weyl_data(lam).m_mat, m2)
+
+
+STRUCTURED_CASES = {
+    "1d-25-variable": lambda: build_1d(25, p=p_1d),
+    "2d-6x6": lambda: build_2d(6, 6),
+    "2d-8x8-anisotropic": lambda: build_2d(8, 8, a11=a11_2d, a22=a22_2d, a=a_2d),
+}
+
+
+def _rel_err(a, b):
+    return np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("name", list(STRUCTURED_CASES))
+def test_structured_triple_matches_dense_oracle(name):
+    """gamma, M, the resolvent of A_0 and its Gamma_1 image from the banded
+    solve, and the blockwise Green residual, against the dense generic
+    triple's LU of K_lam; the Dirichlet guard refuses every eigenvalue."""
+    de = STRUCTURED_CASES[name]()
+    et = elliptic_triple(de)
+    bt = generic_elliptic_triple(et)
+    x = np.random.default_rng(8).standard_normal((de.n_interior, 3)) + 0j
+    for lam in (0.3 + 0.8j, -1.2 - 0.4j, 5.0 + 0.1j):
+        ws, wo = et.weyl_data(lam), bt.weyl_data(lam)
+        assert _rel_err(ws.gamma_mat, wo.gamma_mat) <= 1e-12
+        assert _rel_err(ws.m_mat, wo.m_mat) <= 1e-12
+        for mine, ref in zip(ws.resolvent(x), wo.resolvent(x)):
+            assert _rel_err(mine, ref) <= 1e-12
+    assert abs(et.green_residual() - bt.green_residual()) <= 1e-12
+    # on a broken extension the Green residual is far from roundoff, and the
+    # blockwise sum still agrees with the dense one
+    r = np.random.default_rng(9).standard_normal(et.extension.shape)
+    broken = dataclasses.replace(et, extension=et.extension + 1e-3 * r)
+    ref = generic_elliptic_triple(broken).green_residual()
+    assert ref > 1e-6 and abs(broken.green_residual() - ref) <= 1e-12 * ref
+    for ev in de.dirichlet_eigs:
+        with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
+            et.weyl_data(complex(ev))
+
+
+def test_structured_checks_catch_a_broken_extension(et2d):
+    # E_eta + eps R no longer solves (L_II - eta) E + L_IB = 0, so Green's
+    # identity and the gamma/M identities must fail well above roundoff
+    r = np.random.default_rng(3).standard_normal(et2d.extension.shape)
+    broken = dataclasses.replace(et2d, extension=et2d.extension + 1e-6 * r)
+    assert broken.green_residual() > 1e-10
+    pts = [complex(0.4, 1.1), complex(-0.6, -0.8), complex(1.3, 0.6), complex(-1.1, -1.4)]
+    assert max(verify_triple_identities(broken, pts).values()) > 1e-9
 
 
 def test_weyl_matches_dense_closed_form(et1d, et2d):
@@ -572,8 +627,7 @@ def test_cached_compressed_route_matches_fresh_dense_solve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# storage: no dense interior-size array outside the linearization and the
-# generic triple
+# storage: no dense interior-size array outside the linearization
 
 
 def test_solve_and_count_build_no_dense_l_ii(monkeypatch):
@@ -602,14 +656,8 @@ def test_dense_memory_guard(monkeypatch):
     realized = realize_rational(tau)
     size = de.n_interior + realized.state.dim
     a_bytes = size * size * 8                      # a real tau gives a real A
-    basis_bytes = 2 * de.n_interior * (de.n_interior + de.n_boundary) * 16   # stored complex
     monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", a_bytes)
     assert build_linearization(et, realized).matrix.nbytes == a_bytes
     monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", a_bytes - 1)
     with pytest.raises(ConfigError):
         build_linearization(et, realized)
-    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", basis_bytes - 1)
-    with pytest.raises(ConfigError):
-        elliptic_triple(de).bt
-    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", basis_bytes)
-    assert elliptic_triple(de).bt.t_basis.nbytes == basis_bytes

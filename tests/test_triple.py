@@ -23,7 +23,7 @@ from weylbvp import (
     verify_triple_identities,
 )
 
-from oracles import elliptic_gamma, symmetry_residual
+from oracles import elliptic_gamma, generic_elliptic_triple, symmetry_residual
 
 
 def sample_points(seed=0, count=10):
@@ -46,7 +46,7 @@ def defect_subspace(bt, lam):
 
 @pytest.fixture(scope="module")
 def elliptic_bt():
-    return elliptic_triple(build_1d(25)).bt
+    return generic_elliptic_triple(elliptic_triple(build_1d(25)))
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,8 @@ def test_identities_one_resolvent_per_point(elliptic_bt, monkeypatch):
 
 
 def test_identities_take_no_svd_or_lstsq(monkeypatch):
-    bt = elliptic_triple(build_2d(8, 8)).bt
+    et = elliptic_triple(build_2d(8, 8))
+    triples = (et, generic_elliptic_triple(et))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("SVD or least squares on the identity path")
@@ -136,8 +137,9 @@ def test_identities_take_no_svd_or_lstsq(monkeypatch):
     for mod in (np.linalg, scipy.linalg):
         for name in ("svd", "lstsq", "pinv"):
             monkeypatch.setattr(mod, name, forbidden)
-    report = verify_triple_identities(bt, sample_points(count=4))
-    assert max(report.values()) <= 1e-9
+    for triple in triples:
+        report = verify_triple_identities(triple, sample_points(count=4))
+        assert max(report.values()) <= 1e-9
 
 
 def _point_solve_triples():
@@ -146,8 +148,8 @@ def _point_solve_triples():
         beta=(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([[0.5, 0.0], [0.0, 0.25]])),
     )
     return {
-        "1d-25": elliptic_triple(build_1d(25)).bt,
-        "2d-6x6": elliptic_triple(build_2d(6, 6)).bt,
+        "1d-25": generic_elliptic_triple(elliptic_triple(build_1d(25))),
+        "2d-6x6": generic_elliptic_triple(elliptic_triple(build_2d(6, 6))),
         "rational": realize_rational(rational),
         "constant": realize_constant(np.array([[2.0, 1.0], [1.0, -1.0]]), 1.5j),
     }
@@ -159,19 +161,24 @@ def test_point_solve_resolvent_matches_a0(name):
     eye = np.eye(bt.state.dim)
     for lam in (0.3 + 0.8j, -1.2 - 0.4j, 2.0 + 3.0j):
         ref = bt.a0.resolvent(lam)
-        wd = bt.weyl_data(lam)
-        c = wd.resolvent_coords(eye)
-        assert np.linalg.norm(bt.first @ c - ref) <= 1e-12 * np.linalg.norm(ref)
-        # the coordinates are those of elements of A_0 = ker Gamma_0
+        res, image = bt.weyl_data(lam).resolvent(eye)
+        assert np.linalg.norm(res - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the image is Gamma_1 of the elements {R h, (I + lam R) h} of
+        # A_0 = ker Gamma_0, whose T-coordinates c are found independently
+        c = np.linalg.lstsq(bt.t_basis, np.vstack([res, eye + lam * res]), rcond=None)[0]
+        assert np.linalg.norm(bt.t_basis @ c - np.vstack([res, eye + lam * res])) \
+            <= 1e-12 * max(1.0, np.linalg.norm(c))
         assert np.linalg.norm(bt.g0 @ c) <= 1e-12 * max(1.0, np.linalg.norm(c))
+        assert np.linalg.norm(bt.g1 @ c - image) <= 1e-12 * max(1.0, np.linalg.norm(c))
 
 
 @pytest.mark.parametrize("build", [lambda: build_1d(25), lambda: build_2d(6, 6)],
                          ids=["1d-25", "2d-6x6"])
 def test_weyl_data_matches_closed_form(build):
     et = elliptic_triple(build())
+    bt = generic_elliptic_triple(et)
     for lam in (0.3 + 0.8j, -1.2 - 0.4j, 5.0 + 0.1j):
-        wd = et.bt.weyl_data(lam)
+        wd = bt.weyl_data(lam)
         gam, m = elliptic_gamma(et, lam), et.weyl(lam)
         assert np.linalg.norm(wd.gamma_mat - gam) <= 1e-10 * max(1.0, np.linalg.norm(gam))
         assert np.linalg.norm(wd.m_mat - m) <= 1e-10 * max(1.0, np.linalg.norm(m))
@@ -180,10 +187,11 @@ def test_weyl_data_matches_closed_form(build):
 def test_weyl_data_guard_at_dirichlet_eigenvalues():
     # every eigenvalue of A_0, the reflection-odd modes of the square included
     et = elliptic_triple(build_2d(6, 6))
+    bt = generic_elliptic_triple(et)
     for ev in et.de.dirichlet_eigs:
         with pytest.raises(SpectrumPoint):
-            et.bt.weyl_data(complex(ev))
-    et.bt.weyl_data(complex(et.de.dirichlet_eigs[0]) + 0.1j)
+            bt.weyl_data(complex(ev))
+    bt.weyl_data(complex(et.de.dirichlet_eigs[0]) + 0.1j)
 
 
 def test_weyl_data_guard_at_constant_anchor():
