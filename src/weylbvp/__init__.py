@@ -1,11 +1,11 @@
 """weylbvp: elliptic boundary value problems with spectral-parameter-dependent
 boundary conditions, solved through boundary triples, Weyl functions and a
 selfadjoint linearization in a product space (finite-dimensional linear
-algebra: banded LU and banded eigenvalues for the Dirichlet operator, sparse
-LU for the direct oracle and the compressed resolvent, one dense LU per point
-for the gamma-field, Weyl function and resolvent of a generic boundary
-triple, dense boundary-size algebra, and a dense Hermitian eigensolve of the
-linearization that returns only the eigenpairs in a window).
+algebra: banded eigenvalues and one banded LU per point for the Dirichlet
+operator, which gives the elliptic triple's gamma-field, Weyl function and
+resolvent, sparse LU for the direct oracle and the compressed resolvent, one
+dense LU per point for those of a generic boundary triple, dense boundary-size
+algebra, and a windowed dense Hermitian eigensolve of the linearization).
 """
 
 __version__ = "1.0.0"

@@ -10,7 +10,8 @@ L_IB entry per boundary channel; every other form is derived from these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from collections.abc import Callable
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -93,12 +94,6 @@ class DiscreteElliptic:
         return self.spacing ** self.dim
 
     @property
-    def l_ii(self) -> np.ndarray:
-        """L_II as a dense matrix, built on each call: a reference for small
-        sizes, which no action reads."""
-        return self.sparse_blocks[0].toarray()
-
-    @property
     def l_ib(self) -> np.ndarray:
         """L_IB as a dense n_I x n_B matrix, built on each call."""
         return self.sparse_blocks[1].toarray()
@@ -112,20 +107,22 @@ class DiscreteElliptic:
         return float(self.dirichlet_eigs[0]) - 1.0
 
     @cached_property
-    def _full_band(self) -> np.ndarray:
-        """L_II in ``scipy.linalg.solve_banded`` storage, the upper band
-        mirrored below the diagonal: ab[u + i - j, j] = L_II[i, j]."""
+    def _lu_band(self) -> np.ndarray:
+        """L_II in LAPACK ``gbtrf`` storage, ab[2u + i - j, j] = L_II[i, j], the
+        upper band mirrored below the diagonal and u zero rows above it for
+        the fill of the row interchanges."""
         u = self.band.shape[0] - 1
-        ab = np.vstack([self.band, np.zeros((u, self.n_interior))])
+        ab = np.zeros((3 * u + 1, self.n_interior), order="F")    # factored in place
+        ab[u:2 * u + 1] = self.band
         for k in range(1, u + 1):
-            ab[u + k, :-k] = self.band[u - k, k:]
+            ab[2 * u + k, :-k] = self.band[u - k, k:]
         return ab
 
     @cached_property
     def sparse_blocks(self) -> tuple:
         """(L_II, L_IB) in compressed sparse column form."""
         n, nb, u = self.n_interior, self.n_boundary, self.band.shape[0] - 1
-        l_ii = scipy.sparse.dia_array((self._full_band, np.arange(u, -u - 1, -1)), shape=(n, n))
+        l_ii = scipy.sparse.dia_array((self._lu_band[u:], np.arange(u, -u - 1, -1)), shape=(n, n))
         l_ib = scipy.sparse.csc_array((self.coupling, (self.channel_rows, np.arange(nb))),
                                       shape=(n, nb))
         return scipy.sparse.csc_array(l_ii), l_ib
@@ -135,17 +132,38 @@ class DiscreteElliptic:
         scale = self.coupling if v.ndim == 1 else self.coupling[:, None]
         return scale * v[self.channel_rows]
 
-    def dirichlet_solve(self, lam: complex, rhs: np.ndarray) -> np.ndarray:
-        """(L_II - lam)^{-1} rhs for a vector or matrix rhs, by banded LU; the
-        package's one Dirichlet guard raises ``SpectrumPoint`` within
-        1e-10 max(1, max|mu|) of a Dirichlet eigenvalue mu."""
+    def dirichlet_factor(self, lam: complex) -> Callable[[np.ndarray], np.ndarray]:
+        """One LU of L_II - lam (LAPACK ``gbtrf``, ``gttrf`` for a tridiagonal
+        L_II) as the solve rhs -> (L_II - lam)^{-1} rhs of a vector or matrix.
+        The package's one Dirichlet guard raises ``SpectrumPoint`` within
+        1e-10 max(1, max|mu|) of a Dirichlet eigenvalue mu, and at an exactly
+        zero pivot.  A real lam's factor solves a complex rhs by its two parts."""
         eigs = self.dirichlet_eigs
         if np.min(np.abs(eigs - lam)) < 1e-10 * max(1.0, float(np.max(np.abs(eigs)))):
             raise SpectrumPoint(f"{lam} lies in the Dirichlet spectrum")
         u = self.band.shape[0] - 1
-        shifted = self._full_band.astype(np.result_type(self._full_band, lam))
-        shifted[u] -= lam                      # the main diagonal
-        return scipy.linalg.solve_banded((u, u), shifted, rhs, overwrite_ab=True)
+        shifted = self._lu_band.astype(np.result_type(self._lu_band, lam))
+        shifted[2 * u] -= lam                  # the main diagonal
+        if u == 1:
+            # gttrf divides by each pivot, gbtrf multiplies by its reciprocal:
+            # for -u'' at n = 799 that gives E_eta 27 times gttrf's error
+            trf, trs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (shifted,))
+            dl, d, du, du2, piv, info = trf(shifted[3, :-1], shifted[2], shifted[1, 1:])
+            factor = {"dl": dl, "d": d, "du": du, "du2": du2, "ipiv": piv}
+        else:
+            trf, trs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (shifted,))
+            lu, piv, info = trf(shifted, u, u, overwrite_ab=True)
+            factor = {"ab": lu, "kl": u, "ku": u, "ipiv": piv}
+        if info > 0:
+            raise SpectrumPoint(f"L_II - lambda at lambda={lam} is singular")
+        split = not np.iscomplexobj(shifted)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            if split and np.iscomplexobj(rhs):
+                return trs(b=rhs.real, **factor)[0] + 1j * trs(b=rhs.imag, **factor)[0]
+            return trs(b=rhs, **factor)[0]
+
+        return solve
 
     def eta_extension(self, eta: float) -> np.ndarray:
         """E_eta with (L_II - eta) E_eta + L_IB = 0."""
@@ -153,7 +171,7 @@ class DiscreteElliptic:
         size = np.abs(self.coupling)
         if np.any(size <= 1e-12 * max(1.0, float(size.max(initial=0.0)))):
             raise RankDeficientCoupling("a boundary channel is disconnected from the interior")
-        return -self.dirichlet_solve(eta, self.l_ib)
+        return -self.dirichlet_factor(eta)(self.l_ib)
 
 
 def build_1d(n: int, p=1.0, a=0.0, interval=(0.0, 1.0)) -> DiscreteElliptic:
@@ -256,7 +274,7 @@ class EllipticTriple:
     these T-coordinates first = [I, E_eta], second = [L_II, eta E_eta] and
     K_lam = [second - lam first; Gamma_0] = [[L_II - lam, (eta - lam) E_eta],
     [0, I]] is block upper triangular, so every point needs only the banded
-    solve of ``dirichlet_solve``: ``weyl_data``, ``green_residual`` and
+    LU of ``dirichlet_factor``: ``weyl_data``, ``green_residual`` and
     ``gamma_plus`` give ``verify_triple_identities`` what a dense
     ``BoundaryTriple`` gives it, and nothing of interior size n_I x n_I is
     formed.
@@ -290,28 +308,21 @@ class EllipticTriple:
         boundary condition adds to tau(lam) once the trace is eliminated."""
         return self.de.weight * self.de.apply_l_bi(self.extension)
 
-    def weyl_from_solve(self, lam: complex, sol: np.ndarray) -> np.ndarray:
-        """M(lam) = h^d (eta - lam) L_BI (T_D - lam)^{-1} E_eta from
-        sol = (T_D - lam)^{-1} E_eta: the package's one copy of the formula."""
-        return self.de.weight * (self.eta - lam) * self.de.apply_l_bi(sol)
-
-    def weyl(self, lam: complex) -> np.ndarray:
-        """M(lam), the discrete Dirichlet-to-Neumann map shifted by eta."""
-        return self.weyl_from_solve(lam, self.de.dirichlet_solve(lam, self.extension))
-
     def weyl_data(self, lam: complex) -> WeylData:
-        """gamma(lam) = E_eta + (lam - eta)(T_D - lam)^{-1} E_eta and M(lam)
-        from one guarded ``dirichlet_solve``.  The data's ``resolvent``
-        makes one banded solve per call: (T_D - lam)^{-1} x is the f_D part
-        of the element of A_0 = ker Gamma_0 (its y is 0), and
-        -h^d L_BI (T_D - lam)^{-1} x its Gamma_1 image."""
-        sol = self.de.dirichlet_solve(lam, self.extension)
-        return WeylData(lam, self.extension + (lam - self.eta) * sol,
-                        self.weyl_from_solve(lam, sol), partial(self._resolvent, lam))
+        """gamma(lam) = E_eta + (lam - eta)(T_D - lam)^{-1} E_eta and
+        M(lam) = h^d (eta - lam) L_BI (T_D - lam)^{-1} E_eta from one
+        ``dirichlet_factor``, which the data's ``resolvent`` reuses:
+        (T_D - lam)^{-1} x is the f_D part of the element of A_0 = ker Gamma_0
+        (its y is 0), and -h^d L_BI (T_D - lam)^{-1} x its Gamma_1 image."""
+        solve = self.de.dirichlet_factor(lam)
+        sol = solve(self.extension)
 
-    def _resolvent(self, lam: complex, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        res = self.de.dirichlet_solve(lam, x)
-        return res, -self.de.weight * self.de.apply_l_bi(res)
+        def resolvent(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            res = solve(x)
+            return res, -self.de.weight * self.de.apply_l_bi(res)
+
+        return WeylData(lam, self.extension + (lam - self.eta) * sol,
+                        self.de.weight * (self.eta - lam) * self.de.apply_l_bi(sol), resolvent)
 
     def gamma_plus(self, gamma_mat: np.ndarray) -> np.ndarray:
         """Adjoint G -> H of a map H <- G: gamma^+ = h^d gamma^H."""

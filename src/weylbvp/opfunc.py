@@ -69,9 +69,6 @@ class ConstantFunction:
     def eval(self, lam: complex) -> np.ndarray:
         return self.theta.copy()
 
-    def __call__(self, lam: complex) -> np.ndarray:
-        return self.eval(lam)
-
 
 @dataclass(frozen=True)
 class RationalNevanlinna:
@@ -137,9 +134,6 @@ class RationalNevanlinna:
             out = out + (c / (w - lam)) @ c.conj().T
         return out
 
-    def __call__(self, lam: complex) -> np.ndarray:
-        return self.eval(lam)
-
 
 @dataclass(frozen=True)
 class RepresentationForm:
@@ -181,9 +175,6 @@ class RepresentationForm:
         res = self.a0.resolvent(lam)
         op = (lam - l0.real) * np.eye(n) + (lam - l0) * (lam - np.conj(l0)) * res
         return self.c + self.gamma_plus() @ op @ self.gamma
-
-    def __call__(self, lam: complex) -> np.ndarray:
-        return self.eval(lam)
 
 
 def default_samples(g: int, seed: int = 0, count: int | None = None) -> list[complex]:

@@ -65,26 +65,23 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     f = (T_D-lam)^{-1}g - gamma(lam)(M(lam)+tau(lam))^{-1} gamma(conj lam)^* g.
 
     Raises ``SpectrumPoint`` on the Dirichlet spectrum (the guard of
-    ``dirichlet_solve``), outside the solvability set, and where f's pde or
+    ``dirichlet_factor``), outside the solvability set, and where f's pde or
     boundary residual exceeds ``RESIDUAL_LIMIT``: next to a Dirichlet
     eigenvalue T_D - lam is so ill-conditioned that f misses the problem.
     """
-    de = et.de
     g = np.asarray(g, dtype=complex)
-    # one factorization of T_D - lam serves the base solve, gamma(lam) and
-    # M(lam); gamma(conj lam) = conj gamma(lam) because T_D and E_eta are real
-    sol = de.dirichlet_solve(lam, np.column_stack([g, et.extension]))
-    base, rd = sol[:, 0], sol[:, 1:]
-    gam = et.extension + (lam - et.eta) * rd
+    # one factorization of T_D - lam gives gamma(lam), M(lam) and the base
+    # solve; gamma(conj lam) = conj gamma(lam) because T_D and E_eta are real
+    wd = et.weyl_data(lam)
+    gam = wd.gamma_mat
     tau_lam = tau.eval(lam)
-    mt = et.weyl_from_solve(lam, rd) + tau_lam
+    mt = wd.m_mat + tau_lam
     s = np.linalg.svd(mt, compute_uv=False)
     smin, scale = float(s[-1]), float(s[0])
     if smin <= U_THRESHOLD * max(scale, 1e-300):
         raise SpectrumPoint(f"lambda={lam} is outside the solvability set: "
                             f"sigma_min(M+tau)={smin:.3e} (scale {scale:.3e})")
-    gamma_bar_star = de.weight * gam.T
-    f = base - gam @ np.linalg.solve(mt, gamma_bar_star @ g)
+    f = wd.resolvent(g)[0] - gam @ np.linalg.solve(mt, et.gamma_plus(gam.conj()) @ g)
     r1, r2 = _problem_residuals(et, tau_lam, lam, f, g)
     if not max(r1, r2) <= RESIDUAL_LIMIT:
         raise SpectrumPoint(f"lambda={lam} is numerically in the spectrum: the perturbed "
@@ -268,8 +265,8 @@ def compressed_resolvent(lin: Linearization, lam: complex, g: np.ndarray) -> np.
     return lin.sparse_route.solve(lam, rhs, f"A - lambda at lambda={lam}")[:lin.n_interior]
 
 
-# The count is undefined this close (relative) to a Dirichlet eigenvalue or a
-# pole of tau: there the side of the computed pole decides it.
+# ``homogeneous_scan`` moves a window end where the count raises by this step
+# (relative to the window's largest |endpoint|, at least 1), doubling it.
 COUNT_GAP = 1e-11
 # The linearization eigensolve of ``homogeneous_scan`` covers the counted
 # window widened by this much (relative to the window's largest |endpoint|,
@@ -287,16 +284,13 @@ def eigenvalue_count(et: EllipticTriple, tau, x: float) -> int:
                + #{positive eigenvalues of M(x) + tau(x)}.
     For a rational Nevanlinna tau this counts the eigenvalues of the
     selfadjoint linearization, for a constant tau the eigenvalues of the
-    fixed extension (the real eigenvalues of its linearization).  Raises
-    ``SpectrumPoint`` within ``COUNT_GAP`` of a Dirichlet eigenvalue or a
-    pole.
+    fixed extension (the real eigenvalues of its linearization).  One
+    ``weyl_data`` gives M(x); its Dirichlet guard and the pole check of
+    ``tau.eval`` raise ``SpectrumPoint`` where the count is undefined.
     """
-    singular = np.concatenate([et.de.dirichlet_eigs, tau.poles()])
-    scale = max(1.0, abs(x), float(np.max(np.abs(singular))))
-    if np.min(np.abs(singular - x)) <= COUNT_GAP * scale:
-        raise SpectrumPoint(f"{x} is a Dirichlet eigenvalue or a pole of tau")
-    mt = et.weyl(x) + tau.eval(x)
+    mt = et.weyl_data(x).m_mat + tau.eval(x)
     inertia = np.linalg.eigvalsh((mt + mt.conj().T) / 2)
+    singular = np.concatenate([et.de.dirichlet_eigs, tau.poles()])
     return int(np.count_nonzero(singular < x) + np.count_nonzero(inertia > 0))
 
 

@@ -1,13 +1,15 @@
 """Reference computations shared by the test modules.
 
 The [[., .]]-adjoint of a relation by a full SVD and the subspace gaps built
-on it, the closed-form resolvent of the companion block, the closed-form
-gamma-field of the elliptic triple and that triple as a dense generic
-``BoundaryTriple``.  The package decides the same properties by cheaper
-means; these are what it is checked against.
+on it, the closed-form resolvent of the companion block, the dense Dirichlet
+block L_II, the closed-form gamma-field of the elliptic triple and that
+triple as a dense generic ``BoundaryTriple``.  The package decides the same
+properties by cheaper means; these are what it is checked against.  Last, a
+patch that keeps the dense L_II from the code under test.
 """
 
 import numpy as np
+import scipy.sparse
 
 from weylbvp import BoundaryTriple, KreinSpace, LinearRelation, Subspace, nullspace
 
@@ -46,9 +48,15 @@ def constant_state_resolvent(vartheta, lam, g):
     ])
 
 
+def dense_l_ii(de):
+    """L_II as a dense n_I x n_I matrix, for small sizes: the package keeps
+    it banded and sparse."""
+    return de.sparse_blocks[0].toarray()
+
+
 def elliptic_gamma(et, lam):
     """(I + (lam - eta)(T_D - lam)^{-1}) E_eta, the closed-form gamma-field."""
-    return et.extension + (lam - et.eta) * et.de.dirichlet_solve(lam, et.extension)
+    return et.extension + (lam - et.eta) * et.de.dirichlet_factor(lam)(et.extension)
 
 
 def generic_elliptic_triple(et):
@@ -58,7 +66,20 @@ def generic_elliptic_triple(et):
     matrix K_lam, where the package makes one banded solve."""
     de, ext, w = et.de, et.extension, et.de.weight
     n, nb = de.n_interior, de.n_boundary
-    t_basis = np.block([[np.eye(n), ext], [de.l_ii, et.eta * ext]])
+    t_basis = np.block([[np.eye(n), ext], [dense_l_ii(de), et.eta * ext]])
     g0 = np.hstack([np.zeros((nb, n)), np.eye(nb)])
     g1 = np.hstack([-w * de.l_ib.T, np.zeros((nb, nb))])
     return BoundaryTriple(KreinSpace(n, gram=w * np.eye(n)), nb, t_basis, g0, g1)
+
+
+def refuse_dense_square(monkeypatch, n):
+    """Make the ``toarray`` of every sparse array format raise on an n x n
+    result: with n = n_I, the code under test may not densify L_II."""
+    for cls in (scipy.sparse.csc_array, scipy.sparse.csr_array,
+                scipy.sparse.coo_array, scipy.sparse.dia_array):
+        def refusing(self, *args, _toarray=cls.toarray, **kwargs):
+            if self.shape == (n, n):
+                raise AssertionError(f"dense {n}x{n} array built")
+            return _toarray(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "toarray", refusing)

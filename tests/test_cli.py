@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from weylbvp import BoundaryTriple, ConfigError, DiscreteElliptic, EllipticTriple, KreinSpace
 from weylbvp.cli import main, make_coefficient
+
+from oracles import refuse_dense_square
 
 
 BASE = {
@@ -85,7 +88,7 @@ def test_solve_outside_solvable_set_exits_2(tmp_path):
     import numpy as np
     from weylbvp import build_1d, elliptic_triple
     et = elliptic_triple(build_1d(25))
-    theta = -float(np.min(np.linalg.eigvalsh(et.weyl(8.5).real)))
+    theta = -float(np.min(np.linalg.eigvalsh(et.weyl_data(8.5).m_mat.real)))
     cfg = write_cfg(tmp_path, {"tau": {"kind": "constant", "theta": theta},
                                "lambda": [8.5, 0.0]})
     code, _ = run(tmp_path, cfg, "solve")
@@ -244,11 +247,19 @@ def test_verify_passes(tmp_path):
 @pytest.mark.parametrize("tau", [BASE["tau"], {"kind": "constant", "theta": 2.0}],
                          ids=["rational", "constant"])
 def test_verify_factors_each_point_once(tmp_path, monkeypatch, tau):
-    # the elliptic triple's per-point data (one banded solve) and the
-    # realized triple's (one LU of K_lam) are each taken once per point; the
+    # the elliptic triple's per-point data (one banded LU) and the realized
+    # triple's (one LU of K_lam) are each taken once per point; the
     # realization's Weyl residual reads M(lam) from the data that its
-    # identity check takes at the same point
+    # identity check takes at the same point.  L_II - lam is factored 19
+    # times: once for E_eta, at the five samples and their conjugates, and
+    # at the eight probes of the perturbed resolvent
     calls = []
+    factored = []
+    dirichlet_factor = DiscreteElliptic.dirichlet_factor
+
+    def factor(self, lam):
+        factored.append(complex(lam))
+        return dirichlet_factor(self, lam)
 
     def counting(cls):
         weyl_data = cls.weyl_data
@@ -260,19 +271,19 @@ def test_verify_factors_each_point_once(tmp_path, monkeypatch, tau):
 
     for cls in (BoundaryTriple, EllipticTriple):
         monkeypatch.setattr(cls, "weyl_data", counting(cls))
-    code, out = run(tmp_path, write_cfg(tmp_path, {"tau": tau}), "verify")
+    monkeypatch.setattr(DiscreteElliptic, "dirichlet_factor", factor)
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 6, "ny": 6}, "tau": tau})
+    code, out = run(tmp_path, cfg, "verify")
     assert code == 0
     assert json.loads((out / "report.json").read_text())["ok"] is True
     assert len({triple for triple, _ in calls}) == 2
     assert len(calls) == len(set(calls))
+    assert len(factored) == len(set(factored)) == 19
 
 
 def test_verify_stays_in_boundary_size(tmp_path, monkeypatch):
     # no dense L_II and no state space of interior size: the elliptic triple
-    # is checked through its banded solve
-    def refuse(self):
-        raise AssertionError("dense L_II built")
-
+    # is checked through its banded LU
     dims = []
     original = KreinSpace.__post_init__
 
@@ -280,7 +291,7 @@ def test_verify_stays_in_boundary_size(tmp_path, monkeypatch):
         dims.append(self.dim)
         original(self)
 
-    monkeypatch.setattr(DiscreteElliptic, "l_ii", property(refuse))
+    refuse_dense_square(monkeypatch, 8 * 8)
     monkeypatch.setattr(KreinSpace, "__post_init__", counting)
     cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 8, "ny": 8}})
     code, out = run(tmp_path, cfg, "verify")
@@ -290,10 +301,20 @@ def test_verify_stays_in_boundary_size(tmp_path, monkeypatch):
 
 
 def test_verify_catches_a_wrong_closed_form(tmp_path, monkeypatch):
-    # the closed-form suite compares weyl with M from the unreduced Dirichlet
-    # problem, so a wrong weyl fails it
-    weyl = EllipticTriple.weyl
-    monkeypatch.setattr(EllipticTriple, "weyl", lambda self, lam: (1 + 1e-6) * weyl(self, lam))
+    # the closed-form suite compares the M of the sample points' weyl_data
+    # with M from the unreduced Dirichlet problem, so a wrong M fails it.  M
+    # is wrong at the first point the action evaluates, its first sample, and
+    # right at the later ones, so that the perturbed resolvent's probes solve
+    # and the action writes its report
+    weyl_data = EllipticTriple.weyl_data
+    points = []
+
+    def scaled(self, lam):
+        wd = weyl_data(self, lam)
+        points.append(lam)
+        return dataclasses.replace(wd, m_mat=(1 + 1e-6) * wd.m_mat) if len(points) == 1 else wd
+
+    monkeypatch.setattr(EllipticTriple, "weyl_data", scaled)
     code, out = run(tmp_path, write_cfg(tmp_path), "verify")
     assert code == 2
     report = json.loads((out / "report.json").read_text())

@@ -1,10 +1,10 @@
 """Finite-difference discretizations and their boundary triples."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import weylbvp.elliptic
 from weylbvp import (
@@ -29,7 +29,7 @@ from weylbvp import (
 )
 from weylbvp.solver import eigenvalue_count
 
-from oracles import elliptic_gamma, generic_elliptic_triple
+from oracles import dense_l_ii, elliptic_gamma, generic_elliptic_triple, refuse_dense_square
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,7 @@ def l_bi_is_transpose(de):
 def test_1d_symmetry_and_spectrum_shift():
     de = build_1d(30)
     assert l_bi_is_transpose(de)
-    assert np.linalg.norm(de.l_ii - de.l_ii.T) == 0.0
+    assert np.linalg.norm(dense_l_ii(de) - dense_l_ii(de).T) == 0.0
     shifted = build_1d(30, a=2.5)
     assert np.allclose(np.sort(shifted.dirichlet_eigs),
                        np.sort(de.dirichlet_eigs) + 2.5, atol=1e-10)
@@ -75,7 +75,7 @@ def test_2d_symmetry_and_boundary_ordering():
     # rectangle chosen so both directions share the same spacing h = 0.2
     de = build_2d(4, 5, rect=(0.0, 1.0, 0.0, 1.2))
     assert l_bi_is_transpose(de)
-    assert np.linalg.norm(de.l_ii - de.l_ii.T) == 0.0
+    assert np.linalg.norm(dense_l_ii(de) - dense_l_ii(de).T) == 0.0
     assert de.n_boundary == 2 * 4 + 2 * 5 - 4
     # counterclockwise from the lower-left corner; each side starts at its
     # corner: bottom L->R, right B->T, top R->L, left T->B
@@ -208,13 +208,13 @@ def test_stencil_bit_identical_to_loop_assembly(name):
                         "2d-wide": (7, 4, (0.0, 0.8, 0.0, 0.5))}[name]
         de = build_2d(nx, ny, a11=a11_2d, a22=a22_2d, a=a_2d, rect=rect)
         ref = loop_assembly_2d(nx, ny, a11_2d, a22_2d, a_2d, rect)
-    assert np.array_equal(de.l_ii, ref[0])
+    assert np.array_equal(dense_l_ii(de), ref[0])
     assert np.array_equal(de.l_ib, ref[1])
 
 
 def test_dirichlet_resolvent_positive():
     de = build_1d(20)
-    r = np.linalg.inv(de.l_ii + np.eye(20))
+    r = np.linalg.inv(dense_l_ii(de) + np.eye(20))
     assert np.min(np.linalg.eigvalsh((r + r.T) / 2)) > 0
 
 
@@ -238,7 +238,7 @@ def test_banded_bandwidths(name):
     build, (lower, upper) = BANDED_PROBLEMS[name]
     de = build()
     assert de.band.shape == (upper + 1, de.n_interior)
-    rows, cols = np.nonzero(de.l_ii)
+    rows, cols = np.nonzero(dense_l_ii(de))
     assert (int(np.max(rows - cols)), int(np.max(cols - rows))) == (lower, upper)
 
 
@@ -247,13 +247,16 @@ def test_dirichlet_solve_matches_dense(name):
     de = BANDED_PROBLEMS[name][0]()
     n = de.n_interior
     rng = np.random.default_rng(11)
-    # below the spectrum, between eigenvalues, and off the real axis
+    # below the spectrum, between eigenvalues, and off the real axis; a real
+    # lambda gives a real factor, which must keep a complex rhs's imaginary part
     for lam in (2.5, 100.5, 1 + 1j, -0.5 - 2j):
         vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         mat = rng.standard_normal((n, 3))
-        for rhs in (vec, mat):
-            ref = np.linalg.solve(de.l_ii - lam * np.eye(n), rhs)
-            got = de.dirichlet_solve(lam, rhs)
+        cmat = mat + 1j * rng.standard_normal((n, 3))
+        solve = de.dirichlet_factor(lam)
+        for rhs in (vec, mat, cmat):
+            ref = np.linalg.solve(dense_l_ii(de) - lam * np.eye(n), rhs)
+            got = solve(rhs)
             assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -261,7 +264,7 @@ def test_dirichlet_solve_matches_dense(name):
 @pytest.mark.parametrize("name", ["1d-variable-p", "2d-6x6", "2d-4x6"])
 def test_dirichlet_eigs_match_dense(name):
     de = BANDED_PROBLEMS[name][0]()
-    ref = np.linalg.eigvalsh(de.l_ii)
+    ref = np.linalg.eigvalsh(dense_l_ii(de))
     got = de.dirichlet_eigs
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -275,7 +278,7 @@ def test_eta_extension_defining_residual():
     de = build_1d(20)
     eta = de.default_eta()
     e = de.eta_extension(eta)
-    assert np.linalg.norm((de.l_ii - eta * np.eye(20)) @ e + de.l_ib) <= 1e-10
+    assert np.linalg.norm((dense_l_ii(de) - eta * np.eye(20)) @ e + de.l_ib) <= 1e-10
 
 
 def test_eta_zero_extension_is_linear_interpolant():
@@ -302,18 +305,21 @@ def test_eta_extension_rejects_spectrum():
 @pytest.mark.parametrize("k", [0, 4])
 @pytest.mark.parametrize("de", [build_1d(30), build_2d(6, 6)], ids=["1d", "2d"])
 def test_every_dirichlet_entry_point_refuses_a_dirichlet_eigenvalue(de, k):
-    """The one guard in ``dirichlet_solve`` covers every solve with T_D - mu:
-    the Weyl function, the perturbed resolvent and the eta-extension."""
+    """The one guard in ``dirichlet_factor`` covers every solve with T_D - mu:
+    the Weyl function, the perturbed resolvent, the count and the
+    eta-extension."""
     et = elliptic_triple(de)
     mu = float(de.dirichlet_eigs[k])
     tau = ConstantFunction(theta=2.0 * np.eye(de.n_boundary))
     g = np.ones(de.n_interior, dtype=complex)
     with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
-        de.dirichlet_solve(mu, g)
+        de.dirichlet_factor(mu)
     with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
-        et.weyl(mu)
+        et.weyl_data(mu)
     with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
         krein_resolve(et, tau, mu, g)
+    with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
+        eigenvalue_count(et, tau, mu)
     with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
         elliptic_triple(de, mu)
 
@@ -382,7 +388,7 @@ def test_weyl_closed_form(et1d, et2d):
     for et in (et1d, et2d):
         bt = generic_elliptic_triple(et)
         for lam in (1 + 1j, 0.5 - 0.75j):
-            m1, m2 = bt.weyl_data(lam).m_mat, et.weyl(lam)
+            m1, m2 = bt.weyl_data(lam).m_mat, et.weyl_data(lam).m_mat
             assert np.linalg.norm(m1 - m2, 2) <= 1e-9 * max(1.0, np.linalg.norm(m2, 2))
             assert np.array_equal(et.weyl_data(lam).m_mat, m2)
 
@@ -440,9 +446,9 @@ def test_weyl_matches_dense_closed_form(et1d, et2d):
         de = et.de
         n = de.n_interior
         for lam in (1 + 1j, 0.5 - 0.75j, -3.0):
-            sol = np.linalg.solve(de.l_ii - lam * np.eye(n), et.extension)
+            sol = np.linalg.solve(dense_l_ii(de) - lam * np.eye(n), et.extension)
             ref = de.weight * (et.eta - lam) * (de.l_ib.T @ sol)
-            assert np.linalg.norm(et.weyl(lam) - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.linalg.norm(et.weyl_data(lam).m_mat - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_gamma_conjugate_symmetry(et1d, et2d):
@@ -455,7 +461,8 @@ def test_gamma_conjugate_symmetry(et1d, et2d):
 
 def test_weyl_conjugate_symmetry(et1d):
     lam = 0.8 + 1.1j
-    assert np.linalg.norm(et1d.weyl(np.conj(lam)) - et1d.weyl(lam).conj().T) <= 1e-10
+    m, m_conj = et1d.weyl_data(lam).m_mat, et1d.weyl_data(np.conj(lam)).m_mat
+    assert np.linalg.norm(m_conj - m.conj().T) <= 1e-10
 
 
 def test_gambar_identity_elliptic(et1d):
@@ -464,7 +471,7 @@ def test_gambar_identity_elliptic(et1d):
     n = de.n_interior
     for lam in (1 + 1j, -0.5 + 2j):
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        r = np.linalg.solve(de.l_ii - lam * np.eye(n), h)
+        r = np.linalg.solve(dense_l_ii(de) - lam * np.eye(n), h)
         lhs = de.weight * elliptic_gamma(et1d, np.conj(lam)).conj().T @ h
         rhs = -de.weight * de.l_ib.T @ r
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
@@ -484,7 +491,7 @@ def test_direct_solve_large_theta_approaches_dirichlet(et1d):
     rng = np.random.default_rng(4)
     g = rng.standard_normal(30)
     lam = 1.0 + 1.0j
-    fd = np.linalg.solve(et1d.de.l_ii - lam * np.eye(30), g)
+    fd = np.linalg.solve(dense_l_ii(et1d.de) - lam * np.eye(30), g)
     errs = []
     for scale in (1e2, 1e4, 1e6):
         tau = ConstantFunction(theta=scale * np.eye(2))
@@ -495,17 +502,50 @@ def test_direct_solve_large_theta_approaches_dirichlet(et1d):
 
 
 def test_krein_resolve_factors_once(et1d, monkeypatch):
+    # and so does a count
     calls = []
-    banded = scipy.linalg.solve_banded
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return banded(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "solve_banded", counting)
+    factor = DiscreteElliptic.dirichlet_factor
+    monkeypatch.setattr(DiscreteElliptic, "dirichlet_factor",
+                        lambda self, lam: calls.append(lam) or factor(self, lam))
     tau = RationalNevanlinna(alpha=(np.zeros((2, 2)),), beta=(np.eye(2),))
     krein_resolve(et1d, tau, 0.4 + 1.5j, np.ones(30))
     assert len(calls) == 1
+    eigenvalue_count(et1d, tau, 3.7)
+    assert calls[1:] == [3.7]
+
+
+@pytest.mark.parametrize("de", [build_1d(30), build_2d(6, 4, rect=(0.0, 1.4, 0.0, 1.0))],
+                         ids=["1d", "2d"])
+def test_zero_pivot_is_a_spectrum_point(de, monkeypatch):
+    # L_II with row and column 0 zeroed is exactly singular at lambda = 0;
+    # past a Dirichlet guard that sees no eigenvalue, the zero pivot of
+    # gttrf (1D) or gbtrf (2D) must end as SpectrumPoint, not as a LAPACK error
+    band = de.band.copy()
+    u = band.shape[0] - 1
+    for j in range(u + 1):
+        band[u - j, j] = 0.0
+    singular = dataclasses.replace(de, band=band)
+    monkeypatch.setattr(DiscreteElliptic, "dirichlet_eigs", np.array([1e300]))
+    with pytest.raises(SpectrumPoint, match="lambda=0.0 is singular"):
+        singular.dirichlet_factor(0.0)
+
+
+def test_no_reference_cycles_on_the_point_paths(et1d):
+    # each request's factor must be freed by reference counting: a cycle
+    # would keep it alive until the cyclic collector runs
+    tau = RationalNevanlinna(alpha=(np.zeros((2, 2)), -2 * np.eye(2)),
+                             beta=(np.eye(2), np.eye(2)))
+    g = np.ones(30, dtype=complex)
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(20):
+            krein_resolve(et1d, tau, 0.4 + (1 + k) * 0.1j, g)
+            et1d.weyl_data(0.3 - (1 + k) * 0.1j).resolvent(g)
+            eigenvalue_count(et1d, tau, 0.5 + 0.3 * k)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_direct_solve_matches_krein(et1d):
@@ -526,7 +566,7 @@ def dense_direct_solve(et, tau, lam, g):
     de = et.de
     n, nb = de.n_interior, de.n_boundary
     sys = np.zeros((n + nb, n + nb), dtype=complex)
-    sys[:n, :n] = de.l_ii - lam * np.eye(n)
+    sys[:n, :n] = dense_l_ii(de) - lam * np.eye(n)
     sys[:n, n:] = (et.eta - lam) * et.extension
     sys[n:, :n] = -de.weight * de.l_ib.T
     sys[n:, n:] = tau.eval(lam)
@@ -631,11 +671,8 @@ def test_cached_compressed_route_matches_fresh_dense_solve(monkeypatch):
 
 
 def test_solve_and_count_build_no_dense_l_ii(monkeypatch):
-    def refuse(self):
-        raise AssertionError("dense L_II built")
-
-    monkeypatch.setattr(DiscreteElliptic, "l_ii", property(refuse))
     de = build_2d(6, 4, a11=a11_2d, a22=a22_2d, a=a_2d, rect=(0.0, 1.4, 0.0, 1.0))
+    refuse_dense_square(monkeypatch, de.n_interior)
     et = elliptic_triple(de)
     tau = reference_taus(de.n_boundary)["rational"][0]
     rng = np.random.default_rng(31)
@@ -645,6 +682,8 @@ def test_solve_and_count_build_no_dense_l_ii(monkeypatch):
     assert np.linalg.norm(rep.f - f) <= 1e-10 * np.linalg.norm(f)
     assert max(rep.pde_residual, rep.bc_residual) <= 1e-10
     assert eigenvalue_count(et, tau, 2.345) >= 0
+    with pytest.raises(AssertionError, match="dense"):
+        dense_l_ii(de)
 
 
 def test_dense_memory_guard(monkeypatch):

@@ -3,6 +3,7 @@ a caller, and every error class says which exit code it earns."""
 
 import ast
 import collections
+import importlib
 import inspect
 import io
 import tokenize
@@ -17,13 +18,14 @@ BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def public_definitions(path):
-    """Names of the public top-level functions and of the public methods of
-    the top-level classes of one module, with repetition."""
+    """(class, name) of the public top-level functions (class None) and of
+    the public methods and properties of the top-level classes of one
+    module, with repetition."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for member in members:
+        owner = node.name if isinstance(node, ast.ClassDef) else None
+        for member in node.body if owner else [node]:
             if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                yield member.name
+                yield owner, member.name
 
 
 def names(path):
@@ -33,19 +35,37 @@ def names(path):
             if tok.type == tokenize.NAME]
 
 
+def attributes(path):
+    """Every name that one file reaches as an attribute, ``x.name``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+
+
+def overrides(path, owner, name):
+    """Whether the method overrides one of a base class, whose own callers
+    reach it."""
+    cls = getattr(importlib.import_module(f"weylbvp.{path.stem}"), owner)
+    return any(name in vars(base) for base in cls.__mro__[1:])
+
+
 def test_every_public_definition_has_a_caller():
     """A public name must occur as a NAME token in the package's modules (not
     ``__init__.py``, whose re-exports are no callers) or in the benchmark's
-    scripts more often than it is defined there.  The scan counts tokens, not
-    bindings, so a method named like another identifier passes vacuously: a
-    ``gram`` or ``gamma`` method is matched by the fields ``KreinSpace.gram``
-    and ``RepresentationForm.gamma``, and a ``weyl`` method by any call of
-    ``EllipticTriple.weyl``."""
-    defined = collections.Counter(
-        name for path in MODULES for name in public_definitions(path))
+    scripts more often than it is defined there.  A public method or
+    property of a class must moreover be reached as ``.name`` there, unless
+    it overrides a base-class method (``cli._ArgumentParser.error``).  The
+    scans match names, not bindings, so a method named like another
+    attribute passes vacuously: a ``gram`` or ``gamma`` method is matched by
+    the fields ``KreinSpace.gram`` and ``RepresentationForm.gamma``."""
+    found = [(path, owner, name) for path in MODULES for owner, name in public_definitions(path)]
+    defined = collections.Counter(name for _, _, name in found)
     used = collections.Counter(name for path in MODULES + BENCHMARK for name in names(path))
     uncalled = sorted(name for name, count in defined.items() if used[name] <= count)
     assert not uncalled, f"public names without a caller: {uncalled}"
+    reached = set().union(*(attributes(path) for path in MODULES + BENCHMARK))
+    unreached = sorted(f"{path.stem}.{owner}.{name}" for path, owner, name in found
+                       if owner and name not in reached and not overrides(path, owner, name))
+    assert not unreached, f"methods never reached as an attribute: {unreached}"
 
 
 def test_every_error_class_has_an_exit_code():

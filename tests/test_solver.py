@@ -37,7 +37,7 @@ from weylbvp import solver
 from weylbvp.elliptic import EllipticTriple
 from weylbvp.solver import WINDOW_PAD, Linearization, eigenvalue_count
 
-from oracles import elliptic_gamma
+from oracles import dense_l_ii, elliptic_gamma
 
 
 def rational_m2(g):
@@ -234,8 +234,18 @@ def test_every_evaluation_raises_spectrum_point_at_a_pole(et1d):
         krein_resolve(et1d, tau, -2.0, g)
     with pytest.raises(SpectrumPoint, match="is a pole of the rational function"):
         direct_solve(et1d, tau, -2.0, g)
-    with pytest.raises(SpectrumPoint, match="is a Dirichlet eigenvalue or a pole of tau"):
+    with pytest.raises(SpectrumPoint, match="is a pole of the rational function"):
         eigenvalue_count(et1d, tau, -2.0)
+
+
+def test_count_refuses_a_point_next_to_a_dirichlet_eigenvalue():
+    # the count has no guard of its own: the Dirichlet guard of its one
+    # factorization refuses a point this close to mu_1
+    et = elliptic_triple(build_1d(30))
+    eigs = et.de.dirichlet_eigs
+    x = float(eigs[0] + 5e-12 * np.max(np.abs(eigs)))
+    with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
+        eigenvalue_count(et, rational_m2(2), x)
 
 
 def test_exactly_singular_factorization_is_a_domain_error():
@@ -304,7 +314,7 @@ def _dense_coupling_linearization(et, realized):
     q[n + nk + nb:, n + nb:] = realized.g1
     u = np.linalg.solve(q, s)
     r = np.zeros((n + nk, nu), dtype=complex)
-    r[:n, :n] = de.l_ii
+    r[:n, :n] = dense_l_ii(de)
     r[:n, n:n + nb] = et.eta * et.extension
     r[n:, n + nb:] = realized.second
     gram = np.zeros((n + nk, n + nk), dtype=complex)
@@ -426,7 +436,7 @@ def test_outside_u_at_scan_root(et1d):
         krein_resolve(et1d, tau, root, np.ones(40))
     # the two singularity notions agree: the trace operator M + tau is
     # numerically singular exactly where the assembled system is
-    s = np.linalg.svd(et1d.weyl(root) + tau.eval(root), compute_uv=False)
+    s = np.linalg.svd(et1d.weyl_data(root).m_mat + tau.eval(root), compute_uv=False)
     assert s[-1] <= 1e-6 * max(s[0], 1.0)
     assert not in_solvable_set(et1d, tau, root)
     assert in_solvable_set(et1d, tau, root + 0.5j)
@@ -465,7 +475,7 @@ def test_uniqueness_defect_perturbation(dim, et1d, et2d):
         defect = elliptic_gamma(et, lam) @ x
         # the defect element solves the interior equation with trace x ...
         assert np.linalg.norm(
-            (de.l_ii - lam * np.eye(n)) @ defect + de.l_ib @ x) <= 1e-8
+            (dense_l_ii(de) - lam * np.eye(n)) @ defect + de.l_ib @ x) <= 1e-8
         # ... so adding it keeps the interior consistent but must violate
         # the boundary condition, and the residual check detects it
         r1, r2 = _problem_residuals(et, tau.eval(lam), lam, rep.f + defect, g)
@@ -500,9 +510,9 @@ def test_eigen_takes_no_svd_and_one_weyl_per_count(et2d, monkeypatch):
     for owner in (np.linalg, scipy.linalg):
         monkeypatch.setattr(owner, "svd", forbidden)
     points = []
-    weyl = EllipticTriple.weyl
-    monkeypatch.setattr(EllipticTriple, "weyl",
-                        lambda self, lam: points.append(lam) or weyl(self, lam))
+    weyl_data = EllipticTriple.weyl_data
+    monkeypatch.setattr(EllipticTriple, "weyl_data",
+                        lambda self, lam: points.append(lam) or weyl_data(self, lam))
     report = eigen_correspondence(lin, et2d, tau, (0.2, 9.0))
     assert report["ok"] and report["eigenvalues"]
     assert len(points) == len(report["counts"])
