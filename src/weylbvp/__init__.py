@@ -1,11 +1,13 @@
 """weylbvp: elliptic boundary value problems with spectral-parameter-dependent
 boundary conditions, solved through boundary triples, Weyl functions and a
 selfadjoint linearization in a product space (finite-dimensional linear
-algebra: banded eigenvalues and one banded LU per point for the Dirichlet
-operator, which gives the elliptic triple's gamma-field, Weyl function and
-resolvent, sparse LU for the direct oracle and the compressed resolvent, one
-dense LU per point for those of a generic boundary triple, dense boundary-size
-algebra, and a windowed dense Hermitian eigensolve of the linearization).
+algebra: one banded LU per point for the Dirichlet operator, which gives the
+elliptic triple's gamma-field, Weyl function and resolvent, and one
+shift-invert Lanczos run on it for the lowest Dirichlet eigenvalue, sparse LU
+for the direct oracle and the compressed resolvent, one symmetric sparse
+factorization per eigenvalue count, one dense LU per point for the data of a
+generic boundary triple, dense boundary-size algebra, and a windowed dense
+Hermitian eigensolve of the linearization).
 """
 
 __version__ = "1.0.0"

@@ -356,6 +356,9 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
     sample_pts = [complex(rng.uniform(-1, 1), rng.uniform(0.5, 2) * s)
                   for s in (1, -1, 1, -1, 1)]
     data = {lam: et.weyl_data(lam) for lam in sample_pts}
+    # the identities' conjugate points come from the samples' factors
+    data |= {np.conj(lam): et.conjugate_data(data[lam]) for lam in sample_pts
+             if np.conj(lam) not in data}
     ids = verify_triple_identities(et, sample_pts, seed=seed, data=data)
     suites["triple_identities"] = ids
     for name, val in ids.items():

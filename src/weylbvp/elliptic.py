@@ -100,11 +100,44 @@ class DiscreteElliptic:
 
     @cached_property
     def dirichlet_eigs(self) -> np.ndarray:
-        """Eigenvalues of the symmetric L_II in increasing order."""
+        """All n eigenvalues of the symmetric L_II in increasing order, by a band
+        reduction that costs O(n^2 u): a reference for checks, which no action
+        computes."""
         return scipy.linalg.eigvals_banded(self.band)
 
     def default_eta(self) -> float:
-        return float(self.dirichlet_eigs[0]) - 1.0
+        """mu_1 - 1 for the lowest Dirichlet eigenvalue mu_1, from one
+        shift-invert Lanczos run on the ``dirichlet_factor`` at a shift 1 below
+        Gershgorin's lower bound of the spectrum, where L_II - shift is positive
+        definite, so that the eigenvalue nearest the shift is mu_1.  The start
+        vector is all ones: fixed, and not orthogonal to the lowest
+        eigenvector, which is positive because no off-diagonal entry of L_II
+        is.  A stencil so large that the shift rounds onto the bound raises
+        ``SpectrumPoint``: eta would round onto the spectrum too."""
+        # imported on first use, as in ``sparse_lu``
+        import scipy.sparse.linalg
+        l_ii, n = self.sparse_blocks[0], self.n_interior
+        bound = float(np.min(self.band[-1] - self._radius))
+        shift = bound - 1.0
+        if not shift < bound:
+            raise SpectrumPoint(f"the Dirichlet spectrum starts above {bound:.6e}, where "
+                                "eta = mu_1 - 1 does not resolve from mu_1")
+        inverse = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=self.dirichlet_factor(shift), dtype=float)
+        # six Lanczos vectors: eigsh's default of 20 takes half as long again
+        # at 1D n = 399 for the same mu_1
+        mu = scipy.sparse.linalg.eigsh(l_ii, k=1, sigma=shift, OPinv=inverse, tol=0,
+                                       v0=np.ones(n), ncv=min(n, 6),
+                                       return_eigenvectors=False)
+        return float(mu[0]) - 1.0
+
+    @cached_property
+    def _radius(self) -> np.ndarray:
+        """The absolute off-diagonal row sums of L_II, which are its column
+        sums too: L_II is symmetric."""
+        l_ii = self.sparse_blocks[0].tocoo()
+        off = l_ii.row != l_ii.col
+        return np.bincount(l_ii.row[off], np.abs(l_ii.data[off]), self.n_interior)
 
     @cached_property
     def _lu_band(self) -> np.ndarray:
@@ -135,15 +168,15 @@ class DiscreteElliptic:
     def dirichlet_factor(self, lam: complex) -> Callable[[np.ndarray], np.ndarray]:
         """One LU of L_II - lam (LAPACK ``gbtrf``, ``gttrf`` for a tridiagonal
         L_II) as the solve rhs -> (L_II - lam)^{-1} rhs of a vector or matrix.
-        The package's one Dirichlet guard raises ``SpectrumPoint`` within
-        1e-10 max(1, max|mu|) of a Dirichlet eigenvalue mu, and at an exactly
-        zero pivot.  A real lam's factor solves a complex rhs by its two parts."""
-        eigs = self.dirichlet_eigs
-        if np.min(np.abs(eigs - lam)) < 1e-10 * max(1.0, float(np.max(np.abs(eigs)))):
-            raise SpectrumPoint(f"{lam} lies in the Dirichlet spectrum")
+        The package's one Dirichlet guard, the rule of ``sparse_lu``: it raises
+        ``SpectrumPoint`` at an exactly zero pivot and where the condition
+        estimate ||L_II - lam||_1 est||(L_II - lam)^{-1}||_1 reaches
+        ``COND_LIMIT``.  A real lam's factor solves a complex rhs by its two
+        parts."""
         u = self.band.shape[0] - 1
         shifted = self._lu_band.astype(np.result_type(self._lu_band, lam))
         shifted[2 * u] -= lam                  # the main diagonal
+        norm = float(np.max(self._radius + np.abs(shifted[2 * u])))
         if u == 1:
             # gttrf divides by each pivot, gbtrf multiplies by its reciprocal:
             # for -u'' at n = 799 that gives E_eta 27 times gttrf's error
@@ -155,7 +188,8 @@ class DiscreteElliptic:
             lu, piv, info = trf(shifted, u, u, overwrite_ab=True)
             factor = {"ab": lu, "kl": u, "ku": u, "ipiv": piv}
         if info > 0:
-            raise SpectrumPoint(f"L_II - lambda at lambda={lam} is singular")
+            raise SpectrumPoint(f"L_II - lambda at lambda={lam} is singular: "
+                                "lambda is in the Dirichlet spectrum")
         split = not np.iscomplexobj(shifted)
 
         def solve(rhs: np.ndarray) -> np.ndarray:
@@ -163,6 +197,14 @@ class DiscreteElliptic:
                 return trs(b=rhs.real, **factor)[0] + 1j * trs(b=rhs.imag, **factor)[0]
             return trs(b=rhs, **factor)[0]
 
+        # L_II is real symmetric, so (L_II - lam)^H = conj (L_II - lam) conj
+        cond = norm * _inverse_onenorm(
+            lambda b, trans="N": solve(b) if trans == "N" else solve(b.conj()).conj(),
+            self.n_interior)
+        if not cond < COND_LIMIT:
+            raise SpectrumPoint(f"L_II - lambda at lambda={lam} is numerically singular "
+                                f"(1-norm condition estimate {cond:.3e}): lambda is in "
+                                "the Dirichlet spectrum")
         return solve
 
     def eta_extension(self, eta: float) -> np.ndarray:
@@ -303,6 +345,18 @@ class EllipticTriple:
         return SparseRoute(base, de.n_interior, de.n_boundary, "COLAMD")
 
     @cached_property
+    def count_route(self) -> SparseRoute:
+        """The bordered matrix S(x) = [[L_II - x, L_IB], [L_IB^T, T]] of the
+        eigenvalue count as a symmetric ``SparseRoute``, built on first use:
+        the shift by x acts on the interior and T is the trailing n_B x n_B
+        block.  Minimum degree on S + S^T orders it once per triple, so the
+        dense boundary block is eliminated last."""
+        l_ii, l_ib = self.de.sparse_blocks
+        base = scipy.sparse.bmat([[l_ii, l_ib], [l_ib.T, None]], format="coo")
+        return SparseRoute(base, self.de.n_interior, self.de.n_boundary, "MMD_AT_PLUS_A",
+                           symmetric=True)
+
+    @cached_property
     def boundary_block(self) -> np.ndarray:
         """h^d L_BI E_eta: the lambda-independent n_B x n_B term that the
         boundary condition adds to tau(lam) once the trace is eliminated."""
@@ -323,6 +377,17 @@ class EllipticTriple:
 
         return WeylData(lam, self.extension + (lam - self.eta) * sol,
                         self.de.weight * (self.eta - lam) * self.de.apply_l_bi(sol), resolvent)
+
+    def conjugate_data(self, wd: WeylData) -> WeylData:
+        """``weyl_data`` at conj lam from the data at lam, with no factorization:
+        L_II and E_eta are real, so gamma(conj lam) = conj gamma(lam),
+        M(conj lam) = conj M(lam), and the resolvent at conj lam is
+        x -> conj of the resolvent at lam of conj x."""
+        def resolvent(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            res, image = wd.resolvent(x.conj())
+            return res.conj(), image.conj()
+
+        return WeylData(np.conj(wd.lam), wd.gamma_mat.conj(), wd.m_mat.conj(), resolvent)
 
     def gamma_plus(self, gamma_mat: np.ndarray) -> np.ndarray:
         """Adjoint G -> H of a map H <- G: gamma^+ = h^d gamma^H."""
@@ -360,23 +425,33 @@ def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticT
     return EllipticTriple(de=de, eta=float(eta), extension=de.eta_extension(eta))
 
 
-def sparse_lu(mat: scipy.sparse.csc_array, ordering: str,
-              what: str) -> scipy.sparse.linalg.SuperLU:
-    """Sparse LU of a square complex CSC matrix S under SuperLU's column
-    ``ordering`` (its ``permc_spec``), guarded: raises ``SpectrumPoint`` when
-    SuperLU finds S exactly singular or when the condition estimate
-    ||S||_1 est||S^{-1}||_1 reaches ``COND_LIMIT``.  The one guarded sparse
-    factorization: a ``SparseRoute`` calls it under a fill-reducing ordering
-    once per operator, and under the natural ordering of its pre-permuted
-    matrix at every later lambda.
+def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, what: str,
+              symmetric: bool = False) -> scipy.sparse.linalg.SuperLU:
+    """Sparse LU of a square CSC matrix S, complex unless ``symmetric``, under
+    SuperLU's column ``ordering`` (its ``permc_spec``), guarded: raises ``SpectrumPoint`` when SuperLU finds
+    S exactly singular or when the condition estimate ||S||_1 est||S^{-1}||_1
+    reaches ``COND_LIMIT``.  The one guarded sparse factorization: a
+    ``SparseRoute`` calls it under a fill-reducing ordering once per
+    operator, and under the natural ordering of its pre-permuted matrix at
+    every later lambda.  A ``symmetric`` factorization pivots on the
+    diagonal alone (SuperLU's symmetric mode, pivot threshold 0), so that the
+    rows follow the column order and U = D L^H for a Hermitian S: it is read
+    for its inertia, which is defined wherever S is nonsingular, so it raises
+    at an exactly zero pivot and where a pivot leaves the diagonal, and takes
+    no condition estimate.
     """
-    # imported on first use: the eigen and realize actions factor no sparse
-    # matrix, and loading the package adds about 2 MB of resident memory
+    # imported on first use: the realize action builds no elliptic operator,
+    # and loading the package adds about 2 MB of resident memory
     import scipy.sparse.linalg
+    pivoting = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}} if symmetric else {}
     try:
-        lu = scipy.sparse.linalg.splu(mat, permc_spec=ordering)
+        lu = scipy.sparse.linalg.splu(mat, permc_spec=ordering, **pivoting)
     except RuntimeError as exc:          # "Factor is exactly singular"
         raise SpectrumPoint(f"{what} is singular") from exc
+    if symmetric:
+        if np.any(lu.perm_r != lu.perm_c):
+            raise SpectrumPoint(f"{what} has a zero pivot on its diagonal")
+        return lu
     cond = float(abs(mat).sum(axis=0).max()) * _inverse_onenorm(lu.solve, mat.shape[0])
     if not cond < COND_LIMIT:
         raise SpectrumPoint(f"{what} is numerically singular "
@@ -386,13 +461,13 @@ def sparse_lu(mat: scipy.sparse.csc_array, ordering: str,
 
 class SparseRoute:
     """The sparse matrix S(lam) = B - lam (I_k (+) 0) + (0 (+) T(lam)) of one
-    fixed operator, factored and solved at each lam: B is fixed (``base``),
+    fixed operator, factored (and solved) at each lam: B is fixed (``base``),
     the shift acts on the first k = ``shifted`` coordinates and T(lam) fills
     a trailing square block of size ``block_size`` (tau(lam) in the direct
     oracle; A - lam has none).
 
     Everything independent of lam is built once per route, and the operators
-    make their routes at their first solve: the CSC pattern, which stores the
+    make their routes at their first use: the CSC pattern, which stores the
     shifted diagonal and T's entries even where they are zero, B's values,
     and the column order of the first guarded factorization under
     ``ordering`` (``columns``: column j of the stored matrix is column
@@ -401,13 +476,16 @@ class SparseRoute:
     ordering; permuting columns changes neither 1-norm nor Hager's estimate,
     so the guard is the same.  T's pattern is that of its first value; a
     later value with a nonzero outside it grows the pattern, and the next
-    factorization orders again.
+    factorization orders again.  A ``symmetric`` route permutes its rows as
+    its columns and factors in ``sparse_lu``'s symmetric mode; it is
+    factored, never solved.
     """
 
-    def __init__(self, base, shifted: int, block_size: int, ordering: str):
+    def __init__(self, base, shifted: int, block_size: int, ordering: str,
+                 symmetric: bool = False):
         coo = scipy.sparse.coo_array(base)
         self.shape = coo.shape
-        self._shifted, self._ordering = shifted, ordering
+        self._shifted, self._ordering, self._symmetric = shifted, ordering, symmetric
         self._mask = np.zeros((block_size, block_size), dtype=bool)
         # the shifted diagonal merged as zeros: b + 0.0 is exact where B has an entry
         diag = np.arange(shifted)
@@ -417,17 +495,18 @@ class SparseRoute:
     def _assemble(self, rows, cols, vals, columns: np.ndarray | None) -> None:
         """Store the matrix with these entries (zeros included) in CSC form,
         column j holding column columns[j] of S (the natural order where
-        ``columns`` is None), and find the slots of the shifted diagonal and
-        of T's pattern."""
+        ``columns`` is None), and row j row columns[j] in a symmetric route;
+        find the slots of the shifted diagonal and of T's pattern."""
         n = self.shape[0]
         place = np.arange(n) if columns is None else np.argsort(columns)
-        mat = scipy.sparse.csc_array((vals, (rows, place[cols])), shape=self.shape)
+        row_place = place if self._symmetric else np.arange(n)
+        mat = scipy.sparse.csc_array((vals, (row_place[rows], place[cols])), shape=self.shape)
         # canonical CSC is sorted by (column, row): a slot is found by bisection
         keys = np.repeat(np.arange(n), np.diff(mat.indptr)) * n + mat.indices
         diag = np.arange(self._shifted)
         br, bc = self._block_entries(self._mask)
-        self._diag = np.searchsorted(keys, place[diag] * n + diag)
-        self._block = np.searchsorted(keys, place[bc] * n + br)
+        self._diag = np.searchsorted(keys, place[diag] * n + row_place[diag])
+        self._block = np.searchsorted(keys, place[bc] * n + row_place[br])
         # SuperLU's own index type, so that no factorization copies them
         self._indptr, self._indices = mat.indptr.astype(np.intc), mat.indices.astype(np.intc)
         self._data, self.columns = mat.data, columns
@@ -440,15 +519,19 @@ class SparseRoute:
 
     def _entries(self) -> tuple:
         """(rows, columns, values) of the stored matrix, numbered as in S."""
+        rows = self._indices
         cols = np.repeat(np.arange(self.shape[0]), np.diff(self._indptr))
         if self.columns is not None:
             cols = self.columns[cols]
-        return self._indices, cols, self._data
+            if self._symmetric:
+                rows = self.columns[rows]
+        return rows, cols, self._data
 
-    def solve(self, lam: complex, rhs: np.ndarray, what: str,
-              block: np.ndarray | None = None) -> np.ndarray:
-        """S(lam)^{-1} rhs with T(lam) = ``block``; raises ``SpectrumPoint``,
-        naming ``what``, where ``sparse_lu`` does."""
+    def factor(self, lam: complex, what: str, block: np.ndarray | None = None) -> tuple:
+        """(the ``sparse_lu`` of S(lam) with T(lam) = ``block``, the columns of
+        S that the factored matrix holds as in ``columns``); real for a real
+        lam and block.  Raises ``SpectrumPoint``, naming ``what``, where
+        ``sparse_lu`` does."""
         if block is not None and np.any(block[~self._mask]):
             grown = (block != 0) & ~self._mask
             self._mask |= grown
@@ -456,21 +539,30 @@ class SparseRoute:
             rows, cols, vals = self._entries()
             self._assemble(np.concatenate([rows, br]), np.concatenate([cols, bc]),
                            np.concatenate([vals, np.zeros(len(br), vals.dtype)]), None)
-        data = self._data.astype(complex)
+        columns = self.columns
+        data = self._data.astype(np.result_type(self._data, lam, 0.0 if block is None else block))
         data[self._diag] -= lam
         if block is not None:
             data[self._block] = block[self._mask]
         mat = scipy.sparse.csc_array((data, self._indices, self._indptr), shape=self.shape)
-        ordered = self.columns is not None
-        lu = sparse_lu(mat, "NATURAL" if ordered else self._ordering, what)
-        sol = lu.solve(rhs)
-        if not ordered:
+        lu = sparse_lu(mat, self._ordering if columns is None else "NATURAL", what,
+                       self._symmetric)
+        if columns is None:
             # argsort makes an array of its own: perm_c is a view that would
             # keep this whole LU alive
             self._assemble(*self._entries(), np.argsort(lu.perm_c))
+        return lu, columns
+
+    def solve(self, lam: complex, rhs: np.ndarray, what: str,
+              block: np.ndarray | None = None) -> np.ndarray:
+        """S(lam)^{-1} rhs with T(lam) = ``block``, in complex arithmetic;
+        raises ``SpectrumPoint`` where ``factor`` does."""
+        lu, columns = self.factor(complex(lam), what, block)
+        sol = lu.solve(rhs)
+        if columns is None:
             return sol
         x = np.empty_like(sol)
-        x[self.columns] = sol
+        x[columns] = sol
         return x
 
 

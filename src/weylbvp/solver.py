@@ -265,8 +265,9 @@ def compressed_resolvent(lin: Linearization, lam: complex, g: np.ndarray) -> np.
     return lin.sparse_route.solve(lam, rhs, f"A - lambda at lambda={lam}")[:lin.n_interior]
 
 
-# ``homogeneous_scan`` moves a window end where the count raises by this step
-# (relative to the window's largest |endpoint|, at least 1), doubling it.
+# ``homogeneous_scan`` moves a window end where the count raises (on a pole of
+# tau or an eigenvalue of the problem) by this step (relative to the window's
+# largest |endpoint|, at least 1), doubling it.
 COUNT_GAP = 1e-11
 # The linearization eigensolve of ``homogeneous_scan`` covers the counted
 # window widened by this much (relative to the window's largest |endpoint|,
@@ -278,20 +279,30 @@ WINDOW_PAD = 1e-9
 def eigenvalue_count(et: EllipticTriple, tau, x: float) -> int:
     """N(x): the number of eigenvalues below the real x, with multiplicity.
 
-    By Haynsworth inertia additivity on the Schur complement of the
-    Dirichlet block,
+    The bordered matrix S(x) = [[L_II - x, L_IB], [L_IB^T, -He(tau(x) + B)/h^d]]
+    (B = ``boundary_block``, He the Hermitian part) has the Schur complement
+    -(M(x) + He tau(x))/h^d on its boundary block, so by Haynsworth inertia
+    additivity
         N(x) = #{Dirichlet eigenvalues < x} + #{poles of tau < x}
-               + #{positive eigenvalues of M(x) + tau(x)}.
+               + #{positive eigenvalues of M(x) + tau(x)}
+             = #{negative eigenvalues of S(x)} + #{poles of tau < x}.
     For a rational Nevanlinna tau this counts the eigenvalues of the
     selfadjoint linearization, for a constant tau the eigenvalues of the
     fixed extension (the real eigenvalues of its linearization).  One
-    ``weyl_data`` gives M(x); its Dirichlet guard and the pole check of
-    ``tau.eval`` raise ``SpectrumPoint`` where the count is undefined.
+    symmetric factorization of S(x) (``EllipticTriple.count_route``) pivots on
+    its diagonal, so U = D L^H and the negative pivots are its negative
+    eigenvalues (Sylvester).  S(x) is singular exactly at the eigenvalues of
+    the problem; there, where a pivot leaves the diagonal, and at a pole of
+    tau, ``SpectrumPoint`` is raised.  A Dirichlet eigenvalue is no
+    singular point of the count.
     """
-    mt = et.weyl_data(x).m_mat + tau.eval(x)
-    inertia = np.linalg.eigvalsh((mt + mt.conj().T) / 2)
-    singular = np.concatenate([et.de.dirichlet_eigs, tau.poles()])
-    return int(np.count_nonzero(singular < x) + np.count_nonzero(inertia > 0))
+    mt = tau.eval(x) + et.boundary_block
+    block = -(mt + mt.conj().T) / (2 * et.de.weight)
+    if not np.any(block.imag):
+        block = block.real              # a real tau(x) is factored real
+    lu = et.count_route.factor(x, f"the bordered count matrix at x={x}", block)[0]
+    negative = np.count_nonzero(lu.U.diagonal().real < 0)
+    return int(negative + np.count_nonzero(tau.poles() < x))
 
 
 @dataclass(frozen=True)
@@ -317,13 +328,14 @@ def homogeneous_scan(et: EllipticTriple, tau, window, lin: Linearization,
     """Every real eigenvalue in the window, with multiplicity: the
     linearization's eigenvalues there, certified complete by the count N.
 
-    N is counted at both window ends; an end on a Dirichlet eigenvalue or a
-    pole moves outward.  The linearization's real eigenvalues (|Im| <= 1e-8)
-    in [lo, hi) between the counted ends are grouped into clusters, in which
-    neighbours are closer than 2 tol, and N is counted once in each gap
-    between clusters: at its middle, or where N is undefined there at 3/8,
-    5/8, 1/4 or 3/4 of it, so at least tol/2 from every eigenvalue; a gap
-    with no such point joins its two clusters.  The certificate holds when N
+    N is counted at both window ends; an end on a pole of tau or an
+    eigenvalue of the problem, where N is undefined, moves outward.  The
+    linearization's real eigenvalues (|Im| <= 1e-8) in [lo, hi) between the
+    counted ends are grouped into clusters, in which neighbours are closer
+    than 2 tol, and N is counted once in each gap between clusters: at its
+    middle, or where N is undefined there at 3/8, 5/8, 1/4 or 3/4 of it, so
+    at least tol/2 from every eigenvalue; a gap with no such point joins its
+    two clusters.  The certificate holds when N
     jumps across each cluster by the cluster's size: N(x) counts the
     eigenvalues below x exactly, so the eigenvalues listed are then all
     those of the window.  k clusters take k + 1 counts.

@@ -149,17 +149,19 @@ def verify_triple_identities(triple, samples, seed: int = 0,
     banded Dirichlet solve.  ``weyl_data`` is taken once per distinct point,
     and at each sample one ``resolvent`` call on [gamma(mu_1) ... gamma(mu_k), h]
     gives (A0-lam)^{-1} on every column the identities need.  ``data`` holds
-    ``weyl_data`` of points that the caller already has; they are not taken
-    again.
+    ``weyl_data`` of points that the caller already has, samples or their
+    conjugates; they are not taken again.
     """
     samples = list(samples)
     lambda0 = next(s for s in samples if abs(complex(s).imag) > 0)
     rng = np.random.default_rng(seed)
     points = list(dict.fromkeys(samples))
-    data = {lam: (data or {}).get(lam) or triple.weyl_data(lam) for lam in points}
+    known = dict(data or {})
+    data = {lam: known.get(lam) or triple.weyl_data(lam) for lam in points}
+    known.update(data)
     # gambar needs gamma(conj lam); of a conjugate that is no sample only
     # gamma is kept
-    gamma_conj = {lam: (data.get(np.conj(lam)) or triple.weyl_data(np.conj(lam))).gamma_mat
+    gamma_conj = {lam: (known.get(np.conj(lam)) or triple.weyl_data(np.conj(lam))).gamma_mat
                   for lam in set(samples)}
     gplus = {mu: triple.gamma_plus(data[mu].gamma_mat) for mu in points}
     gammas = np.hstack([data[mu].gamma_mat for mu in points])

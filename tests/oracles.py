@@ -2,8 +2,9 @@
 
 The [[., .]]-adjoint of a relation by a full SVD and the subspace gaps built
 on it, the closed-form resolvent of the companion block, the dense Dirichlet
-block L_II, the closed-form gamma-field of the elliptic triple and that
-triple as a dense generic ``BoundaryTriple``.  The package decides the same
+block L_II, the closed-form gamma-field of the elliptic triple, that
+triple as a dense generic ``BoundaryTriple`` and the eigenvalue count of a
+constant boundary condition from dense eigensolves.  The package decides the same
 properties by cheaper means; these are what it is checked against.  Last, a
 patch that keeps the dense L_II from the code under test.
 """
@@ -70,6 +71,22 @@ def generic_elliptic_triple(et):
     g0 = np.hstack([np.zeros((nb, n)), np.eye(nb)])
     g1 = np.hstack([-w * de.l_ib.T, np.zeros((nb, nb))])
     return BoundaryTriple(KreinSpace(n, gram=w * np.eye(n)), nb, t_basis, g0, g1)
+
+
+def fixed_extension_count(et, theta, x):
+    """N(x) for a constant tau = theta from dense eigensolves.  The boundary
+    condition theta y = h^d L_BI (f - E_eta y) gives y = (theta + B)^{-1}
+    h^d L_BI f with B = h^d L_BI E_eta, so the eigenvalues are those of the
+    Hermitian K = L_II + h^d L_IB (theta + B)^{-1} L_IB^T; as x -> -inf, M(x)
+    tends to B, so N counts #{positive eigenvalues of theta + B} besides the
+    eigenvalues of K below x.  B is formed from a dense solve with L_II."""
+    de = et.de
+    n, l_ii, l_ib = de.n_interior, dense_l_ii(de), de.l_ib
+    b = -de.weight * l_ib.T @ np.linalg.solve(l_ii - et.eta * np.eye(n), l_ib)
+    tb = theta + (b + b.T) / 2
+    k = l_ii + de.weight * l_ib @ np.linalg.solve(tb, l_ib.T)
+    return int(np.count_nonzero(np.linalg.eigvalsh((k + k.conj().T) / 2) < x)
+               + np.count_nonzero(np.linalg.eigvalsh(tb) > 0))
 
 
 def refuse_dense_square(monkeypatch, n):

@@ -250,9 +250,10 @@ def test_verify_factors_each_point_once(tmp_path, monkeypatch, tau):
     # the elliptic triple's per-point data (one banded LU) and the realized
     # triple's (one LU of K_lam) are each taken once per point; the
     # realization's Weyl residual reads M(lam) from the data that its
-    # identity check takes at the same point.  L_II - lam is factored 19
-    # times: once for E_eta, at the five samples and their conjugates, and
-    # at the eight probes of the perturbed resolvent
+    # identity check takes at the same point.  L_II - lam is factored 15
+    # times: once at the shift of the Lanczos run for eta, once for E_eta,
+    # at the five samples (their conjugates reuse these factors) and at the
+    # eight probes of the perturbed resolvent
     calls = []
     factored = []
     dirichlet_factor = DiscreteElliptic.dirichlet_factor
@@ -278,7 +279,31 @@ def test_verify_factors_each_point_once(tmp_path, monkeypatch, tau):
     assert json.loads((out / "report.json").read_text())["ok"] is True
     assert len({triple for triple, _ in calls}) == 2
     assert len(calls) == len(set(calls))
-    assert len(factored) == len(set(factored)) == 19
+    assert len(factored) == len(set(factored)) == 15
+
+
+ACTION_PROBLEMS = {"1d": {"dim": 1, "n": 25, "coeff": {"p": 1.0, "a": 0.0}},
+                   "2d": {"dim": 2, "nx": 6, "ny": 5, "rect": [0.0, 1.0, 0.0, 6 / 7]}}
+
+
+@pytest.mark.parametrize("problem", sorted(ACTION_PROBLEMS))
+def test_no_action_takes_the_full_dirichlet_spectrum(tmp_path, monkeypatch, problem):
+    # eta comes from one Lanczos run, the guard from each factor's condition
+    # estimate and the count from its bordered matrix: with the band
+    # eigensolve refused, every action exits as it does without the patch
+    import scipy.linalg
+    cfg = write_cfg(tmp_path, {"problem": ACTION_PROBLEMS[problem]})
+    actions = ["solve", "eigen", "verify", "realize"]
+    expected = [run(tmp_path / "ref", cfg, action)[0] for action in actions]
+    assert expected == [0, 0, 0, 0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full Dirichlet eigensolve")
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", forbidden)
+    assert [run(tmp_path, cfg, action)[0] for action in actions] == expected
+    if problem == "1d":
+        assert main(["--action", "demo", "--out", str(tmp_path / "demo")]) == 0
 
 
 def test_verify_stays_in_boundary_size(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import weylbvp.elliptic
 from weylbvp import (
@@ -29,7 +30,8 @@ from weylbvp import (
 )
 from weylbvp.solver import eigenvalue_count
 
-from oracles import dense_l_ii, elliptic_gamma, generic_elliptic_triple, refuse_dense_square
+from oracles import (dense_l_ii, elliptic_gamma, fixed_extension_count,
+                     generic_elliptic_triple, refuse_dense_square)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +272,13 @@ def test_dirichlet_eigs_match_dense(name):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("name", sorted(BANDED_PROBLEMS))
+def test_default_eta_is_one_below_the_lowest_dirichlet_eigenvalue(name):
+    de = BANDED_PROBLEMS[name][0]()
+    ref = float(de.dirichlet_eigs[0]) - 1.0
+    assert abs(de.default_eta() - ref) <= 1e-12 * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # extension
 
@@ -306,11 +315,12 @@ def test_eta_extension_rejects_spectrum():
 @pytest.mark.parametrize("de", [build_1d(30), build_2d(6, 6)], ids=["1d", "2d"])
 def test_every_dirichlet_entry_point_refuses_a_dirichlet_eigenvalue(de, k):
     """The one guard in ``dirichlet_factor`` covers every solve with T_D - mu:
-    the Weyl function, the perturbed resolvent, the count and the
-    eta-extension."""
+    the Weyl function, the perturbed resolvent and the eta-extension.  The
+    count factors no T_D - mu, and is defined there."""
     et = elliptic_triple(de)
     mu = float(de.dirichlet_eigs[k])
-    tau = ConstantFunction(theta=2.0 * np.eye(de.n_boundary))
+    theta = 2.0 * np.eye(de.n_boundary)
+    tau = ConstantFunction(theta=theta)
     g = np.ones(de.n_interior, dtype=complex)
     with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
         de.dirichlet_factor(mu)
@@ -318,8 +328,7 @@ def test_every_dirichlet_entry_point_refuses_a_dirichlet_eigenvalue(de, k):
         et.weyl_data(mu)
     with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
         krein_resolve(et, tau, mu, g)
-    with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
-        eigenvalue_count(et, tau, mu)
+    assert eigenvalue_count(et, tau, mu) == fixed_extension_count(et, theta, mu)
     with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
         elliptic_triple(de, mu)
 
@@ -465,6 +474,19 @@ def test_weyl_conjugate_symmetry(et1d):
     assert np.linalg.norm(m_conj - m.conj().T) <= 1e-10
 
 
+def test_conjugate_data_matches_weyl_data_at_the_conjugate(et1d, et2d):
+    # the data at conj lam from those at lam, with no factorization of its own
+    for et in (et1d, et2d):
+        x = np.random.default_rng(6).standard_normal((et.de.n_interior, 2)) + 0.5j
+        for lam in (0.8 + 1.1j, -2.0 - 0.5j):
+            mine, ref = et.conjugate_data(et.weyl_data(lam)), et.weyl_data(np.conj(lam))
+            assert mine.lam == ref.lam
+            assert _rel_err(mine.gamma_mat, ref.gamma_mat) <= 1e-12
+            assert _rel_err(mine.m_mat, ref.m_mat) <= 1e-12
+            for got, want in zip(mine.resolvent(x), ref.resolvent(x)):
+                assert _rel_err(got, want) <= 1e-12
+
+
 def test_gambar_identity_elliptic(et1d):
     rng = np.random.default_rng(2)
     de = et1d.de
@@ -510,22 +532,22 @@ def test_krein_resolve_factors_once(et1d, monkeypatch):
     tau = RationalNevanlinna(alpha=(np.zeros((2, 2)),), beta=(np.eye(2),))
     krein_resolve(et1d, tau, 0.4 + 1.5j, np.ones(30))
     assert len(calls) == 1
+    # a count factors its bordered matrix, and no T_D - x
     eigenvalue_count(et1d, tau, 3.7)
-    assert calls[1:] == [3.7]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("de", [build_1d(30), build_2d(6, 4, rect=(0.0, 1.4, 0.0, 1.0))],
                          ids=["1d", "2d"])
-def test_zero_pivot_is_a_spectrum_point(de, monkeypatch):
-    # L_II with row and column 0 zeroed is exactly singular at lambda = 0;
-    # past a Dirichlet guard that sees no eigenvalue, the zero pivot of
-    # gttrf (1D) or gbtrf (2D) must end as SpectrumPoint, not as a LAPACK error
+def test_zero_pivot_is_a_spectrum_point(de):
+    # L_II with row and column 0 zeroed is exactly singular at lambda = 0:
+    # the zero pivot of gttrf (1D) or gbtrf (2D) must end as SpectrumPoint,
+    # not as a LAPACK error
     band = de.band.copy()
     u = band.shape[0] - 1
     for j in range(u + 1):
         band[u - j, j] = 0.0
     singular = dataclasses.replace(de, band=band)
-    monkeypatch.setattr(DiscreteElliptic, "dirichlet_eigs", np.array([1e300]))
     with pytest.raises(SpectrumPoint, match="lambda=0.0 is singular"):
         singular.dirichlet_factor(0.0)
 
@@ -620,6 +642,21 @@ def recorded_orderings(monkeypatch) -> list:
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
     return orderings
+
+
+def test_symmetric_sparse_lu_pivots_on_the_diagonal_or_refuses():
+    # a symmetric factorization is read for its inertia: its pivots are the
+    # diagonal of U and carry the signs of the eigenvalues (Sylvester), and a
+    # zero on the diagonal, which would move a pivot off it, is refused
+    indefinite = np.array([[4.0, 1.0, 0.0], [1.0, -3.0, 2.0], [0.0, 2.0, 1.0]])
+    lu = weylbvp.elliptic.sparse_lu(scipy.sparse.csc_array(indefinite), "NATURAL", "S", True)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.count_nonzero(lu.U.diagonal() < 0) == np.count_nonzero(
+        np.linalg.eigvalsh(indefinite) < 0) == 1
+    zero_first = indefinite.copy()
+    zero_first[0, 0] = 0.0
+    with pytest.raises(SpectrumPoint, match="S has a zero pivot on its diagonal"):
+        weylbvp.elliptic.sparse_lu(scipy.sparse.csc_array(zero_first), "NATURAL", "S", True)
 
 
 def test_cached_direct_route_matches_fresh_dense_solve(monkeypatch):

@@ -34,10 +34,11 @@ from weylbvp import (
     realize_rational,
 )
 from weylbvp import solver
-from weylbvp.elliptic import EllipticTriple
+import weylbvp.elliptic
+from weylbvp.elliptic import EllipticTriple, SparseRoute
 from weylbvp.solver import WINDOW_PAD, Linearization, eigenvalue_count
 
-from oracles import dense_l_ii, elliptic_gamma
+from oracles import dense_l_ii, elliptic_gamma, fixed_extension_count
 
 
 def rational_m2(g):
@@ -238,14 +239,58 @@ def test_every_evaluation_raises_spectrum_point_at_a_pole(et1d):
         eigenvalue_count(et1d, tau, -2.0)
 
 
-def test_count_refuses_a_point_next_to_a_dirichlet_eigenvalue():
-    # the count has no guard of its own: the Dirichlet guard of its one
-    # factorization refuses a point this close to mu_1
+def test_dirichlet_guard_refuses_a_point_next_to_a_dirichlet_eigenvalue():
+    # the guard of ``dirichlet_factor`` is its condition estimate: 5e-13
+    # max|mu| above mu_1 it reads about 2.5e12, past COND_LIMIT, so the factor
+    # and weyl_data refuse the point.  At 5e-12 max|mu| it reads about 2.5e11
+    # and the factor is taken, but the perturbed resolvent still refuses the
+    # point, which lies outside the solvability set
     et = elliptic_triple(build_1d(30))
     eigs = et.de.dirichlet_eigs
-    x = float(eigs[0] + 5e-12 * np.max(np.abs(eigs)))
+    tau = rational_m2(2)
+    near = float(eigs[0] + 5e-13 * np.max(np.abs(eigs)))
     with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
-        eigenvalue_count(et, rational_m2(2), x)
+        et.de.dirichlet_factor(near)
+    with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
+        et.weyl_data(near)
+    x = float(eigs[0] + 5e-12 * np.max(np.abs(eigs)))
+    with pytest.raises(SpectrumPoint, match="outside the solvability set"):
+        krein_resolve(et, tau, x, np.ones(30))
+
+
+COUNT_PROBLEMS = {"2d-6x6": lambda: build_2d(6, 6),
+                  "2d-4x6": lambda: build_2d(4, 6, rect=(0.0, 1.0, 0.0, 1.4))}
+
+
+@pytest.mark.parametrize("tau_name", ["constant", "hermitian", "rational"])
+@pytest.mark.parametrize("problem", sorted(COUNT_PROBLEMS))
+def test_count_matches_dense_reference(problem, tau_name):
+    # the bordered count against dense eigensolves on 2D grids, corner
+    # channels included: a constant tau by the fixed extension, a rational
+    # one by its linearization; at points between eigenvalues and at
+    # Dirichlet eigenvalues, where the count is defined
+    et = elliptic_triple(COUNT_PROBLEMS[problem]())
+    nb = et.de.n_boundary
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((nb, nb)) + 1j * rng.standard_normal((nb, nb))
+    theta = {"constant": 2.0 * np.eye(nb), "hermitian": 3.0 * (z + z.conj().T),
+             "rational": None}[tau_name]
+    if theta is None:
+        tau = rational_m2(nb)
+        eigs = window_eigenvalues(lin_for(et, tau), -np.inf, np.inf)
+
+        def reference(x):
+            return int(np.count_nonzero(eigs < x))
+    else:
+        tau = ConstantFunction(theta=theta)
+
+        def reference(x):
+            return fixed_extension_count(et, theta, x)
+    dirichlet = et.de.dirichlet_eigs
+    points = [-7.5, 3.1, 55.0, 180.0, 420.0] + [float(dirichlet[k]) for k in (0, 4, 9)]
+    counts = [eigenvalue_count(et, tau, x) for x in points]
+    assert counts == [reference(x) for x in points]
+    assert len(set(counts)) > 3
 
 
 def test_exactly_singular_factorization_is_a_domain_error():
@@ -498,25 +543,31 @@ def test_solve_and_eigen_take_no_lstsq(et2d, monkeypatch):
     assert report["ok"]
 
 
-def test_eigen_takes_no_svd_and_one_weyl_per_count(et2d, monkeypatch):
-    # each certified eigenvalue is checked by its residuals alone: M(x) is
-    # evaluated only at the count points, and nothing takes an SVD
+def test_eigen_takes_no_svd_and_one_factorization_per_count(et2d, monkeypatch):
+    # each certified eigenvalue is checked by its residuals alone, and each
+    # count is one symmetric factorization of its bordered matrix: no
+    # weyl_data, and nothing takes an SVD
     tau = rational_m2(et2d.de.n_boundary)
     lin = lin_for(et2d, tau)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("SVD on the eigen path")
+        raise AssertionError("SVD or weyl_data on the eigen path")
 
     for owner in (np.linalg, scipy.linalg):
         monkeypatch.setattr(owner, "svd", forbidden)
-    points = []
-    weyl_data = EllipticTriple.weyl_data
-    monkeypatch.setattr(EllipticTriple, "weyl_data",
-                        lambda self, lam: points.append(lam) or weyl_data(self, lam))
+    monkeypatch.setattr(EllipticTriple, "weyl_data", forbidden)
+    points, factored = [], []
+    factor = SparseRoute.factor
+    monkeypatch.setattr(SparseRoute, "factor", lambda self, lam, what, block=None: (
+        points.append((self, lam)) or factor(self, lam, what, block)))
+    sparse_lu = weylbvp.elliptic.sparse_lu
+    monkeypatch.setattr(weylbvp.elliptic, "sparse_lu", lambda *args: (
+        factored.append(args[3]) or sparse_lu(*args)))
     report = eigen_correspondence(lin, et2d, tau, (0.2, 9.0))
     assert report["ok"] and report["eigenvalues"]
-    assert len(points) == len(report["counts"])
-    assert sorted(points) == [x for x, _ in report["counts"]]
+    assert all(route is et2d.count_route for route, _ in points)
+    assert sorted(x for _, x in points) == [x for x, _ in report["counts"]]
+    assert factored == [True] * len(report["counts"])
 
 
 # ---------------------------------------------------------------------------
