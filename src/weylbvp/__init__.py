@@ -6,8 +6,9 @@ elliptic triple's gamma-field, Weyl function and resolvent, and one
 shift-invert Lanczos run on it for the lowest Dirichlet eigenvalue, sparse LU
 for the direct oracle and the compressed resolvent, one symmetric sparse
 factorization per eigenvalue count, one dense LU per point for the data of a
-generic boundary triple, dense boundary-size algebra, and a windowed dense
-Hermitian eigensolve of the linearization).
+generic boundary triple, dense boundary-size algebra, and one windowed dense
+Hermitian eigensolve of the linearization, which for a constant boundary
+condition is the fixed selfadjoint extension in L^2).
 """
 
 __version__ = "1.0.0"
@@ -64,6 +65,7 @@ from .solver import (
     Linearization,
     ScanResult,
     SolveReport,
+    build_fixed_extension,
     build_linearization,
     build_linearization_rational,
     compressed_resolvent,

@@ -28,11 +28,12 @@ from .opfunc import (
     default_samples,
     negative_squares,
 )
-from .realize import realize, verify_realization
+from .realize import realize, realize_rational, verify_realization
 from .elliptic import DiscreteElliptic, build_1d, build_2d, direct_solve, elliptic_triple
 from .serialize import (decode_int, decode_matrix, decode_real, decode_scalar,
                         decode_space, encode_triple)
 from .solver import (
+    build_fixed_extension,
     build_linearization,
     compressed_resolvent,
     eigen_correspondence,
@@ -299,7 +300,10 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
     window = _reals(cfg.get("window"), 2, "'window'")
     if not window[0] < window[1]:
         raise ConfigError(f"'window' must have lo < hi, got {list(window)}")
-    lin = build_linearization(et, realize(tau, seed=_seed_from(cfg, args) or 0))
+    # a constant tau is one selfadjoint extension in H, a rational one a
+    # linearization over a Euclidean state
+    lin = build_fixed_extension(et, tau.theta) if isinstance(tau, ConstantFunction) \
+        else build_linearization(et, realize_rational(tau))
     tol = args.tol if args.tol is not None else 1e-6
     corr = eigen_correspondence(lin, et, tau, window, tol=tol)
     write_csv(out_dir / "scan.csv", ["lambda", "count"], corr["counts"])
@@ -311,7 +315,6 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
         "action": "eigen",
         "window": list(window),
         "w_symmetry_residual": lin.w_symmetry_residual(),
-        "hilbert_state": lin.is_hilbert,
         "eigenvalue_count": len(corr["eigenvalues"]),
         "window_count": corr["window_count"],
         "scan_roots": corr["scan_roots"],

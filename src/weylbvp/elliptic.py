@@ -23,7 +23,7 @@ from .errors import (
     RankDeficientCoupling,
     SpectrumPoint,
 )
-from .krein import COND_LIMIT, _inverse_onenorm
+from .krein import check_condition
 from .triple import WeylData
 
 
@@ -168,11 +168,10 @@ class DiscreteElliptic:
     def dirichlet_factor(self, lam: complex) -> Callable[[np.ndarray], np.ndarray]:
         """One LU of L_II - lam (LAPACK ``gbtrf``, ``gttrf`` for a tridiagonal
         L_II) as the solve rhs -> (L_II - lam)^{-1} rhs of a vector or matrix.
-        The package's one Dirichlet guard, the rule of ``sparse_lu``: it raises
-        ``SpectrumPoint`` at an exactly zero pivot and where the condition
-        estimate ||L_II - lam||_1 est||(L_II - lam)^{-1}||_1 reaches
-        ``COND_LIMIT``.  A real lam's factor solves a complex rhs by its two
-        parts."""
+        The package's one Dirichlet guard: it raises ``SpectrumPoint`` at an
+        exactly zero pivot and where ``check_condition``, the guard of
+        ``sparse_lu`` and ``dense_lu``, refuses L_II - lam.  A real lam's
+        factor solves a complex rhs by its two parts."""
         u = self.band.shape[0] - 1
         shifted = self._lu_band.astype(np.result_type(self._lu_band, lam))
         shifted[2 * u] -= lam                  # the main diagonal
@@ -198,13 +197,10 @@ class DiscreteElliptic:
             return trs(b=rhs, **factor)[0]
 
         # L_II is real symmetric, so (L_II - lam)^H = conj (L_II - lam) conj
-        cond = norm * _inverse_onenorm(
-            lambda b, trans="N": solve(b) if trans == "N" else solve(b.conj()).conj(),
-            self.n_interior)
-        if not cond < COND_LIMIT:
-            raise SpectrumPoint(f"L_II - lambda at lambda={lam} is numerically singular "
-                                f"(1-norm condition estimate {cond:.3e}): lambda is in "
-                                "the Dirichlet spectrum")
+        check_condition(
+            norm, lambda b, trans="N": solve(b) if trans == "N" else solve(b.conj()).conj(),
+            self.n_interior, SpectrumPoint, f"L_II - lambda at lambda={lam}",
+            "lambda is in the Dirichlet spectrum")
         return solve
 
     def eta_extension(self, eta: float) -> np.ndarray:
@@ -428,9 +424,9 @@ def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticT
 def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, what: str,
               symmetric: bool = False) -> scipy.sparse.linalg.SuperLU:
     """Sparse LU of a square CSC matrix S, complex unless ``symmetric``, under
-    SuperLU's column ``ordering`` (its ``permc_spec``), guarded: raises ``SpectrumPoint`` when SuperLU finds
-    S exactly singular or when the condition estimate ||S||_1 est||S^{-1}||_1
-    reaches ``COND_LIMIT``.  The one guarded sparse factorization: a
+    SuperLU's column ``ordering`` (its ``permc_spec``), guarded: raises
+    ``SpectrumPoint`` when SuperLU finds S exactly singular or
+    ``check_condition`` refuses it.  The one guarded sparse factorization: a
     ``SparseRoute`` calls it under a fill-reducing ordering once per
     operator, and under the natural ordering of its pre-permuted matrix at
     every later lambda.  A ``symmetric`` factorization pivots on the
@@ -452,10 +448,8 @@ def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, what: str,
         if np.any(lu.perm_r != lu.perm_c):
             raise SpectrumPoint(f"{what} has a zero pivot on its diagonal")
         return lu
-    cond = float(abs(mat).sum(axis=0).max()) * _inverse_onenorm(lu.solve, mat.shape[0])
-    if not cond < COND_LIMIT:
-        raise SpectrumPoint(f"{what} is numerically singular "
-                            f"(1-norm condition estimate {cond:.3e})")
+    check_condition(float(abs(mat).sum(axis=0).max()), lu.solve, mat.shape[0],
+                    SpectrumPoint, what)
     return lu
 
 

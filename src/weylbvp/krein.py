@@ -48,13 +48,26 @@ def _inverse_onenorm(solve: Callable[..., np.ndarray], n: int) -> float:
     return est
 
 
-def dense_lu(mat: np.ndarray, error: type, what: str) -> tuple:
+def check_condition(norm: float, solve: Callable[..., np.ndarray], n: int,
+                    error: type, what: str, why: str = "") -> None:
+    """The package's condition guard, one estimate per factorization: raise
+    ``error`` where ||S||_1 est||S^{-1}||_1 (``norm`` = ||S||_1, ``solve`` the
+    LU's solve, as for ``_inverse_onenorm``) reaches ``COND_LIMIT``; ``why``,
+    if given, ends the message."""
+    cond = norm * _inverse_onenorm(solve, n)
+    if not cond < COND_LIMIT:
+        raise error(f"{what} is numerically singular (1-norm condition estimate "
+                    f"{cond:.3e})" + (f": {why}" if why else ""))
+
+
+def dense_lu(mat: np.ndarray, error: type, what: str, scale: float = 0.0) -> tuple:
     """LU of a square dense matrix S (``scipy.linalg.lu_factor``, which may
     overwrite ``mat``), guarded: raises ``error`` at an exactly zero pivot or
-    when the condition estimate ||S||_1 est||S^{-1}||_1 reaches
-    ``COND_LIMIT``.  The dense counterpart of ``elliptic.sparse_lu``.
+    where ``check_condition`` refuses S.  A ``scale`` above ||S||_1 takes its
+    place in the estimate: a sum S whose terms cancel is measured against
+    their size.  The dense counterpart of ``elliptic.sparse_lu``.
     """
-    norm = float(np.abs(mat).sum(axis=0).max())
+    norm = max(scale, float(np.abs(mat).sum(axis=0).max()))
     with warnings.catch_warnings():  # an exactly zero pivot is caught below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
@@ -68,10 +81,7 @@ def dense_lu(mat: np.ndarray, error: type, what: str) -> tuple:
                                   trans=0 if trans == "N" else 2)
         return x[:, 0] + 1j * x[:, 1]
 
-    cond = norm * _inverse_onenorm(solve, mat.shape[0])
-    if not cond < COND_LIMIT:
-        raise error(f"{what} is numerically singular "
-                    f"(1-norm condition estimate {cond:.3e})")
+    check_condition(norm, solve, mat.shape[0], error, what)
     return lu
 
 
@@ -216,10 +226,6 @@ class KreinSpace:
             except np.linalg.LinAlgError:
                 raise DimensionMismatch("G*J must be positive definite") from None
         object.__setattr__(self, "j", jmat)
-
-    @property
-    def is_hilbert(self) -> bool:
-        return bool(self._gram_eigs[0] > 0)
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia of the Gram matrix."""

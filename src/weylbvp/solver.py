@@ -1,9 +1,10 @@
 """Solution machinery for spectral-parameter-dependent boundary conditions:
 the perturbed-resolvent formula (whose guard is the only sigma_min of
-M + tau), the linearized block operator on the product space, the
-eigenvalue count and the count certificate of the linearization's
-eigenvalues, and the eigenvalue correspondence and completeness check by
-counts and residuals.
+M + tau), the linearized block operator on the product space (with no state
+for a constant tau: its selfadjoint extension in H) and its one windowed
+Hermitian eigensolve, the eigenvalue count and the count certificate of the
+linearization's eigenvalues, and the eigenvalue correspondence and
+completeness check by counts and residuals.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ class Linearization:
     resolvent solves the parameter-dependent problem.
 
     The product metric is block diagonal, W = h^d I (+) G with ``weight``
-    h^d > 0 and ``state_gram`` G; the operator is W-selfadjoint.
+    h^d > 0 and ``state_gram`` G; the operator is W-selfadjoint.  G is I for
+    a rational tau, empty in ``build_fixed_extension`` and indefinite for the
+    Krein companion of a constant tau (``realize_constant``).
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -135,56 +138,27 @@ class Linearization:
         symmetric)."""
         return SparseRoute(self.matrix, self.size, 0, "MMD_AT_PLUS_A")
 
-    @cached_property
-    def _state_cholesky(self) -> np.ndarray | None:
-        """Lower L with G = L L^H, or None where G is not positive definite."""
-        try:
-            return np.linalg.cholesky(self.state_gram)
-        except np.linalg.LinAlgError:
-            return None
-
-    @property
-    def is_hilbert(self) -> bool:
-        """Whether W is positive definite: h^d > 0, so whether G is."""
-        return self._state_cholesky is not None
-
-    def _hermitian_form(self) -> np.ndarray:
-        """S^{-H} He(W A) S^{-1} for the block Cholesky factor S = h^{d/2} I (+) L^H
-        of W > 0, He the Hermitian part: for a W-selfadjoint A, (lam, x) is an
-        eigenpair of A iff (lam, S x) is one of this matrix.  The interior
-        block is a scaling and the others are triangular solves with L, so
-        no interior-size matrix is multiplied by W or factored.  A real A
-        (real tau) gives a real form, whose eigensolve costs a fraction of
-        the complex one.
-        """
-        n, chol = self.n_interior, self._state_cholesky
-        wa = self.weighted_matrix
-        herm = (wa + wa.conj().T) / 2
-        form = np.empty_like(herm)
-        form[:n, :n] = herm[:n, :n] / self.weight
-        lower = scipy.linalg.solve_triangular(chol, herm[n:, :n], lower=True)
-        form[n:, :n] = lower / np.sqrt(self.weight)
-        form[:n, n:] = form[n:, :n].conj().T
-        state = scipy.linalg.solve_triangular(chol, herm[n:, n:], lower=True)
-        form[n:, n:] = scipy.linalg.solve_triangular(chol, state.conj().T,
-                                                     lower=True).conj().T
-        return form
-
     def eigenpairs(self, window: tuple[float, float] | None = None):
-        """(eigenvalues, eigenvectors in the original coordinates); in the
-        Hilbert case the eigenvectors are W-orthonormal, and a real window
-        (a, b) restricts both to the eigenvalues in (a, b], which LAPACK
-        selects by Sturm bisection on the tridiagonal reduction: an exact
-        count with multiplicity.  The non-Hilbert case ignores the window.
+        """(eigenvalues, eigenvectors in the original coordinates), real and
+        W-orthonormal, from one Hermitian eigensolve of D^{-1/2} He(W A) D^{-1/2}
+        (W = D = h^d I (+) I, He the Hermitian part), whose blocks are scaled:
+        no interior-size matrix is multiplied or factored, and a real A (real
+        tau) is solved in real arithmetic.  A window (a, b) restricts both to
+        the eigenvalues in (a, b], which LAPACK selects by Sturm bisection: an
+        exact count with multiplicity.  A state other than G = I (or none)
+        raises ``DimensionMismatch``.
         """
-        if self.is_hilbert:
-            w, z = scipy.linalg.eigh(self._hermitian_form(), subset_by_value=window)
-            n = self.n_interior             # x = S^{-1} z
-            x = np.vstack([z[:n] / np.sqrt(self.weight),
-                           scipy.linalg.solve_triangular(self._state_cholesky, z[n:],
-                                                         lower=True, trans="C")])
-            return w.astype(complex), x
-        return scipy.linalg.eig(self.matrix)
+        n, root = self.n_interior, np.sqrt(self.weight)
+        if not np.array_equal(self.state_gram, np.eye(self.size - n)):
+            raise DimensionMismatch("the eigensolve needs a Euclidean state, G = I")
+        wa = self.weighted_matrix
+        form = (wa + wa.conj().T) / 2
+        form[:n, :n] /= self.weight
+        form[:n, n:] /= root
+        form[n:, :n] /= root
+        w, z = scipy.linalg.eigh(form, subset_by_value=window)
+        z[:n] /= root                   # x = D^{-1/2} z
+        return w, z
 
 
 def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Linearization:
@@ -206,19 +180,38 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
     size is decomposed.  A dense A above ``DENSE_LIMIT_BYTES`` raises
     ``ConfigError`` before allocation.
     """
+    return _linearize(et, realized.first, realized.g0, realized.g1, realized.second,
+                      realized.state.gram)
+
+
+def build_fixed_extension(et: EllipticTriple, theta: np.ndarray) -> Linearization:
+    """A constant tau = Theta as one selfadjoint extension in H,
+    A_Theta = L_II + L_IB (Theta + B)^{-1} h^d L_BI (B = ``boundary_block``):
+    ``build_linearization``'s A with no state (Gamma_0 = I, Gamma_1 = Theta,
+    C = Theta + B).  ``dense_lu`` measures C against ||Theta||_1 + ||B||_1, so
+    a Theta + B that cancels raises ``RankDeficientCoupling``.
+    """
+    nb = et.de.n_boundary
+    empty = np.zeros((0, nb))
+    scale = sum(float(np.abs(m).sum(axis=0).max()) for m in (theta, et.boundary_block))
+    return _linearize(et, empty, np.eye(nb), theta, empty, np.zeros((0, 0)), scale)
+
+
+def _linearize(et: EllipticTriple, first, g0, g1, second, gram,
+               scale: float = 0.0) -> Linearization:
+    """``build_linearization``'s A from a triple's parts (n_K >= 0)."""
     de = et.de
     n, nb = de.n_interior, de.n_boundary
-    if realized.boundary_dim != nb:
-        raise DimensionMismatch("realized boundary dimension must match n_B")
-    nk = realized.state.dim
-    g0, second, gram = realized.g0, realized.second, realized.state.gram
-    coupling = np.vstack([realized.first, realized.g1 + et.boundary_block @ g0])
+    if np.shape(g1) != (nb, g0.shape[1]):
+        raise DimensionMismatch("the boundary dimension must match n_B")
+    nk = gram.shape[0]
+    coupling = np.vstack([first, g1 + et.boundary_block @ g0])
     # a real realization (real tau) gives a real C and a real A, factored and
     # stored real so that W A, its Hermitian form and the eigensolve run in
     # real arithmetic
     if not any(np.any(m.imag) for m in (coupling, g0, second, gram)):
         coupling, g0, second, gram = coupling.real, g0.real, second.real, gram.real
-    lu = dense_lu(coupling, RankDeficientCoupling, "the coupling matrix C")
+    lu = dense_lu(coupling, RankDeficientCoupling, "the coupling matrix C", scale)
     # X C = [Gamma_0; second] as C^T X^T = [Gamma_0; second]^T
     blocks = scipy.linalg.lu_solve(lu, np.vstack([g0, second]).T, trans=1).T
     g0p, g0q = blocks[:nb, :nk], blocks[:nb, nk:]
@@ -287,8 +280,8 @@ def eigenvalue_count(et: EllipticTriple, tau, x: float) -> int:
                + #{positive eigenvalues of M(x) + tau(x)}
              = #{negative eigenvalues of S(x)} + #{poles of tau < x}.
     For a rational Nevanlinna tau this counts the eigenvalues of the
-    selfadjoint linearization, for a constant tau the eigenvalues of the
-    fixed extension (the real eigenvalues of its linearization).  One
+    selfadjoint linearization, for a constant tau those of the fixed
+    extension A_tau (``build_fixed_extension``).  One
     symmetric factorization of S(x) (``EllipticTriple.count_route``) pivots on
     its diagonal, so U = D L^H and the negative pivots are its negative
     eigenvalues (Sylvester).  S(x) is singular exactly at the eigenvalues of
@@ -330,8 +323,8 @@ def homogeneous_scan(et: EllipticTriple, tau, window, lin: Linearization,
 
     N is counted at both window ends; an end on a pole of tau or an
     eigenvalue of the problem, where N is undefined, moves outward.  The
-    linearization's real eigenvalues (|Im| <= 1e-8) in [lo, hi) between the
-    counted ends are grouped into clusters, in which neighbours are closer
+    linearization's eigenvalues in [lo, hi) between the counted ends, all
+    real, are grouped into clusters, in which neighbours are closer
     than 2 tol, and N is counted once in each gap between clusters: at its
     middle, or where N is undefined there at 3/8, 5/8, 1/4 or 3/4 of it, so
     at least tol/2 from every eigenvalue; a gap with no such point joins its
@@ -367,10 +360,8 @@ def homogeneous_scan(et: EllipticTriple, tau, window, lin: Linearization,
     lo, hi = end(lo, -COUNT_GAP * scale), end(hi, COUNT_GAP * scale)
     pad = WINDOW_PAD * scale
     evals, evecs = lin.eigenpairs((lo - pad, hi + pad))
-    keep = np.flatnonzero((np.abs(evals.imag) <= 1e-8)
-                          & (evals.real >= lo) & (evals.real < hi))
-    keep = keep[np.argsort(evals.real[keep], kind="stable")]
-    roots = evals.real[keep].tolist()
+    keep = np.flatnonzero((evals >= lo) & (evals < hi))
+    roots = evals[keep].tolist()
 
     cuts = [lo]
     for a, b in zip(roots, roots[1:]):

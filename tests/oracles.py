@@ -73,18 +73,24 @@ def generic_elliptic_triple(et):
     return BoundaryTriple(KreinSpace(n, gram=w * np.eye(n)), nb, t_basis, g0, g1)
 
 
-def fixed_extension_count(et, theta, x):
-    """N(x) for a constant tau = theta from dense eigensolves.  The boundary
+def fixed_extension(et, theta):
+    """(K, theta + B) for a constant tau = theta, densely.  The boundary
     condition theta y = h^d L_BI (f - E_eta y) gives y = (theta + B)^{-1}
     h^d L_BI f with B = h^d L_BI E_eta, so the eigenvalues are those of the
-    Hermitian K = L_II + h^d L_IB (theta + B)^{-1} L_IB^T; as x -> -inf, M(x)
-    tends to B, so N counts #{positive eigenvalues of theta + B} besides the
-    eigenvalues of K below x.  B is formed from a dense solve with L_II."""
+    Hermitian K = L_II + h^d L_IB (theta + B)^{-1} L_IB^T.  B is formed from
+    a dense solve with L_II."""
     de = et.de
     n, l_ii, l_ib = de.n_interior, dense_l_ii(de), de.l_ib
     b = -de.weight * l_ib.T @ np.linalg.solve(l_ii - et.eta * np.eye(n), l_ib)
     tb = theta + (b + b.T) / 2
-    k = l_ii + de.weight * l_ib @ np.linalg.solve(tb, l_ib.T)
+    return l_ii + de.weight * l_ib @ np.linalg.solve(tb, l_ib.T), tb
+
+
+def fixed_extension_count(et, theta, x):
+    """N(x) for a constant tau = theta from dense eigensolves: as x -> -inf,
+    M(x) tends to B, so N counts #{positive eigenvalues of theta + B} besides
+    the eigenvalues of K below x (``fixed_extension``)."""
+    k, tb = fixed_extension(et, theta)
     return int(np.count_nonzero(np.linalg.eigvalsh((k + k.conj().T) / 2) < x)
                + np.count_nonzero(np.linalg.eigvalsh(tb) > 0))
 

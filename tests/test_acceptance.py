@@ -15,6 +15,7 @@ from weylbvp import (
     SpectrumPoint,
     build_1d,
     build_2d,
+    build_fixed_extension,
     build_linearization,
     compressed_resolvent,
     couple,
@@ -196,23 +197,28 @@ def test_solver_oracle_equivalence():
             "rational-m2": rational_m2(nb),
         }
         for tname, tau in taus.items():
+            # a constant tau has two linearizations: the Krein companion and
+            # the fixed extension in H
             if isinstance(tau, RationalNevanlinna):
-                lin = build_linearization(et, realize_rational(tau))
+                lins = [build_linearization(et, realize_rational(tau))]
             else:
-                lin = build_linearization(et, realize_constant(tau.theta, 3.7j))
+                lins = [build_linearization(et, realize_constant(tau.theta, 3.7j)),
+                        build_fixed_extension(et, tau.theta)]
             for _ in range(20):
                 lam = complex(rng.uniform(-2, 3),
                               rng.uniform(0.4, 2) * rng.choice([-1, 1]))
                 g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 f1 = krein_resolve(et, tau, lam, g).f
                 f2 = direct_solve(et, tau, lam, g)
-                f3 = compressed_resolvent(lin, lam, g)
-                scale = max(np.linalg.norm(f1), np.linalg.norm(f2),
-                            np.linalg.norm(f3))
-                pair = max(np.linalg.norm(f1 - f2), np.linalg.norm(f1 - f3),
-                           np.linalg.norm(f2 - f3)) / scale
-                worst = max(worst, pair)
-    report("three solver oracles agree pairwise (20 pairs x 3 tau x 1D/2D)",
+                for lin in lins:
+                    f3 = compressed_resolvent(lin, lam, g)
+                    scale = max(np.linalg.norm(f1), np.linalg.norm(f2),
+                                np.linalg.norm(f3))
+                    pair = max(np.linalg.norm(f1 - f2), np.linalg.norm(f1 - f3),
+                               np.linalg.norm(f2 - f3)) / scale
+                    worst = max(worst, pair)
+    report("three solver oracles agree pairwise (20 pairs x 3 tau x 1D/2D, "
+           "constant tau through both linearizations)",
            worst <= 1e-10, f"worst pairwise relative difference {worst:.3e}")
 
 
@@ -230,9 +236,12 @@ def test_linearization_selfadjointness():
     et = elliptic_triple(build_1d(99))
     nb = et.de.n_boundary
     wsym = []
-    for tau in (rational_m2(nb),
-                RationalNevanlinna(alpha=(np.zeros((nb, nb)),), beta=(np.eye(nb),))):
-        lin = build_linearization(et, realize_rational(tau))
+    # two rational taus over a Euclidean state and the fixed extension of a
+    # constant one, which has no state
+    for lin in [build_linearization(et, realize_rational(tau)) for tau in (
+            rational_m2(nb),
+            RationalNevanlinna(alpha=(np.zeros((nb, nb)),), beta=(np.eye(nb),)))] \
+            + [build_fixed_extension(et, 2.0 * np.eye(nb))]:
         wsym.append(lin.w_symmetry_residual())
         ev = scipy.linalg.eigvals(symmetrized(lin))
         wsym.append(0.0 if np.max(np.abs(ev.imag)) <= 1e-9 else np.inf)

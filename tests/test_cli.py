@@ -306,6 +306,29 @@ def test_no_action_takes_the_full_dirichlet_spectrum(tmp_path, monkeypatch, prob
         assert main(["--action", "demo", "--out", str(tmp_path / "demo")]) == 0
 
 
+@pytest.mark.parametrize("problem", sorted(ACTION_PROBLEMS))
+def test_eigen_takes_no_nonsymmetric_eigensolve(tmp_path, monkeypatch, problem):
+    # a constant tau is one selfadjoint extension in H and a rational one a
+    # linearization over a Euclidean state: eigen makes one Hermitian
+    # eigensolve for either, and no general one
+    import numpy as np
+    import scipy.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nonsymmetric eigensolve")
+
+    for owner in (np.linalg, scipy.linalg):
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(owner, name, forbidden)
+    for tau in (BASE["tau"], {"kind": "constant", "theta": 2.0}):
+        cfg = write_cfg(tmp_path, {"problem": ACTION_PROBLEMS[problem], "tau": tau,
+                                   "window": [0.2, 60.0]})
+        code, out = run(tmp_path, cfg, "eigen")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["eigenvalue_count"] == report["window_count"] > 0
+
+
 def test_verify_stays_in_boundary_size(tmp_path, monkeypatch):
     # no dense L_II and no state space of interior size: the elliptic triple
     # is checked through its banded LU
@@ -385,7 +408,8 @@ def test_2d_solve(tmp_path):
 
 def test_dense_memory_limit_exits_1(tmp_path, monkeypatch, capsys):
     # a limit below every dense interior-size array: solve builds none, eigen
-    # (the linearization) and verify (the generic triple) refuse with exit 1
+    # (the linearization, or for a constant tau the fixed extension) and
+    # verify (the linearization) refuse with exit 1
     import weylbvp.elliptic
     monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", 1)
     cfg = write_cfg(tmp_path)
@@ -393,6 +417,9 @@ def test_dense_memory_limit_exits_1(tmp_path, monkeypatch, capsys):
     for action in ("eigen", "verify"):
         assert run(tmp_path, cfg, action)[0] == 1
         assert "limit" in capsys.readouterr().err
+    constant = write_cfg(tmp_path, {"tau": {"kind": "constant", "theta": 2.0}})
+    assert run(tmp_path, constant, "eigen")[0] == 1
+    assert "the linearization would take" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", ["1/(x-0.5)", "10.0**400", "sqrt(x-2)",

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from weylbvp import (
     BoundaryTriple,
     ConstantFunction,
+    DimensionMismatch,
     KreinSpace,
     LinearRelation,
     MathDomainError,
@@ -22,6 +23,7 @@ from weylbvp import (
     SpectrumPoint,
     build_1d,
     build_2d,
+    build_fixed_extension,
     build_linearization,
     compressed_resolvent,
     direct_solve,
@@ -38,7 +40,7 @@ import weylbvp.elliptic
 from weylbvp.elliptic import EllipticTriple, SparseRoute
 from weylbvp.solver import WINDOW_PAD, Linearization, eigenvalue_count
 
-from oracles import dense_l_ii, elliptic_gamma, fixed_extension_count
+from oracles import dense_l_ii, elliptic_gamma, fixed_extension, fixed_extension_count
 
 
 def rational_m2(g):
@@ -371,7 +373,7 @@ def _dense_coupling_linearization(et, realized):
 def test_rational_matches_general_linearization(et1d, et2d):
     # the eliminated builder (and its rational entry) against the full
     # coupling system: rational tau in 1D and 2D, and constant tau over an
-    # indefinite state space
+    # indefinite state space; the fixed extension against its dense formula
     for et in (et1d, et2d):
         nb = et.de.n_boundary
         tau = rational_m2(nb)
@@ -382,6 +384,9 @@ def test_rational_matches_general_linearization(et1d, et2d):
             a_ref, w_ref = _dense_coupling_linearization(et, realized)
             assert np.linalg.norm(lin.matrix - a_ref, 2) <= 1e-8
             assert np.linalg.norm(product_gram(lin) - w_ref, 2) <= 1e-12
+        fixed = build_fixed_extension(et, const)
+        assert fixed.state_gram.shape == (0, 0)
+        assert np.linalg.norm(fixed.matrix - fixed_extension(et, const)[0], 2) <= 1e-8
 
 
 def test_real_tau_gives_real_linearization(et1d):
@@ -414,12 +419,19 @@ def test_rank_deficient_coupling_rejected(et1d):
         build_linearization(et1d, cut)
 
 
-@pytest.mark.parametrize("which", ["rational", "constant"])
+@pytest.mark.parametrize("which", ["rational", "constant", "fixed"])
 def test_linearization_takes_one_lu_and_no_svd_or_inverse(which, et2d, monkeypatch):
     nb = et2d.de.n_boundary
+    theta = 2.0 * np.eye(nb)
     realized = realize_rational(rational_m2(nb)) if which == "rational" \
-        else realize_constant(2.0 * np.eye(nb), 3.7j)
-    reference = build_linearization(et2d, realized).matrix
+        else realize_constant(theta, 3.7j)
+
+    def build():
+        if which == "fixed":
+            return build_fixed_extension(et2d, theta)
+        return build_linearization(et2d, realized)
+
+    reference = build().matrix
 
     def forbidden(*args, **kwargs):
         raise AssertionError("SVD or explicit inverse in build_linearization")
@@ -430,8 +442,9 @@ def test_linearization_takes_one_lu_and_no_svd_or_inverse(which, et2d, monkeypat
     lu_factor = scipy.linalg.lu_factor
     monkeypatch.setattr(scipy.linalg, "lu_factor",
                         lambda a, **k: factors.append(a.shape) or lu_factor(a, **k))
-    lin = build_linearization(et2d, realized)
-    assert factors == [(realized.t_dim, realized.t_dim)]
+    lin = build()
+    size = nb if which == "fixed" else realized.t_dim
+    assert factors == [(size, size)]
     assert np.array_equal(lin.matrix, reference)
 
 
@@ -442,7 +455,7 @@ def test_real_coupling_takes_real_solves(et2d, monkeypatch):
     # unguarded LU
     realized = realize_rational(rational_m2(et2d.de.n_boundary))
     lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
-    monkeypatch.setattr(solver, "dense_lu", lambda mat, error, what: lu_factor(mat))
+    monkeypatch.setattr(solver, "dense_lu", lambda mat, *args: lu_factor(mat))
     unguarded = build_linearization(et2d, realized).matrix
     monkeypatch.undo()
     kinds = []
@@ -575,10 +588,10 @@ def test_eigen_takes_no_svd_and_one_factorization_per_count(et2d, monkeypatch):
 
 
 def test_hilbert_spectrum_real(et1d):
+    # a Euclidean state: one Hermitian eigensolve, real eigenvalues
     lin = build_linearization(et1d, realize_rational(rational_m2(2)))
-    assert lin.is_hilbert
     ev = lin.eigenpairs()[0]
-    assert np.max(np.abs(ev.imag)) <= 1e-9
+    assert np.isrealobj(ev) and ev.size == lin.size
 
 
 def test_krein_state_allows_nonreal_eigenvalues(et1d):
@@ -587,9 +600,9 @@ def test_krein_state_allows_nonreal_eigenvalues(et1d):
     # pair shows up as a nonreal conjugate pair of eigenvalues
     vt = 3.7j
     lin = lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2)))
-    assert not lin.is_hilbert
+    assert np.min(np.linalg.eigvalsh(lin.state_gram)) < 0
     assert lin.w_symmetry_residual() <= 1e-10
-    ev = lin.eigenpairs()[0]
+    ev = scipy.linalg.eigvals(lin.matrix)
     nonreal = ev[np.abs(ev.imag) > 1e-6]
     assert nonreal.size > 0
     assert min(abs(z - vt) for z in nonreal) <= 1e-6
@@ -616,7 +629,6 @@ def test_hilbert_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
     calls = _count_eigensolves(monkeypatch)
     lam, v = lin.eigenpairs()
     assert calls == ["eigh"]
-    assert lin.is_hilbert and calls == ["eigh"]    # cached, no second solve
     a, w = lin.matrix, product_gram(lin)
     assert np.linalg.norm(a @ v - v * lam, 2) <= 1e-10 * np.linalg.norm(a, 2)
     assert np.linalg.norm(v.conj().T @ w @ v - np.eye(lin.size), 2) <= 1e-12
@@ -677,9 +689,13 @@ def test_hilbert_windowed_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypat
 
 
 def test_krein_eigenpairs_nonreal_pair(et1d):
+    # the nonreal pair at the anchor belongs to the Krein companion; the
+    # package's Hermitian eigensolve refuses an indefinite state
     vt = 3.7j
     lin = lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2)))
-    lam, v = lin.eigenpairs()
+    with pytest.raises(DimensionMismatch, match="Euclidean state"):
+        lin.eigenpairs()
+    lam, v = scipy.linalg.eig(lin.matrix)
     a = lin.matrix
     assert np.linalg.norm(a @ v - v * lam, 2) <= 1e-10 * np.linalg.norm(a, 2)
     for target in (vt, np.conj(vt)):
@@ -702,21 +718,22 @@ def test_compressed_resolvent_far_field_bound(et1d):
 
 
 def test_scan_constant_tau_matches_fixed_extension(et1d):
-    # a constant tau realizes over an indefinite state space: the full
-    # nonsymmetric eigensolve, whose nonreal pair 4 +- 3.7i lies over the
-    # window and must stay out of the clusters
+    # the scan runs on the fixed extension A_theta in H.  Its roots are the
+    # real eigenvalues of the paper's Krein linearization of the same tau,
+    # whose nonreal pair 4 +- 3.7i (the companion's anchor) lies over the
+    # window, and its counts are those of the dense fixed extension
     theta = 2.0 * np.eye(2)
     tau = ConstantFunction(theta=theta)
-    lin = build_linearization(et1d, realize_constant(theta, 4.0 + 3.7j))
-    assert not lin.is_hilbert
-    ev = lin.eigenpairs()[0]
-    assert np.min(np.abs(ev - (4.0 + 3.7j))) <= 1e-6
-    scan = homogeneous_scan(et1d, tau, (0.5, 9.5), lin)
+    scan = homogeneous_scan(et1d, tau, (0.5, 9.5), build_fixed_extension(et1d, theta))
     assert not scan.failures
+    ev = scipy.linalg.eigvals(build_linearization(et1d, realize_constant(theta, 4.0 + 3.7j)).matrix)
+    assert np.min(np.abs(ev - (4.0 + 3.7j))) <= 1e-6
     real_ev = np.sort(ev.real[np.abs(ev.imag) < 1e-8])
     window_ev = real_ev[(real_ev >= 0.5) & (real_ev <= 9.5)]
     assert scan.window_count == len(scan.roots) == len(window_ev) > 0
-    assert np.max(np.abs(np.array(scan.roots) - window_ev)) <= 1e-6
+    assert np.max(np.abs(np.array(scan.roots) - window_ev)) <= 1e-10 * np.max(window_ev)
+    assert [n for _, n in scan.counts] == [fixed_extension_count(et1d, theta, x)
+                                           for x, _ in scan.counts]
 
 
 @pytest.mark.parametrize("tau_name", ["linear", "rational"])
