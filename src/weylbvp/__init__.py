@@ -6,9 +6,10 @@ elliptic triple's gamma-field, Weyl function and resolvent, and one
 shift-invert Lanczos run on it for the lowest Dirichlet eigenvalue, sparse LU
 for the direct oracle and the compressed resolvent, one symmetric sparse
 factorization per eigenvalue count, one dense LU per point for the data of a
-generic boundary triple, dense boundary-size algebra, and one windowed dense
-Hermitian eigensolve of the linearization, which for a constant boundary
-condition is the fixed selfadjoint extension in L^2).
+generic boundary triple, dense boundary-size algebra, and a sparse
+linearization, which for a constant boundary condition is the fixed
+selfadjoint extension in L^2, solved in count-sized slices by one
+shift-invert Lanczos run each).
 """
 
 __version__ = "1.0.0"

@@ -1,23 +1,26 @@
 """Solution machinery for spectral-parameter-dependent boundary conditions:
 the perturbed-resolvent formula (whose guard is the only sigma_min of
 M + tau), the linearized block operator on the product space (with no state
-for a constant tau: its selfadjoint extension in H) and its one windowed
-Hermitian eigensolve, the eigenvalue count and the count certificate of the
-linearization's eigenvalues, and the eigenvalue correspondence and
-completeness check by counts and residuals.
+for a constant tau: its selfadjoint extension in H), stored sparse, and its
+one eigensolve path, a shift-invert Lanczos run per count-sized slice, the
+eigenvalue count and the count certificate of the linearization's
+eigenvalues, and the eigenvalue correspondence and completeness check by
+counts and residuals.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import DimensionMismatch, RankDeficientCoupling, SpectrumPoint
 from .krein import dense_lu
-from .elliptic import DiscreteElliptic, EllipticTriple, SparseRoute, _check_dense, elliptic_triple
+from .elliptic import DiscreteElliptic, EllipticTriple, SparseRoute, elliptic_triple
 from .opfunc import RationalNevanlinna
 from .realize import realize_rational
 from .triple import BoundaryTriple
@@ -93,7 +96,9 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
 @dataclass(frozen=True)
 class Linearization:
     """Block operator on (interior) x (realization state) whose compressed
-    resolvent solves the parameter-dependent problem.
+    resolvent solves the parameter-dependent problem, stored sparse (CSR,
+    nonzero entries only): L_II, one n_B x n_B block at the channel rows and
+    state blocks of boundary size.
 
     The product metric is block diagonal, W = h^d I (+) G with ``weight``
     h^d > 0 and ``state_gram`` G; the operator is W-selfadjoint.  G is I for
@@ -101,7 +106,7 @@ class Linearization:
     Krein companion of a constant tau (``realize_constant``).
     """
 
-    matrix: np.ndarray = field(repr=False)
+    matrix: scipy.sparse.csr_array = field(repr=False)
     weight: float
     state_gram: np.ndarray = field(repr=False)
 
@@ -114,21 +119,25 @@ class Linearization:
         return self.size - self.state_gram.shape[0]
 
     @cached_property
-    def weighted_matrix(self) -> np.ndarray:
-        """W A, row block by row block: no matrix product of interior size."""
-        n = self.n_interior
-        wa = np.empty_like(self.matrix)
-        wa[:n] = self.weight * self.matrix[:n]
-        wa[n:] = self.state_gram @ self.matrix[n:]
-        return wa
+    def weighted_matrix(self) -> scipy.sparse.csr_array:
+        """W A, row block by row block: the interior rows scaled by h^d, the
+        state rows multiplied by G where G is not I."""
+        n, a = self.n_interior, self.matrix
+        wa = a.copy()
+        wa.data[:a.indptr[n]] *= self.weight
+        if np.array_equal(self.state_gram, np.eye(self.size - n)):
+            return wa
+        return scipy.sparse.vstack([wa[:n], scipy.sparse.csr_array(self.state_gram) @ a[n:]],
+                                   format="csr")
 
     def w_symmetry_residual(self) -> float:
         """||WA - (WA)^H||_F / max(1, largest column norm of WA): no SVD, and
         never below the 2-norm ratio (the Frobenius norm bounds the 2-norm
         from above, a column norm bounds it from below)."""
         wa = self.weighted_matrix
-        scale = float(np.max(np.linalg.norm(wa, axis=0)))
-        return float(np.linalg.norm(wa - wa.conj().T) / max(1.0, scale))
+        scale = np.sqrt(float(np.max(np.bincount(wa.indices, np.abs(wa.data) ** 2,
+                                                 minlength=self.size))))
+        return float(np.linalg.norm((wa - wa.conj().T).data) / max(1.0, scale))
 
     @cached_property
     def sparse_route(self) -> SparseRoute:
@@ -138,27 +147,58 @@ class Linearization:
         symmetric)."""
         return SparseRoute(self.matrix, self.size, 0, "MMD_AT_PLUS_A")
 
-    def eigenpairs(self, window: tuple[float, float] | None = None):
-        """(eigenvalues, eigenvectors in the original coordinates), real and
-        W-orthonormal, from one Hermitian eigensolve of D^{-1/2} He(W A) D^{-1/2}
-        (W = D = h^d I (+) I, He the Hermitian part), whose blocks are scaled:
-        no interior-size matrix is multiplied or factored, and a real A (real
-        tau) is solved in real arithmetic.  A window (a, b) restricts both to
-        the eigenvalues in (a, b], which LAPACK selects by Sturm bisection: an
-        exact count with multiplicity.  A state other than G = I (or none)
-        raises ``DimensionMismatch``.
+    @cached_property
+    def _form(self) -> tuple:
+        """(F, ||F||_1, F - sigma as a ``SparseRoute``) for the Hermitian form
+        F = D^{-1/2} He(W A) D^{-1/2} = He(D^{1/2} A D^{-1/2}) (W = D = h^d I (+) I,
+        He the Hermitian part), whose eigenvalues are A's and whose unit
+        eigenvectors z give A's W-orthonormal ones as D^{-1/2} z; real for a
+        real A, and stored sparse like A.  The route is ordered at the first
+        slice and makes one numeric LU per later one.
         """
-        n, root = self.n_interior, np.sqrt(self.weight)
-        if not np.array_equal(self.state_gram, np.eye(self.size - n)):
+        n, size, a = self.n_interior, self.size, self.matrix
+        if not np.array_equal(self.state_gram, np.eye(size - n)):
             raise DimensionMismatch("the eigensolve needs a Euclidean state, G = I")
-        wa = self.weighted_matrix
-        form = (wa + wa.conj().T) / 2
-        form[:n, :n] /= self.weight
-        form[:n, n:] /= root
-        form[n:, :n] /= root
-        w, z = scipy.linalg.eigh(form, subset_by_value=window)
-        z[:n] /= root                   # x = D^{-1/2} z
-        return w, z
+        root = np.ones(size)
+        root[:n] = np.sqrt(self.weight)
+        rows = np.repeat(np.arange(size), np.diff(a.indptr))
+        half = a.data * (root[rows] / root[a.indices]) / 2
+        form = scipy.sparse.csr_array(
+            (np.concatenate([half, half.conj()]),
+             (np.concatenate([rows, a.indices]), np.concatenate([a.indices, rows]))),
+            shape=a.shape)
+        norm = float(np.max(np.bincount(form.indices, np.abs(form.data), minlength=size)))
+        return form, norm, SparseRoute(form, size, 0, "MMD_AT_PLUS_A")
+
+    def eigenpairs(self, window: tuple[float, float], count: int):
+        """(eigenvalues, eigenvectors in the original coordinates, residual)
+        of the ``count`` eigenvalues nearest the window's midpoint sigma:
+        real, increasing and W-orthonormal, from one shift-invert Lanczos run
+        (``eigsh``) on the Hermitian form F of ``_form`` with a fixed start
+        vector, whose operator is one guarded LU of F - sigma (``SparseRoute``;
+        ``SpectrumPoint`` where ``sparse_lu`` refuses it).  Nothing of
+        interior size is dense.  The residual is max ||F z - lam z||_2 / ||F||_1
+        over the unit eigenvectors z of F.  ``homogeneous_scan`` reads which
+        of them lie in the window against the count there.  A state other
+        than G = I (or none) raises ``DimensionMismatch``.
+        """
+        import scipy.sparse.linalg
+        form, norm, route = self._form
+        n, size = self.n_interior, self.size
+        sigma = (window[0] + window[1]) / 2
+        inverse = scipy.sparse.linalg.LinearOperator(
+            (size, size), matvec=route.solver(sigma, f"the eigensolve's F - sigma at "
+                                                     f"sigma={sigma:.6g}"), dtype=form.dtype)
+        # a random start from a fixed seed: all ones would be blind to the
+        # modes that are odd under a symmetry of the grid
+        start = np.random.default_rng(0).standard_normal(size).astype(form.dtype)
+        w, z = scipy.sparse.linalg.eigsh(form, k=count, sigma=sigma, OPinv=inverse, tol=0,
+                                         v0=start)
+        order = np.argsort(w)
+        w, z = w[order], z[:, order]
+        residual = float(np.max(np.linalg.norm(form @ z - z * w, axis=0))) / max(norm, 1e-300)
+        z[:n] /= np.sqrt(self.weight)           # x = D^{-1/2} z
+        return w, z, residual
 
 
 def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Linearization:
@@ -177,8 +217,9 @@ def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Lineari
     it through identity blocks), so the guard is one ``dense_lu`` of C, which
     raises ``RankDeficientCoupling``; the four blocks come from one
     transposed solve for [Gamma_0; second] C^{-1}, and nothing of interior
-    size is decomposed.  A dense A above ``DENSE_LIMIT_BYTES`` raises
-    ``ConfigError`` before allocation.
+    size is decomposed.  A is stored sparse, its nonzero entries only: the
+    interior block is L_II plus one n_B x n_B block at the channel rows, and
+    the state blocks are of boundary size.
     """
     return _linearize(et, realized.first, realized.g0, realized.g1, realized.second,
                       realized.state.gram)
@@ -217,18 +258,22 @@ def _linearize(et: EllipticTriple, first, g0, g1, second, gram,
     g0p, g0q = blocks[:nb, :nk], blocks[:nb, nk:]
     sp, sq = blocks[nb:, :nk], blocks[nb:, nk:]
 
-    _check_dense((n + nk, n + nk), blocks.dtype, "the linearization")
-    a_mat = np.zeros((n + nk, n + nk), dtype=blocks.dtype)
-    # L_II written from its sparse form, without a dense n x n copy
-    l_ii = de.sparse_blocks[0].tocoo()
-    a_mat[l_ii.row, l_ii.col] = l_ii.data
-    # L_IB and w L_BI touch only the channel rows and columns of A
+    # A from its blocks, nonzero entries only: L_II, the n_B x n_B block at
+    # the channel rows and columns, and the state blocks; L_IB and w L_BI
+    # touch only the channel rows and columns
     rows, w_coupling = de.channel_rows, de.weight * de.coupling
-    a_mat[np.ix_(rows, rows)] += de.coupling[:, None] * g0q * w_coupling
-    a_mat[rows, n:] = de.coupling[:, None] * g0p
-    a_mat[n:, rows] = sq * w_coupling
-    a_mat[n:, n:] = sp
-
+    l_ii = de.sparse_blocks[0].tocoo()
+    parts = [(l_ii.row, l_ii.col, l_ii.data)]
+    for block, at_rows, at_cols in (
+            (de.coupling[:, None] * g0q * w_coupling, rows, rows),
+            (de.coupling[:, None] * g0p, rows, n + np.arange(nk)),
+            (sq * w_coupling, n + np.arange(nk), rows),
+            (sp, n + np.arange(nk), n + np.arange(nk))):
+        i, j = np.nonzero(block)
+        parts.append((at_rows[i], at_cols[j], block[i, j]))
+    i, j, v = (np.concatenate(p) for p in zip(*parts))
+    # CSR sums the entries that L_II and the channel block share
+    a_mat = scipy.sparse.csr_array((v, (i, j)), shape=(n + nk, n + nk))
     return Linearization(matrix=a_mat, weight=de.weight, state_gram=np.ascontiguousarray(gram))
 
 
@@ -255,18 +300,21 @@ def compressed_resolvent(lin: Linearization, lam: complex, g: np.ndarray) -> np.
     """
     rhs = np.zeros(lin.size, dtype=complex)
     rhs[:lin.n_interior] = g
-    return lin.sparse_route.solve(lam, rhs, f"A - lambda at lambda={lam}")[:lin.n_interior]
+    solve = lin.sparse_route.solver(complex(lam), f"A - lambda at lambda={lam}")
+    return solve(rhs)[:lin.n_interior]
 
 
 # ``homogeneous_scan`` moves a window end where the count raises (on a pole of
 # tau or an eigenvalue of the problem) by this step (relative to the window's
-# largest |endpoint|, at least 1), doubling it.
+# largest |endpoint|, at least 1), doubling it, at most ``END_STEPS`` times.
 COUNT_GAP = 1e-11
-# The linearization eigensolve of ``homogeneous_scan`` covers the counted
-# window widened by this much (relative to the window's largest |endpoint|,
-# at least 1), so that the half-open (a, b] that the solve returns keeps an
-# eigenvalue on the lower end.
-WINDOW_PAD = 1e-9
+END_STEPS = 40
+# ``homogeneous_scan`` splits its window at counted points until each slice
+# holds at most this many eigenvalues, and solves each slice by one
+# shift-invert Lanczos run; an eigenpair whose residual ||F z - lam z|| / ||F||_1
+# exceeds ``SLICE_RESIDUAL`` fails its slice's certificate.
+SLICE_COUNT = 48
+SLICE_RESIDUAL = 1e-12
 
 
 def eigenvalue_count(et: EllipticTriple, tau, x: float) -> int:
@@ -290,9 +338,9 @@ def eigenvalue_count(et: EllipticTriple, tau, x: float) -> int:
     singular point of the count.
     """
     mt = tau.eval(x) + et.boundary_block
-    block = -(mt + mt.conj().T) / (2 * et.de.weight)
-    if not np.any(block.imag):
-        block = block.real              # a real tau(x) is factored real
+    if not np.any(mt.imag):
+        mt = mt.real                    # a real tau(x) is factored real
+    block = (mt + mt.conj().T) / (-2 * et.de.weight)
     lu = et.count_route.factor(x, f"the bordered count matrix at x={x}", block)[0]
     negative = np.count_nonzero(lu.U.diagonal().real < 0)
     return int(negative + np.count_nonzero(tau.poles() < x))
@@ -322,20 +370,35 @@ def homogeneous_scan(et: EllipticTriple, tau, window, lin: Linearization,
     linearization's eigenvalues there, certified complete by the count N.
 
     N is counted at both window ends; an end on a pole of tau or an
-    eigenvalue of the problem, where N is undefined, moves outward.  The
-    linearization's eigenvalues in [lo, hi) between the counted ends, all
-    real, are grouped into clusters, in which neighbours are closer
-    than 2 tol, and N is counted once in each gap between clusters: at its
-    middle, or where N is undefined there at 3/8, 5/8, 1/4 or 3/4 of it, so
-    at least tol/2 from every eigenvalue; a gap with no such point joins its
-    two clusters.  The certificate holds when N
+    eigenvalue of the problem, where N is undefined, moves outward, and
+    after ``END_STEPS`` such points ``SpectrumPoint`` is raised.  The
+    counted window [lo, hi) holds N(hi) - N(lo) eigenvalues before any
+    eigensolve.  It is bisected at counted points (``split``) into pieces of
+    at most ``SLICE_COUNT``, and neighbouring pieces are joined into slices
+    while they hold at most that many.  A slice [a, b) holding k is solved
+    by one ``Linearization.eigenpairs`` for the k + 1 eigenvalues nearest
+    its midpoint: the k nearest are exactly those in [a, b) and the next
+    lies outside.  Fewer than k inside, a residual above ``SLICE_RESIDUAL``
+    or a refused shift fails the slice, which is split and solved again,
+    down to a width of 2 tol or until its midpoint rounds onto an end; a
+    slice that cannot be split further is reported as a failure.  More than k inside is a count that is short,
+    which the certificate below reports.
+
+    The eigenvalues found are then grouped into clusters, in which
+    neighbours are closer than 2 tol, and N is counted once in each gap
+    between clusters that holds no counted point yet: at its middle, or
+    where N is undefined there at 3/8, 5/8, 1/4 or 3/4 of it, so at least
+    tol/2 from every eigenvalue; a gap with no such point joins its two
+    clusters.  The certificate holds when N
     jumps across each cluster by the cluster's size: N(x) counts the
     eigenvalues below x exactly, so the eigenvalues listed are then all
-    those of the window.  k clusters take k + 1 counts.
+    those of the window.
     """
+    import scipy.sparse.linalg
     lo, hi = float(window[0]), float(window[1])
     scale = max(1.0, abs(lo), abs(hi))
     counts: dict[float, int] = {}
+    found, failures = [], []
 
     def count(x: float) -> int | None:
         try:
@@ -346,38 +409,86 @@ def homogeneous_scan(et: EllipticTriple, tau, window, lin: Linearization,
 
     def end(x: float, step: float) -> float:
         # the singular points are finite in number, so a doubling step
-        # leaves them behind
-        while count(x) is None:
+        # leaves them behind; a count that raises everywhere ends here
+        for _ in range(END_STEPS):
+            if count(x) is not None:
+                return x
             x, step = x + step, 2 * step
-        return x
+        raise SpectrumPoint(f"the eigenvalue count is undefined at {END_STEPS} points "
+                            f"moving out from the window end {float(window[step > 0]):.6g}")
 
     def split(a: float, b: float) -> float | None:
+        # a point that rounds onto an end would split nothing
         for t in (0.5, 0.375, 0.625, 0.25, 0.75):
-            if count(x := a + t * (b - a)) is not None:
+            if a < (x := a + t * (b - a)) < b and count(x) is not None:
                 return x
         return None
 
-    lo, hi = end(lo, -COUNT_GAP * scale), end(hi, COUNT_GAP * scale)
-    pad = WINDOW_PAD * scale
-    evals, evecs = lin.eigenpairs((lo - pad, hi + pad))
-    keep = np.flatnonzero((evals >= lo) & (evals < hi))
-    roots = evals[keep].tolist()
+    def certify(a: float, b: float, k: int) -> str:
+        """Solve the slice [a, b) of k eigenvalues by the k + 1 nearest its
+        midpoint; the reason it fails, or ''."""
+        wanted = min(k + 1, lin.size - 2)
+        if wanted < k:
+            return f"{k} eigenvalues, more than the eigensolve takes"
+        try:
+            w, x, residual = lin.eigenpairs((a, b), wanted)
+        except (SpectrumPoint, scipy.sparse.linalg.ArpackNoConvergence) as exc:
+            return str(exc)
+        if not residual <= SLICE_RESIDUAL:
+            return f"eigenpair residual {residual:.3e}"
+        inside = (w >= a) & (w < b)
+        if np.count_nonzero(inside) < k:
+            return (f"{np.count_nonzero(inside)} of the {w.size} eigenvalues nearest "
+                    "its midpoint lie in it")
+        # more than k inside means a count that is short: the certificate fails
+        found.append((w[inside], x[:, inside]))
+        return ""
 
-    cuts = [lo]
+    lo, hi = end(lo, -COUNT_GAP * scale), end(hi, COUNT_GAP * scale)
+    # bisect the window at counted points into pieces of at most SLICE_COUNT
+    # eigenvalues, then join neighbouring pieces while the slice holds at most
+    # that many: a slice edge inside a cluster slows the Lanczos run
+    pieces, slices = [(lo, hi)], []
+    while pieces:
+        a, b = pieces.pop()
+        mid = split(a, b) if counts[b] - counts[a] > SLICE_COUNT and b - a > 2 * tol else None
+        if mid is not None:
+            pieces += [(mid, b), (a, mid)]
+        elif counts[b] > counts[a]:     # a negative jump fails the cluster certificate
+            if slices and slices[-1][1] == a and counts[b] - counts[slices[-1][0]] <= SLICE_COUNT:
+                a = slices.pop()[0]
+            slices.append((a, b))
+    # solve each slice, in increasing order; one that fails is split and its
+    # halves are solved again
+    slices.reverse()
+    while slices:
+        a, b = slices.pop()
+        k = counts[b] - counts[a]
+        if k <= 0 or not (why := certify(a, b, k)):
+            continue
+        mid = split(a, b) if b - a > 2 * tol else None
+        if mid is None:
+            failures.append(f"slice [{a:.6g}, {b:.6g}) of {k} eigenvalues is not certified: {why}")
+        else:
+            slices += [(mid, b), (a, mid)]
+    roots = [float(v) for w, _ in found for v in w]
+    vectors = np.hstack([np.zeros((lin.size, 0))] + [x for _, x in found])
+
+    # the slice points are counted already: a gap that holds one needs no count
+    points = sorted(counts)
     for a, b in zip(roots, roots[1:]):
-        x = split(a, b) if b - a >= 2 * tol else None
-        if x is not None:
-            cuts.append(x)
-    cuts.append(hi)
+        if b - a >= 2 * tol and points[bisect.bisect_right(points, a)] >= b:
+            split(a, b)
+    cuts = sorted(counts)
     below = np.searchsorted(roots, cuts)
-    failures = [f"count mismatch on [{a:.6g}, {b:.6g}): N jumps by "
-                f"{counts[b] - counts[a]}, the linearization has {k - j} eigenvalues"
-                for a, b, j, k in zip(cuts, cuts[1:], below, below[1:])
-                if counts[b] - counts[a] != k - j]
+    failures += [f"count mismatch on [{a:.6g}, {b:.6g}): N jumps by "
+                 f"{counts[b] - counts[a]}, the linearization has {k - j} eigenvalues"
+                 for a, b, j, k in zip(cuts, cuts[1:], below, below[1:])
+                 if counts[b] - counts[a] != k - j]
     if counts[hi] - counts[lo] != len(roots):
         failures.insert(0, f"incomplete: the count gives {counts[hi] - counts[lo]} "
                            f"eigenvalues in the window, the linearization {len(roots)}")
-    return ScanResult(roots=tuple(roots), vectors=evecs[:, keep],
+    return ScanResult(roots=tuple(roots), vectors=vectors,
                       counts=tuple(sorted(counts.items())), failures=tuple(failures))
 
 

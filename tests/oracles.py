@@ -3,13 +3,15 @@
 The [[., .]]-adjoint of a relation by a full SVD and the subspace gaps built
 on it, the closed-form resolvent of the companion block, the dense Dirichlet
 block L_II, the closed-form gamma-field of the elliptic triple, that
-triple as a dense generic ``BoundaryTriple`` and the eigenvalue count of a
-constant boundary condition from dense eigensolves.  The package decides the same
-properties by cheaper means; these are what it is checked against.  Last, a
-patch that keeps the dense L_II from the code under test.
+triple as a dense generic ``BoundaryTriple``, the eigenvalue count of a
+constant boundary condition from dense eigensolves, and a linearization's
+A and full spectrum in dense form.  The package decides the same properties
+by cheaper means; these are what it is checked against.  Last, a patch that
+keeps the dense L_II from the code under test.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from weylbvp import BoundaryTriple, KreinSpace, LinearRelation, Subspace, nullspace
@@ -93,6 +95,27 @@ def fixed_extension_count(et, theta, x):
     k, tb = fixed_extension(et, theta)
     return int(np.count_nonzero(np.linalg.eigvalsh((k + k.conj().T) / 2) < x)
                + np.count_nonzero(np.linalg.eigvalsh(tb) > 0))
+
+
+def dense_matrix(lin):
+    """A linearization's A as a dense array, for small sizes: the package
+    stores it sparse."""
+    return lin.matrix.toarray()
+
+
+def dense_eigenpairs(lin):
+    """Every eigenpair of a linearization over a Euclidean state (or none):
+    (increasing real eigenvalues, W-orthonormal eigenvectors) from one dense
+    Hermitian eigensolve of D^{-1/2} He(W A) D^{-1/2} (W = D = h^d I (+) I),
+    where the package solves count-sized slices of it by shift-invert
+    Lanczos runs."""
+    a, n = dense_matrix(lin), lin.n_interior
+    assert np.array_equal(lin.state_gram, np.eye(lin.size - n)), "needs G = I"
+    root = np.ones(lin.size)
+    root[:n] = np.sqrt(lin.weight)
+    b = root[:, None] * a / root
+    w, z = scipy.linalg.eigh((b + b.conj().T) / 2)
+    return w, z / root[:, None]
 
 
 def refuse_dense_square(monkeypatch, n):

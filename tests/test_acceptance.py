@@ -32,7 +32,7 @@ from weylbvp import (
     verify_triple_identities,
 )
 
-from oracles import constant_state_resolvent
+from oracles import constant_state_resolvent, dense_matrix
 
 
 def report(name, ok, detail):
@@ -229,7 +229,7 @@ def symmetrized(lin):
     assert w[0] > 0, "product metric is indefinite"
     root = (v * np.sqrt(w)) @ v.conj().T
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return root @ lin.matrix @ inv_root
+    return root @ dense_matrix(lin) @ inv_root
 
 
 def test_linearization_selfadjointness():

@@ -214,6 +214,20 @@ def test_report_deterministic(tmp_path):
     assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
 
+def test_eigen_report_deterministic(tmp_path):
+    # the slice eigensolves start from a fixed vector: another eigen action
+    # in between leaves the report byte for byte as it was
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 8, "ny": 8}, "window": [0.2, 30.0]})
+    other = tmp_path / "other"
+    other.mkdir()
+    reports = []
+    for name in ("first", "second"):
+        assert main(["--config", str(cfg), "--action", "eigen", "--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+        assert run(other, write_cfg(other, {"window": [0.2, 60.0]}), "eigen")[0] == 0
+    assert reports[0] == reports[1]
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path)
     _, out1 = run(tmp_path, cfg, "solve")
@@ -406,20 +420,62 @@ def test_2d_solve(tmp_path):
     assert len(rows) == 1 + 36
 
 
-def test_dense_memory_limit_exits_1(tmp_path, monkeypatch, capsys):
-    # a limit below every dense interior-size array: solve builds none, eigen
-    # (the linearization, or for a constant tau the fixed extension) and
-    # verify (the linearization) refuse with exit 1
-    import weylbvp.elliptic
-    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", 1)
-    cfg = write_cfg(tmp_path)
-    assert run(tmp_path, cfg, "solve")[0] == 0
-    for action in ("eigen", "verify"):
-        assert run(tmp_path, cfg, action)[0] == 1
-        assert "limit" in capsys.readouterr().err
-    constant = write_cfg(tmp_path, {"tau": {"kind": "constant", "theta": 2.0}})
-    assert run(tmp_path, constant, "eigen")[0] == 1
-    assert "the linearization would take" in capsys.readouterr().err
+def _interior_size_arrays(n: int, call):
+    """Run call() and return (function, name, shape) of every dense array
+    with both dimensions at least n that a weylbvp function holds in a local
+    variable or returns."""
+    import sys
+
+    import numpy as np
+
+    seen = []
+
+    def hook(frame, event, arg):
+        if event != "return" or not frame.f_globals.get("__name__", "").startswith("weylbvp"):
+            return
+        for name, value in [*frame.f_locals.items(), ("<return>", arg)]:
+            if isinstance(value, np.ndarray) and value.ndim == 2 and min(value.shape) >= n:
+                seen.append((frame.f_code.co_name, name, value.shape))
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_eigen_and_verify_hold_no_interior_size_dense_array(tmp_path):
+    # the linearization is stored sparse and its eigensolve works on sparse
+    # slices, so no dense n_I x n_I (or larger) array exists on either action,
+    # for a rational tau or a constant one; at 20 x 20 every boundary-size
+    # array is narrower than n_I = 400
+    for tau in (BASE["tau"], {"kind": "constant", "theta": 2.0}):
+        cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 20, "ny": 20}, "tau": tau,
+                                   "window": [0.2, 20.0]})
+        for action in ("eigen", "verify"):
+            codes = []
+            call = lambda: codes.append(run(tmp_path, cfg, action)[0])  # noqa: E731
+            assert _interior_size_arrays(400, call) == []
+            assert codes == [0]
+
+
+def test_eigen_exits_2_where_the_count_raises_everywhere(tmp_path, monkeypatch, capsys):
+    # the scan moves a window end off points where the count raises a
+    # bounded number of times, then gives up with a domain error
+    import time
+
+    import weylbvp.solver
+    from weylbvp import SpectrumPoint
+
+    def raising(et, tau, x):
+        raise SpectrumPoint(f"no count at {x}")
+
+    monkeypatch.setattr(weylbvp.solver, "eigenvalue_count", raising)
+    start = time.perf_counter()
+    assert run(tmp_path, write_cfg(tmp_path), "eigen")[0] == 2
+    assert time.perf_counter() - start < 5.0
+    assert "the eigenvalue count is undefined at" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", ["1/(x-0.5)", "10.0**400", "sqrt(x-2)",

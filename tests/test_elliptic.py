@@ -9,7 +9,6 @@ import scipy.sparse
 
 import weylbvp.elliptic
 from weylbvp import (
-    ConfigError,
     ConstantFunction,
     DiscreteElliptic,
     KreinSpace,
@@ -30,7 +29,7 @@ from weylbvp import (
 )
 from weylbvp.solver import eigenvalue_count
 
-from oracles import (dense_l_ii, elliptic_gamma, fixed_extension_count,
+from oracles import (dense_l_ii, dense_matrix, elliptic_gamma, fixed_extension_count,
                      generic_elliptic_triple, refuse_dense_square)
 
 
@@ -626,7 +625,7 @@ def test_sparse_routes_match_dense_references(problem, tau_name, lam):
     ref = dense_direct_solve(et, tau, lam, g)
     assert np.linalg.norm(direct_solve(et, tau, lam, g) - ref) <= 1e-12 * np.linalg.norm(ref)
     rhs = np.concatenate([g, np.zeros(lin.size - n)])
-    ref = np.linalg.solve(lin.matrix - lam * np.eye(lin.size), rhs)[:n]
+    ref = np.linalg.solve(dense_matrix(lin) - lam * np.eye(lin.size), rhs)[:n]
     assert np.linalg.norm(compressed_resolvent(lin, lam, g) - ref) \
         <= 1e-12 * np.linalg.norm(ref)
 
@@ -636,9 +635,9 @@ def recorded_orderings(monkeypatch) -> list:
     import scipy.sparse.linalg
     orderings, splu = [], scipy.sparse.linalg.splu
 
-    def recording(mat, permc_spec):
+    def recording(mat, permc_spec, **options):
         orderings.append(permc_spec)
-        return splu(mat, permc_spec=permc_spec)
+        return splu(mat, permc_spec=permc_spec, **options)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
     return orderings
@@ -696,7 +695,7 @@ def test_cached_compressed_route_matches_fresh_dense_solve(monkeypatch):
     for lam in (1.3 + 0.8j, -0.4 - 1.1j, 7.0 + 0.3j, 0.9):
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rhs = np.concatenate([g, np.zeros(lin.size - n)])
-        ref = np.linalg.solve(lin.matrix - lam * np.eye(lin.size), rhs)[:n]
+        ref = np.linalg.solve(dense_matrix(lin) - lam * np.eye(lin.size), rhs)[:n]
         assert np.linalg.norm(compressed_resolvent(lin, lam, g) - ref) \
             <= 1e-12 * np.linalg.norm(ref)
     assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
@@ -704,7 +703,7 @@ def test_cached_compressed_route_matches_fresh_dense_solve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# storage: no dense interior-size array outside the linearization
+# storage: no dense interior-size array
 
 
 def test_solve_and_count_build_no_dense_l_ii(monkeypatch):
@@ -723,17 +722,18 @@ def test_solve_and_count_build_no_dense_l_ii(monkeypatch):
         dense_l_ii(de)
 
 
-def test_dense_memory_guard(monkeypatch):
-    # the limit is lowered on a small problem, so nothing large is allocated
-    de = build_1d(10)
+def test_linearization_stores_only_nonzeros():
+    # A is assembled sparse from its blocks: L_II, the channel block and the
+    # state blocks, with no explicit zero (a stored zero would enlarge the
+    # compressed route's LU), where the dense A of 2D 20 x 20 holds over
+    # 300 000 entries
+    de = build_2d(20, 20)
     et = elliptic_triple(de)
-    tau = RationalNevanlinna(alpha=(np.zeros((2, 2)), -2 * np.eye(2)),
-                             beta=(np.eye(2), np.eye(2)))
-    realized = realize_rational(tau)
-    size = de.n_interior + realized.state.dim
-    a_bytes = size * size * 8                      # a real tau gives a real A
-    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", a_bytes)
-    assert build_linearization(et, realized).matrix.nbytes == a_bytes
-    monkeypatch.setattr(weylbvp.elliptic, "DENSE_LIMIT_BYTES", a_bytes - 1)
-    with pytest.raises(ConfigError):
-        build_linearization(et, realized)
+    tau = RationalNevanlinna(alpha=(np.zeros((76, 76)), -2 * np.eye(76)),
+                             beta=(np.eye(76), np.eye(76)))
+    lin = build_linearization(et, realize_rational(tau))
+    a = lin.matrix
+    assert scipy.sparse.issparse(a) and a.format == "csr" and a.has_canonical_format
+    assert np.all(a.data != 0) and a.nnz == np.count_nonzero(dense_matrix(lin))
+    nb, nk = de.n_boundary, lin.size - de.n_interior
+    assert nk == 2 * nb and a.nnz < de.sparse_blocks[0].nnz + nb * nb + 8 * nk

@@ -8,6 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from weylbvp import (
@@ -38,9 +39,10 @@ from weylbvp import (
 from weylbvp import solver
 import weylbvp.elliptic
 from weylbvp.elliptic import EllipticTriple, SparseRoute
-from weylbvp.solver import WINDOW_PAD, Linearization, eigenvalue_count
+from weylbvp.solver import SLICE_COUNT, Linearization, eigenvalue_count
 
-from oracles import dense_l_ii, elliptic_gamma, fixed_extension, fixed_extension_count
+from oracles import (dense_eigenpairs, dense_l_ii, dense_matrix, elliptic_gamma, fixed_extension,
+                     fixed_extension_count)
 
 
 def rational_m2(g):
@@ -192,7 +194,7 @@ def guarded_routes(build, first=None):
 def assert_sparse_guards_raise(et, tau, lin, g):
     # every eigenvalue, so that the modes odd under the grid's symmetries
     # (invisible to an all-ones start of the condition estimate) are included
-    for lam in lin.eigenpairs()[0]:
+    for lam in dense_eigenpairs(lin)[0]:
         with pytest.raises(SpectrumPoint, match="coupled system at lambda="):
             direct_solve(et, tau, lam, g)
         with pytest.raises(SpectrumPoint, match="A - lambda at lambda="):
@@ -219,7 +221,7 @@ def test_sparse_guards_raise_at_linearization_eigenvalues_after_ordering(build):
 def test_every_route_raises_spectrum_point_at_an_eigenvalue(build):
     # one failure, one class: each route names its own guard in the message
     et, tau, lin, g = guarded_routes(build)
-    for lam in np.sort(lin.eigenpairs()[0].real)[:6]:
+    for lam in dense_eigenpairs(lin)[0][:6]:
         with pytest.raises(SpectrumPoint, match="is outside the solvability set"):
             krein_resolve(et, tau, lam, g)
         with pytest.raises(SpectrumPoint, match="coupled system at lambda="):
@@ -307,11 +309,12 @@ def test_exactly_singular_factorization_is_a_domain_error():
     # A's entries come from an LU of C, so its exact singularity at 0 is lost
     # to rounding; a zero row makes A - 0 exactly singular by construction
     lin = build_linearization(et, realize_rational(tau))
-    matrix = lin.matrix.copy()
+    matrix = dense_matrix(lin)
     matrix[1] = 0
+    zero_row = dataclasses.replace(lin, matrix=scipy.sparse.csr_array(matrix))
     with pytest.raises(SpectrumPoint, match="A - lambda at lambda=0.0 is singular") \
             as compressed:
-        compressed_resolvent(dataclasses.replace(lin, matrix=matrix), 0.0, np.ones(3))
+        compressed_resolvent(zero_row, 0.0, np.ones(3))
     for info in (direct, compressed):
         assert isinstance(info.value.__cause__, RuntimeError)
 
@@ -382,11 +385,11 @@ def test_rational_matches_general_linearization(et1d, et2d):
                 (build_linearization(et, realize_rational(tau)), realize_rational(tau)),
                 (lin_for(et, ConstantFunction(theta=const)), realize_constant(const, 3.7j))):
             a_ref, w_ref = _dense_coupling_linearization(et, realized)
-            assert np.linalg.norm(lin.matrix - a_ref, 2) <= 1e-8
+            assert np.linalg.norm(dense_matrix(lin) - a_ref, 2) <= 1e-8
             assert np.linalg.norm(product_gram(lin) - w_ref, 2) <= 1e-12
         fixed = build_fixed_extension(et, const)
         assert fixed.state_gram.shape == (0, 0)
-        assert np.linalg.norm(fixed.matrix - fixed_extension(et, const)[0], 2) <= 1e-8
+        assert np.linalg.norm(dense_matrix(fixed) - fixed_extension(et, const)[0], 2) <= 1e-8
 
 
 def test_real_tau_gives_real_linearization(et1d):
@@ -395,9 +398,9 @@ def test_real_tau_gives_real_linearization(et1d):
     # compressed resolvent, at a real lam too
     tau = rational_m2(2)
     lin = build_linearization(et1d, realize_rational(tau))
-    assert np.isrealobj(lin.matrix) and np.isrealobj(lin.state_gram)
-    assert np.isrealobj(lin.weighted_matrix)
-    assert np.iscomplexobj(lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2))).matrix)
+    assert lin.matrix.dtype == float and np.isrealobj(lin.state_gram)
+    assert lin.weighted_matrix.dtype == float
+    assert lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2))).matrix.dtype == complex
     rng = np.random.default_rng(4)
     g = rng.standard_normal(et1d.de.n_interior) + 1j * rng.standard_normal(et1d.de.n_interior)
     for lam in (-5.0, 0.5 + 1.0j):
@@ -431,7 +434,7 @@ def test_linearization_takes_one_lu_and_no_svd_or_inverse(which, et2d, monkeypat
             return build_fixed_extension(et2d, theta)
         return build_linearization(et2d, realized)
 
-    reference = build().matrix
+    reference = dense_matrix(build())
 
     def forbidden(*args, **kwargs):
         raise AssertionError("SVD or explicit inverse in build_linearization")
@@ -445,7 +448,7 @@ def test_linearization_takes_one_lu_and_no_svd_or_inverse(which, et2d, monkeypat
     lin = build()
     size = nb if which == "fixed" else realized.t_dim
     assert factors == [(size, size)]
-    assert np.array_equal(lin.matrix, reference)
+    assert np.array_equal(dense_matrix(lin), reference)
 
 
 def test_real_coupling_takes_real_solves(et2d, monkeypatch):
@@ -456,25 +459,25 @@ def test_real_coupling_takes_real_solves(et2d, monkeypatch):
     realized = realize_rational(rational_m2(et2d.de.n_boundary))
     lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
     monkeypatch.setattr(solver, "dense_lu", lambda mat, *args: lu_factor(mat))
-    unguarded = build_linearization(et2d, realized).matrix
+    unguarded = dense_matrix(build_linearization(et2d, realized))
     monkeypatch.undo()
     kinds = []
     monkeypatch.setattr(scipy.linalg, "lu_solve",
                         lambda lu, b, **k: kinds.append(np.asarray(b).dtype.kind)
                         or lu_solve(lu, b, **k))
     lin = build_linearization(et2d, realized)
-    assert np.isrealobj(lin.matrix)
+    assert lin.matrix.dtype == float
     assert len(kinds) > 1 and set(kinds) == {"f"}
-    assert np.array_equal(lin.matrix, unguarded)
+    assert np.array_equal(dense_matrix(lin), unguarded)
 
 
 def test_w_symmetry_residual_never_below_two_norm_ratio(et1d):
     lin = build_linearization(et1d, realize_rational(rational_m2(2)))
     assert lin.w_symmetry_residual() <= 1e-10
-    a = lin.matrix.copy()
+    a = dense_matrix(lin)
     a[3, 7] += 1e-3
-    bad = dataclasses.replace(lin, matrix=a)
-    wa = product_gram(bad) @ bad.matrix
+    bad = dataclasses.replace(lin, matrix=scipy.sparse.csr_array(a))
+    wa = product_gram(bad) @ a
     two_norm_ratio = (np.linalg.norm(wa - wa.conj().T, 2)
                       / max(1.0, np.linalg.norm(wa, 2)))
     assert bad.w_symmetry_residual() > 1e-10
@@ -557,9 +560,10 @@ def test_solve_and_eigen_take_no_lstsq(et2d, monkeypatch):
 
 
 def test_eigen_takes_no_svd_and_one_factorization_per_count(et2d, monkeypatch):
-    # each certified eigenvalue is checked by its residuals alone, and each
-    # count is one symmetric factorization of its bordered matrix: no
-    # weyl_data, and nothing takes an SVD
+    # each certified eigenvalue is checked by its residuals alone, each
+    # count is one symmetric factorization of its bordered matrix and each
+    # slice one guarded LU of the eigensolve's form: no weyl_data, and
+    # nothing takes an SVD
     tau = rational_m2(et2d.de.n_boundary)
     lin = lin_for(et2d, tau)
 
@@ -578,20 +582,40 @@ def test_eigen_takes_no_svd_and_one_factorization_per_count(et2d, monkeypatch):
         factored.append(args[3]) or sparse_lu(*args)))
     report = eigen_correspondence(lin, et2d, tau, (0.2, 9.0))
     assert report["ok"] and report["eigenvalues"]
-    assert all(route is et2d.count_route for route, _ in points)
-    assert sorted(x for _, x in points) == [x for x, _ in report["counts"]]
-    assert factored == [True] * len(report["counts"])
+    counted = [x for route, x in points if route is et2d.count_route]
+    slices = [route for route, _ in points if route is not et2d.count_route]
+    assert sorted(counted) == [x for x, _ in report["counts"]]
+    assert slices and all(route is lin._form[2] for route in slices)
+    assert sorted(factored) == [False] * len(slices) + [True] * len(counted)
 
 
 # ---------------------------------------------------------------------------
 # spectra of the linearization
 
 
+def _gap_midpoint(ev, start, stop):
+    """Midpoint of the widest gap between ev[start:stop+1], sorted ev."""
+    k = start + int(np.argmax(np.diff(ev[start:stop + 1])))
+    return (ev[k] + ev[k + 1]) / 2
+
+
+def _slice(lin, start, stop):
+    """(window, count) of a slice whose ends lie in the widest gaps around
+    ev[start] and ev[stop], by the dense oracle."""
+    full = dense_eigenpairs(lin)[0]
+    window = (_gap_midpoint(full, max(start - 3, 0), start),
+              _gap_midpoint(full, stop, stop + 3))
+    return window, int(np.count_nonzero((full >= window[0]) & (full < window[1])))
+
+
 def test_hilbert_spectrum_real(et1d):
-    # a Euclidean state: one Hermitian eigensolve, real eigenvalues
+    # a Euclidean state: the slice eigensolve of the Hermitian form returns
+    # real eigenvalues
     lin = build_linearization(et1d, realize_rational(rational_m2(2)))
-    ev = lin.eigenpairs()[0]
-    assert np.isrealobj(ev) and ev.size == lin.size
+    window, count = _slice(lin, 2, 12)
+    lam, v, residual = lin.eigenpairs(window, count)
+    assert np.isrealobj(lam) and lam.size == v.shape[1] == count
+    assert residual <= solver.SLICE_RESIDUAL
 
 
 def test_krein_state_allows_nonreal_eigenvalues(et1d):
@@ -602,21 +626,26 @@ def test_krein_state_allows_nonreal_eigenvalues(et1d):
     lin = lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2)))
     assert np.min(np.linalg.eigvalsh(lin.state_gram)) < 0
     assert lin.w_symmetry_residual() <= 1e-10
-    ev = scipy.linalg.eigvals(lin.matrix)
+    ev = scipy.linalg.eigvals(dense_matrix(lin))
     nonreal = ev[np.abs(ev.imag) > 1e-6]
     assert nonreal.size > 0
     assert min(abs(z - vt) for z in nonreal) <= 1e-6
 
 
 def _count_eigensolves(monkeypatch):
+    """From now on, record each dense eigensolve and each Lanczos run
+    (``eigsh``) as (name, order of the matrix)."""
+    import scipy.sparse.linalg
     calls = []
-    for owner in (np.linalg, scipy.linalg):
-        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+    for owner, names in ((np.linalg, ("eig", "eigh", "eigvals", "eigvalsh")),
+                         (scipy.linalg, ("eig", "eigh", "eigvals", "eigvalsh")),
+                         (scipy.sparse.linalg, ("eigs", "eigsh"))):
+        for name in names:
             original = getattr(owner, name)
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, a.shape[0]))
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, counting)
     return calls
@@ -624,68 +653,55 @@ def _count_eigensolves(monkeypatch):
 
 @pytest.mark.parametrize("which", ["1d", "2d"])
 def test_hilbert_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
+    # one slice is one Lanczos run on the sparse form, and no dense
+    # eigensolve of interior size runs
     et = {"1d": et1d, "2d": et2d}[which]
     lin = build_linearization(et, realize_rational(rational_m2(et.de.n_boundary)))
+    window, count = _slice(lin, 3, 15)
     calls = _count_eigensolves(monkeypatch)
-    lam, v = lin.eigenpairs()
-    assert calls == ["eigh"]
-    a, w = lin.matrix, product_gram(lin)
+    lam, v, residual = lin.eigenpairs(window, count)
+    assert calls == [("eigsh", lin.size)]
+    a, w = dense_matrix(lin), product_gram(lin)
+    assert residual <= solver.SLICE_RESIDUAL
     assert np.linalg.norm(a @ v - v * lam, 2) <= 1e-10 * np.linalg.norm(a, 2)
-    assert np.linalg.norm(v.conj().T @ w @ v - np.eye(lin.size), 2) <= 1e-12
-    ev = lin.eigenpairs()[0]
-    assert calls == ["eigh", "eigh"]
-    assert np.max(np.abs(ev - lam)) <= 1e-10 * np.max(np.abs(lam))
-
-
-def _gap_midpoint(ev, start, stop):
-    """Midpoint of the widest gap between ev[start:stop+1], sorted ev."""
-    k = start + int(np.argmax(np.diff(ev[start:stop + 1])))
-    return (ev[k] + ev[k + 1]) / 2
-
-
-def _simple_eigenvalue(ev, start):
-    """The first eigenvalue from ev[start] on that is apart from its neighbours."""
-    k = start
-    while min(ev[k] - ev[k - 1], ev[k + 1] - ev[k]) <= 1e-6 * max(1.0, abs(ev[k])):
-        k += 1
-    return ev[k]
+    assert np.linalg.norm(v.conj().T @ w @ v - np.eye(count), 2) <= 1e-12
 
 
 @pytest.mark.parametrize("build", [lambda: build_1d(99), lambda: build_2d(8, 8)],
                          ids=["1d-99", "2d-8x8"])
 def test_windowed_eigenpairs_match_full_solve(build):
+    # a slice returns the count eigenvalues nearest its midpoint: all those
+    # of the window, as the dense oracle has them, even where it is wide
+    # and its eigenvalues lie next to one end
     et = elliptic_triple(build())
     lin = build_linearization(et, realize_rational(rational_m2(et.de.n_boundary)))
-    full = np.sort(lin.eigenpairs()[0].real)
+    full = dense_eigenpairs(lin)[0]
     size, scale = full.size, max(1.0, float(np.max(np.abs(full))))
-    a, w = lin.matrix, product_gram(lin)
-    # ends between eigenvalues, then ends on (simple) eigenvalues, widened by
-    # the floor that eigen_correspondence adds to the half-open (a, b]
+    a, w = dense_matrix(lin), product_gram(lin)
     lo, hi = _gap_midpoint(full, 1, size // 4), _gap_midpoint(full, size // 2, 3 * size // 4)
-    on_lo, on_hi = _simple_eigenvalue(full, 3), _simple_eigenvalue(full, size // 3)
-    pad = WINDOW_PAD * max(1.0, abs(on_lo), abs(on_hi))
-    for window, (low, high) in (((lo, hi), (lo, hi)),
-                                ((on_lo - pad, on_hi + pad), (on_lo, on_hi))):
-        lam, v = lin.eigenpairs(window)
-        expected = full[(full >= low) & (full <= high)]
+    for window in ((lo, hi), (lo, 2 * hi - lo), (2 * lo - hi, hi)):
+        expected = full[(full >= window[0]) & (full < window[1])]
+        lam, v, residual = lin.eigenpairs(window, expected.size)
         assert lam.size == v.shape[1] == expected.size > 0
-        assert np.max(np.abs(lam.imag)) == 0
-        assert np.max(np.abs(lam.real - expected)) <= 1e-10 * scale
+        assert np.max(np.abs(lam - expected)) <= 1e-10 * scale
+        assert residual <= solver.SLICE_RESIDUAL
         assert np.linalg.norm(a @ v - v * lam, 2) <= 1e-10 * np.linalg.norm(a, 2)
         assert np.linalg.norm(v.conj().T @ w @ v - np.eye(lam.size), 2) <= 1e-12
 
 
 @pytest.mark.parametrize("which", ["1d", "2d"])
 def test_hilbert_windowed_eigenpairs_one_eigensolve(which, et1d, et2d, monkeypatch):
+    # a window whose count fits one slice: the scan makes one Lanczos run on
+    # the form and no dense eigensolve of interior size
     et = {"1d": et1d, "2d": et2d}[which]
-    lin = build_linearization(et, realize_rational(rational_m2(et.de.n_boundary)))
-    full = np.sort(lin.eigenpairs()[0].real)
-    window = (_gap_midpoint(full, 0, 5), _gap_midpoint(full, 10, 20))
-    inside = int(np.count_nonzero((full > window[0]) & (full <= window[1])))
+    tau = rational_m2(et.de.n_boundary)
+    lin = build_linearization(et, realize_rational(tau))
+    window, count = _slice(lin, 2, 14)
     calls = _count_eigensolves(monkeypatch)
-    lam, v = lin.eigenpairs(window)
-    assert calls == ["eigh"]
-    assert v.shape == (lin.size, inside) and lam.size == inside > 0
+    scan = homogeneous_scan(et, tau, window, lin)
+    assert not scan.failures and len(scan.roots) == scan.window_count == count <= SLICE_COUNT
+    assert calls == [("eigsh", lin.size)]
+    assert scan.vectors.shape == (lin.size, count)
 
 
 def test_krein_eigenpairs_nonreal_pair(et1d):
@@ -694,12 +710,34 @@ def test_krein_eigenpairs_nonreal_pair(et1d):
     vt = 3.7j
     lin = lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2)))
     with pytest.raises(DimensionMismatch, match="Euclidean state"):
-        lin.eigenpairs()
-    lam, v = scipy.linalg.eig(lin.matrix)
-    a = lin.matrix
+        lin.eigenpairs((0.0, 1.0), 1)
+    a = dense_matrix(lin)
+    lam, v = scipy.linalg.eig(a)
     assert np.linalg.norm(a @ v - v * lam, 2) <= 1e-10 * np.linalg.norm(a, 2)
     for target in (vt, np.conj(vt)):
         assert np.min(np.abs(lam - target)) <= 1e-6
+
+
+def test_scan_slices_a_square_grid_and_keeps_every_copy(monkeypatch):
+    # a square grid's eigenvalues come in near-double pairs; the window holds
+    # more than one slice, so it is sliced at counted points, and every copy
+    # is found, as the dense oracle has it
+    et = elliptic_triple(build_2d(30, 30))
+    tau = rational_m2(et.de.n_boundary)
+    lin = build_linearization(et, realize_rational(tau))
+    calls = _count_eigensolves(monkeypatch)
+    scan = homogeneous_scan(et, tau, (0.2, 20.0), lin)
+    monkeypatch.undo()
+    assert not scan.failures and scan.window_count == len(scan.roots) > SLICE_COUNT
+    assert len(calls) > 1 and set(calls) == {("eigsh", lin.size)}
+    full = dense_eigenpairs(lin)[0]
+    expected = full[(full >= 0.2) & (full < 20.0)]
+    pairs = np.count_nonzero(np.diff(expected) <= 1e-8 * expected[1:])
+    assert pairs > 10
+    roots = np.array(scan.roots)
+    assert roots.size == expected.size
+    assert np.max(np.abs(roots - expected) / expected) <= 1e-11
+    assert np.count_nonzero(np.diff(roots) <= 1e-8 * roots[1:]) == pairs
 
 
 def test_compressed_resolvent_far_field_bound(et1d):
@@ -726,7 +764,8 @@ def test_scan_constant_tau_matches_fixed_extension(et1d):
     tau = ConstantFunction(theta=theta)
     scan = homogeneous_scan(et1d, tau, (0.5, 9.5), build_fixed_extension(et1d, theta))
     assert not scan.failures
-    ev = scipy.linalg.eigvals(build_linearization(et1d, realize_constant(theta, 4.0 + 3.7j)).matrix)
+    krein = build_linearization(et1d, realize_constant(theta, 4.0 + 3.7j))
+    ev = scipy.linalg.eigvals(dense_matrix(krein))
     assert np.min(np.abs(ev - (4.0 + 3.7j))) <= 1e-6
     real_ev = np.sort(ev.real[np.abs(ev.imag) < 1e-8])
     window_ev = real_ev[(real_ev >= 0.5) & (real_ev <= 9.5)]
@@ -749,9 +788,8 @@ def test_eigen_correspondence_both_directions(tau_name, et1d):
 
 
 def window_eigenvalues(lin, lo, hi):
-    ev = lin.eigenpairs()[0]
-    real = np.sort(ev.real[np.abs(ev.imag) <= 1e-8])
-    return real[(real >= lo) & (real <= hi)]
+    ev = dense_eigenpairs(lin)[0]
+    return ev[(ev >= lo) & (ev <= hi)]
 
 
 def test_scan_straddles_pole(et1d):
@@ -856,24 +894,73 @@ def test_scan_2d_has_no_corner_roots(et2d):
     assert len(report["eigenvalues"]) == report["window_count"]
 
 
+def _drop_one(window, lam, v, residual):
+    """The eigenpairs less the lowest one in the window."""
+    keep = np.arange(lam.size) != np.argmax(lam >= window[0])
+    return lam[keep], v[:, keep], residual
+
+
+CORRUPTIONS = {
+    "drop": _drop_one,
+    "residual": lambda window, lam, v, residual: (lam, v, 1e-6),
+    "outside": lambda window, lam, v, residual: (lam + 100.0, v, residual),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_scan_solves_a_failed_slice_again_in_halves(kind, et1d, monkeypatch):
+    # a slice eigensolve that drops an eigenvalue, misses the residual bound
+    # or returns one outside the slice fails the slice's certificate once:
+    # the slice is split at a counted point and its halves are solved again
+    tau = rational_m2(2)
+    lin = lin_for(et1d, tau)
+    clean = homogeneous_scan(et1d, tau, (0.2, 9.0), lin)
+    eigenpairs, windows = Linearization.eigenpairs, []
+
+    def failing_once(self, window, count):
+        windows.append(window)
+        pairs = eigenpairs(self, window, count)
+        return CORRUPTIONS[kind](window, *pairs) if len(windows) == 1 else pairs
+
+    monkeypatch.setattr(Linearization, "eigenpairs", failing_once)
+    scan = homogeneous_scan(et1d, tau, (0.2, 9.0), lin)
+    mid = 0.2 + 0.5 * (9.0 - 0.2)
+    assert not scan.failures and len(scan.roots) == scan.window_count == 2
+    assert np.max(np.abs(np.array(scan.roots) - clean.roots)) <= 1e-10 * max(clean.roots)
+    assert windows[0] == (0.2, 9.0) and len(windows) > 1 and mid in dict(scan.counts)
+
+
 def test_correspondence_reports_incomplete_scan(et1d, monkeypatch):
-    # an eigensolve that drops one eigenvalue of the window: the certificate
-    # must fail as incomplete
+    # an eigensolve that always drops one eigenvalue of its slice: every
+    # slice fails down to the smallest width, and the certificate fails as
+    # incomplete
     tau = rational_m2(2)
     lin = lin_for(et1d, tau)
     eigenpairs = Linearization.eigenpairs
-
-    def dropping(self, window=None):
-        lam, v = eigenpairs(self, window)
-        return lam[1:], v[:, 1:]
-
-    monkeypatch.setattr(Linearization, "eigenpairs", dropping)
+    monkeypatch.setattr(Linearization, "eigenpairs", lambda self, window, count:
+                        _drop_one(window, *eigenpairs(self, window, count)))
     report = eigen_correspondence(lin, et1d, tau, (0.2, 9.0))
     assert not report["ok"]
-    assert report["window_count"] == 2 and len(report["scan_roots"]) == 1
+    assert report["window_count"] == 2 and report["scan_roots"] == []
     assert report["failures"][0] == ("incomplete: the count gives 2 eigenvalues "
-                                     "in the window, the linearization 1")
+                                     "in the window, the linearization 0")
+    unsolved = [f for f in report["failures"] if " is not certified: " in f]
+    assert len(unsolved) == 2
+    assert all(f.endswith("nearest its midpoint lie in it") for f in unsolved)
     assert any(f.startswith("count mismatch") for f in report["failures"])
+
+
+def test_scan_ends_where_a_failing_slice_rounds_onto_its_ends(et1d, monkeypatch):
+    # with tol below the spacing of floats a failing slice is split until its
+    # midpoint rounds onto an end, and then reported, not split for ever
+    tau = rational_m2(2)
+    lin = lin_for(et1d, tau)
+    eigenpairs = Linearization.eigenpairs
+    monkeypatch.setattr(Linearization, "eigenpairs", lambda self, window, count:
+                        _drop_one(window, *eigenpairs(self, window, count)))
+    scan = homogeneous_scan(et1d, tau, (0.2, 9.0), lin, tol=1e-300)
+    unsolved = [f for f in scan.failures if " is not certified: " in f]
+    assert scan.roots == () and len(unsolved) == 2
 
 
 def test_correspondence_window_ends_next_to_eigenvalues(et1d):
