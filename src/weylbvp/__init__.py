@@ -8,8 +8,9 @@ for the direct oracle and the compressed resolvent, one symmetric sparse
 factorization per eigenvalue count, one dense LU per point for the data of a
 generic boundary triple, dense boundary-size algebra, and a sparse
 linearization, which for a constant boundary condition is the fixed
-selfadjoint extension in L^2, solved in count-sized slices by one
-shift-invert Lanczos run each).
+selfadjoint extension in L^2, with one sparse route for A - lambda that its
+compressed resolvent and its eigensolve share: count-sized slices, one
+shift-invert Lanczos run on one LU of A - sigma each).
 """
 
 __version__ = "1.0.0"

@@ -508,8 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.tol is not None:           # a NaN tolerance would pass every check
-            decode_real(args.tol, "--tol")
+        # a NaN tolerance would pass every check, and one <= 0 fail every one
+        if args.tol is not None and not decode_real(args.tol, "--tol") > 0:
+            raise ConfigError(f"--tol must be positive, got {args.tol!r}")
         cfg = {}
         if args.config is not None:
             try:

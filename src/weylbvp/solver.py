@@ -1,11 +1,11 @@
 """Solution machinery for spectral-parameter-dependent boundary conditions:
 the perturbed-resolvent formula (whose guard is the only sigma_min of
 M + tau), the linearized block operator on the product space (with no state
-for a constant tau: its selfadjoint extension in H), stored sparse, and its
-one eigensolve path, a shift-invert Lanczos run per count-sized slice, the
-eigenvalue count and the count certificate of the linearization's
-eigenvalues, and the eigenvalue correspondence and completeness check by
-counts and residuals.
+for a constant tau: its selfadjoint extension in H), stored sparse with one
+route for A - lam that both the compressed resolvent and the eigensolve (a
+shift-invert Lanczos run per count-sized slice) factor, the eigenvalue count
+and the count certificate of the linearization's eigenvalues, and the
+eigenvalue correspondence and completeness check by counts and residuals.
 """
 
 from __future__ import annotations
@@ -103,7 +103,9 @@ class Linearization:
     The product metric is block diagonal, W = h^d I (+) G with ``weight``
     h^d > 0 and ``state_gram`` G; the operator is W-selfadjoint.  G is I for
     a rational tau, empty in ``build_fixed_extension`` and indefinite for the
-    Krein companion of a constant tau (``realize_constant``).
+    Krein companion of a constant tau (``realize_constant``).  It holds A and
+    one route for A - lam (``sparse_route``), which the compressed resolvent
+    and the eigensolve share.
     """
 
     matrix: scipy.sparse.csr_array = field(repr=False)
@@ -118,87 +120,69 @@ class Linearization:
     def n_interior(self) -> int:
         return self.size - self.state_gram.shape[0]
 
-    @cached_property
-    def weighted_matrix(self) -> scipy.sparse.csr_array:
-        """W A, row block by row block: the interior rows scaled by h^d, the
-        state rows multiplied by G where G is not I."""
-        n, a = self.n_interior, self.matrix
-        wa = a.copy()
-        wa.data[:a.indptr[n]] *= self.weight
-        if np.array_equal(self.state_gram, np.eye(self.size - n)):
-            return wa
-        return scipy.sparse.vstack([wa[:n], scipy.sparse.csr_array(self.state_gram) @ a[n:]],
-                                   format="csr")
-
     def w_symmetry_residual(self) -> float:
         """||WA - (WA)^H||_F / max(1, largest column norm of WA): no SVD, and
         never below the 2-norm ratio (the Frobenius norm bounds the 2-norm
         from above, a column norm bounds it from below)."""
-        wa = self.weighted_matrix
+        n, a = self.n_interior, self.matrix
+        # W A: the interior rows scaled by h^d, the state rows multiplied by G
+        # where G is not I
+        wa = a.copy()
+        wa.data[:a.indptr[n]] *= self.weight
+        if not np.array_equal(self.state_gram, np.eye(self.size - n)):
+            wa = scipy.sparse.vstack([wa[:n], scipy.sparse.csr_array(self.state_gram) @ a[n:]],
+                                     format="csr")
         scale = np.sqrt(float(np.max(np.bincount(wa.indices, np.abs(wa.data) ** 2,
                                                  minlength=self.size))))
         return float(np.linalg.norm((wa - wa.conj().T).data) / max(1.0, scale))
 
     @cached_property
     def sparse_route(self) -> SparseRoute:
-        """A - lam as a ``SparseRoute``, built on first use: only the
-        compressed resolvent reads it.  Minimum degree on the pattern of
-        A + A^T orders it (A is W-selfadjoint, so its pattern is nearly
-        symmetric)."""
+        """A - lam as a ``SparseRoute``, built on first use: the compressed
+        resolvent and the eigensolve factor through it, so one linearization
+        is ordered once.  Minimum degree on the pattern of A + A^T orders it
+        (A is W-selfadjoint, so its pattern is nearly symmetric)."""
         return SparseRoute(self.matrix, self.size, 0, "MMD_AT_PLUS_A")
 
-    @cached_property
-    def _form(self) -> tuple:
-        """(F, ||F||_1, F - sigma as a ``SparseRoute``) for the Hermitian form
-        F = D^{-1/2} He(W A) D^{-1/2} = He(D^{1/2} A D^{-1/2}) (W = D = h^d I (+) I,
-        He the Hermitian part), whose eigenvalues are A's and whose unit
-        eigenvectors z give A's W-orthonormal ones as D^{-1/2} z; real for a
-        real A, and stored sparse like A.  The route is ordered at the first
-        slice and makes one numeric LU per later one.
+    def eigenpairs(self, window: tuple[float, float], count: int):
+        """(eigenvalues, eigenvectors, residual) of the ``count`` eigenvalues
+        nearest the window's midpoint sigma: real, increasing and
+        W-orthonormal, from one shift-invert Lanczos run (``eigsh``) with a
+        fixed start vector on one guarded LU of A - sigma (``sparse_route``;
+        ``SpectrumPoint`` where ``sparse_lu`` refuses it).  With W = D =
+        h^d I (+) I the operator z -> D^{1/2} (A - sigma)^{-1} D^{-1/2} z is
+        the inverse of F - sigma for F = D^{1/2} A D^{-1/2}, Hermitian since
+        A is W-selfadjoint, and its unit eigenvectors z give A's as
+        x = D^{-1/2} z.  Nothing of interior size is dense.  The residual is
+        max ||D^{1/2} (A x - lam x)||_2 / ||F||_1, A's own: an A that is not
+        W-selfadjoint leaves it large.  ``homogeneous_scan`` reads which
+        eigenvalues lie in the window against the count there.  A state
+        other than G = I (or none) raises ``DimensionMismatch``.
         """
+        import scipy.sparse.linalg
         n, size, a = self.n_interior, self.size, self.matrix
         if not np.array_equal(self.state_gram, np.eye(size - n)):
             raise DimensionMismatch("the eigensolve needs a Euclidean state, G = I")
         root = np.ones(size)
-        root[:n] = np.sqrt(self.weight)
-        rows = np.repeat(np.arange(size), np.diff(a.indptr))
-        half = a.data * (root[rows] / root[a.indices]) / 2
-        form = scipy.sparse.csr_array(
-            (np.concatenate([half, half.conj()]),
-             (np.concatenate([rows, a.indices]), np.concatenate([a.indices, rows]))),
-            shape=a.shape)
-        norm = float(np.max(np.bincount(form.indices, np.abs(form.data), minlength=size)))
-        return form, norm, SparseRoute(form, size, 0, "MMD_AT_PLUS_A")
-
-    def eigenpairs(self, window: tuple[float, float], count: int):
-        """(eigenvalues, eigenvectors in the original coordinates, residual)
-        of the ``count`` eigenvalues nearest the window's midpoint sigma:
-        real, increasing and W-orthonormal, from one shift-invert Lanczos run
-        (``eigsh``) on the Hermitian form F of ``_form`` with a fixed start
-        vector, whose operator is one guarded LU of F - sigma (``SparseRoute``;
-        ``SpectrumPoint`` where ``sparse_lu`` refuses it).  Nothing of
-        interior size is dense.  The residual is max ||F z - lam z||_2 / ||F||_1
-        over the unit eigenvectors z of F.  ``homogeneous_scan`` reads which
-        of them lie in the window against the count there.  A state other
-        than G = I (or none) raises ``DimensionMismatch``.
-        """
-        import scipy.sparse.linalg
-        form, norm, route = self._form
-        n, size = self.n_interior, self.size
+        root[:n] = np.sqrt(self.weight)         # D^{1/2}
         sigma = (window[0] + window[1]) / 2
+        solve = self.sparse_route.solver(sigma, f"the eigensolve's A - sigma at "
+                                                f"sigma={sigma:.6g}")
         inverse = scipy.sparse.linalg.LinearOperator(
-            (size, size), matvec=route.solver(sigma, f"the eigensolve's F - sigma at "
-                                                     f"sigma={sigma:.6g}"), dtype=form.dtype)
+            (size, size), matvec=lambda z: root * solve(z / root), dtype=a.dtype)
         # a random start from a fixed seed: all ones would be blind to the
         # modes that are odd under a symmetry of the grid
-        start = np.random.default_rng(0).standard_normal(size).astype(form.dtype)
-        w, z = scipy.sparse.linalg.eigsh(form, k=count, sigma=sigma, OPinv=inverse, tol=0,
+        start = np.random.default_rng(0).standard_normal(size).astype(a.dtype)
+        # in shift-invert mode eigsh reads only the shape and dtype of A
+        w, z = scipy.sparse.linalg.eigsh(a, k=count, sigma=sigma, OPinv=inverse, tol=0,
                                          v0=start)
         order = np.argsort(w)
-        w, z = w[order], z[:, order]
-        residual = float(np.max(np.linalg.norm(form @ z - z * w, axis=0))) / max(norm, 1e-300)
-        z[:n] /= np.sqrt(self.weight)           # x = D^{-1/2} z
-        return w, z, residual
+        w, x = w[order], z[:, order] / root[:, None]
+        rows = np.repeat(np.arange(size), np.diff(a.indptr))
+        norm = float(np.max(np.bincount(a.indices, np.abs(a.data) * root[rows] / root[a.indices],
+                                        minlength=size)))
+        residual = float(np.max(np.linalg.norm(root[:, None] * (a @ x - x * w), axis=0)))
+        return w, x, residual / max(norm, 1e-300)
 
 
 def build_linearization(et: EllipticTriple, realized: BoundaryTriple) -> Linearization:
@@ -248,8 +232,7 @@ def _linearize(et: EllipticTriple, first, g0, g1, second, gram,
     nk = gram.shape[0]
     coupling = np.vstack([first, g1 + et.boundary_block @ g0])
     # a real realization (real tau) gives a real C and a real A, factored and
-    # stored real so that W A, its Hermitian form and the eigensolve run in
-    # real arithmetic
+    # stored real so that the eigensolve runs in real arithmetic
     if not any(np.any(m.imag) for m in (coupling, g0, second, gram)):
         coupling, g0, second, gram = coupling.real, g0.real, second.real, gram.real
     lu = dense_lu(coupling, RankDeficientCoupling, "the coupling matrix C", scale)
@@ -311,8 +294,9 @@ COUNT_GAP = 1e-11
 END_STEPS = 40
 # ``homogeneous_scan`` splits its window at counted points until each slice
 # holds at most this many eigenvalues, and solves each slice by one
-# shift-invert Lanczos run; an eigenpair whose residual ||F z - lam z|| / ||F||_1
-# exceeds ``SLICE_RESIDUAL`` fails its slice's certificate.
+# shift-invert Lanczos run; an eigenpair whose residual
+# ||D^{1/2} (A x - lam x)||_2 / ||F||_1 (``Linearization.eigenpairs``) exceeds
+# ``SLICE_RESIDUAL`` fails its slice's certificate.
 SLICE_COUNT = 48
 SLICE_RESIDUAL = 1e-12
 

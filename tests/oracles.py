@@ -107,8 +107,8 @@ def dense_eigenpairs(lin):
     """Every eigenpair of a linearization over a Euclidean state (or none):
     (increasing real eigenvalues, W-orthonormal eigenvectors) from one dense
     Hermitian eigensolve of D^{-1/2} He(W A) D^{-1/2} (W = D = h^d I (+) I),
-    where the package solves count-sized slices of it by shift-invert
-    Lanczos runs."""
+    where the package solves count-sized slices by shift-invert Lanczos runs
+    on A - sigma."""
     a, n = dense_matrix(lin), lin.n_interior
     assert np.array_equal(lin.state_gram, np.eye(lin.size - n)), "needs G = I"
     root = np.ones(lin.size)

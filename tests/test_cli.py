@@ -512,11 +512,13 @@ def test_nonfinite_2d_coefficient_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--seed", "abc"], ["--workers", "2"],
-                                   ["--tol", "nan"], ["--seed", "-1"]])
+                                   ["--tol", "nan"], ["--tol", "0"], ["--tol", "-1"],
+                                   ["--seed", "-1"]])
 def test_bad_flag_exits_1(tmp_path, flags, capsys):
     # a value of the wrong type, a flag the command does not have (a removed
-    # flag ends here too), a NaN tolerance (every check would pass) and a
-    # negative seed; argparse alone would exit 2 or accept them
+    # flag ends here too), a NaN tolerance (every check would pass), one that
+    # is not positive (every check would fail) and a negative seed; argparse
+    # alone would exit 2 or accept them
     cfg = write_cfg(tmp_path)
     code, _ = run(tmp_path, cfg, "solve", flags)
     assert code == 1

@@ -1,5 +1,6 @@
 """The public surface of the package: every public function and method has
-a caller, and every error class says which exit code it earns."""
+a caller, every private helper of a class a reader, and every error class
+says which exit code it earns."""
 
 import ast
 import collections
@@ -17,14 +18,14 @@ MODULES = sorted(p for p in (ROOT / "src" / "weylbvp").glob("*.py") if p.name !=
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def public_definitions(path):
-    """(class, name) of the public top-level functions (class None) and of
-    the public methods and properties of the top-level classes of one
-    module, with repetition."""
+def definitions(path):
+    """(class, name) of the top-level functions (class None) and of the
+    methods and properties of the top-level classes of one module, with
+    repetition."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         owner = node.name if isinstance(node, ast.ClassDef) else None
         for member in node.body if owner else [node]:
-            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+            if isinstance(member, ast.FunctionDef):
                 yield owner, member.name
 
 
@@ -57,7 +58,8 @@ def test_every_public_definition_has_a_caller():
     scans match names, not bindings, so a method named like another
     attribute passes vacuously: a ``gram`` or ``gamma`` method is matched by
     the fields ``KreinSpace.gram`` and ``RepresentationForm.gamma``."""
-    found = [(path, owner, name) for path in MODULES for owner, name in public_definitions(path)]
+    found = [(path, owner, name) for path in MODULES for owner, name in definitions(path)
+             if not name.startswith("_")]
     defined = collections.Counter(name for _, _, name in found)
     used = collections.Counter(name for path in MODULES + BENCHMARK for name in names(path))
     uncalled = sorted(name for name, count in defined.items() if used[name] <= count)
@@ -66,6 +68,18 @@ def test_every_public_definition_has_a_caller():
     unreached = sorted(f"{path.stem}.{owner}.{name}" for path, owner, name in found
                        if owner and name not in reached and not overrides(path, owner, name))
     assert not unreached, f"methods never reached as an attribute: {unreached}"
+
+
+def test_every_private_helper_has_a_reader():
+    """A private method or cached property of a class, ``_name`` but not
+    ``__name__``, must be reached as ``.name`` in the package's modules: a
+    helper that a refactor leaves without a reader is dead code."""
+    reached = set().union(*(attributes(path) for path in MODULES))
+    orphans = sorted(f"{path.stem}.{owner}.{name}" for path in MODULES
+                     for owner, name in definitions(path)
+                     if owner and name.startswith("_") and not name.endswith("__")
+                     and name not in reached)
+    assert not orphans, f"private helpers never reached as an attribute: {orphans}"
 
 
 def test_every_error_class_has_an_exit_code():

@@ -392,14 +392,20 @@ def test_rational_matches_general_linearization(et1d, et2d):
         assert np.linalg.norm(dense_matrix(fixed) - fixed_extension(et, const)[0], 2) <= 1e-8
 
 
-def test_real_tau_gives_real_linearization(et1d):
-    # a real realization is stored real, so W A, its Hermitian form and the
-    # eigensolve run in real arithmetic; A - lam stays complex in the
+def test_real_tau_gives_real_linearization(et1d, monkeypatch):
+    # a real realization is stored real, so the eigensolve factors a real
+    # A - sigma and returns real eigenvectors; A - lam stays complex in the
     # compressed resolvent, at a real lam too
     tau = rational_m2(2)
     lin = build_linearization(et1d, realize_rational(tau))
     assert lin.matrix.dtype == float and np.isrealobj(lin.state_gram)
-    assert lin.weighted_matrix.dtype == float
+    factored = []
+    sparse_lu = weylbvp.elliptic.sparse_lu
+    monkeypatch.setattr(weylbvp.elliptic, "sparse_lu", lambda mat, *args: (
+        factored.append(mat.dtype) or sparse_lu(mat, *args)))
+    _, x, _ = lin.eigenpairs((0.2, 9.0), 3)
+    assert factored == [float] and np.isrealobj(x)
+    monkeypatch.undo()
     assert lin_for(et1d, ConstantFunction(theta=2.0 * np.eye(2))).matrix.dtype == complex
     rng = np.random.default_rng(4)
     g = rng.standard_normal(et1d.de.n_interior) + 1j * rng.standard_normal(et1d.de.n_interior)
@@ -484,6 +490,26 @@ def test_w_symmetry_residual_never_below_two_norm_ratio(et1d):
     assert bad.w_symmetry_residual() >= two_norm_ratio
 
 
+@pytest.mark.parametrize("build", [lambda: build_1d(30), lambda: build_2d(6, 6)], ids=["1d", "2d"])
+def test_slice_certificate_refuses_a_non_w_selfadjoint_a(build):
+    # one entry of the block that couples the first channel row to the state,
+    # scaled by 1 + 1e-6, leaves A off W-selfadjoint by about 6e-7; the
+    # slice residual is A's own, so the eigensolve does not certify the slice
+    de = build()
+    lin = build_linearization(elliptic_triple(de), realize_rational(rational_m2(de.n_boundary)))
+    n, row = lin.n_interior, de.channel_rows[0]
+    a = lin.matrix.tolil()
+    col = n + np.flatnonzero(a[[row], n:].toarray())[0]
+    a[row, col] *= 1 + 1e-6
+    bad = dataclasses.replace(lin, matrix=scipy.sparse.csr_array(a))
+    assert bad.w_symmetry_residual() > 1e-7
+    window = (0.2, 9.0)
+    full = dense_eigenpairs(lin)[0]
+    count = int(np.count_nonzero((full >= window[0]) & (full < window[1]))) + 1
+    assert lin.eigenpairs(window, count)[2] <= solver.SLICE_RESIDUAL
+    assert bad.eigenpairs(window, count)[2] > solver.SLICE_RESIDUAL
+
+
 # ---------------------------------------------------------------------------
 # solvability set
 
@@ -562,8 +588,8 @@ def test_solve_and_eigen_take_no_lstsq(et2d, monkeypatch):
 def test_eigen_takes_no_svd_and_one_factorization_per_count(et2d, monkeypatch):
     # each certified eigenvalue is checked by its residuals alone, each
     # count is one symmetric factorization of its bordered matrix and each
-    # slice one guarded LU of the eigensolve's form: no weyl_data, and
-    # nothing takes an SVD
+    # slice one guarded LU of A - sigma on the linearization's one route: no
+    # weyl_data, and nothing takes an SVD
     tau = rational_m2(et2d.de.n_boundary)
     lin = lin_for(et2d, tau)
 
@@ -585,8 +611,38 @@ def test_eigen_takes_no_svd_and_one_factorization_per_count(et2d, monkeypatch):
     counted = [x for route, x in points if route is et2d.count_route]
     slices = [route for route, _ in points if route is not et2d.count_route]
     assert sorted(counted) == [x for x, _ in report["counts"]]
-    assert slices and all(route is lin._form[2] for route in slices)
+    assert slices and all(route is lin.sparse_route for route in slices)
     assert sorted(factored) == [False] * len(slices) + [True] * len(counted)
+
+
+def test_one_route_per_linearization(et2d, monkeypatch):
+    # the compressed resolvent and the eigensolve factor A - lam through one
+    # SparseRoute: it is built once, ordered at its first factorization, and
+    # every later factorization reuses that ordering
+    tau = rational_m2(et2d.de.n_boundary)
+    lin = lin_for(et2d, tau)
+    built, orderings = [], []
+    init, sparse_lu = SparseRoute.__init__, weylbvp.elliptic.sparse_lu
+
+    def record_init(self, *args, symmetric=False):
+        if not symmetric:               # the count route is the triple's
+            built.append(self)
+        init(self, *args, symmetric=symmetric)
+
+    def record_lu(mat, ordering, what, symmetric=False):
+        if not symmetric:               # the counts factor the triple's route
+            orderings.append(ordering)
+        return sparse_lu(mat, ordering, what, symmetric)
+
+    monkeypatch.setattr(SparseRoute, "__init__", record_init)
+    monkeypatch.setattr(weylbvp.elliptic, "sparse_lu", record_lu)
+    g = np.random.default_rng(5).standard_normal(lin.n_interior) + 0j
+    compressed_resolvent(lin, 1.0 + 1.0j, g)
+    scan = homogeneous_scan(et2d, tau, (0.2, 9.0), lin)
+    assert scan.roots and not scan.failures
+    assert built == [lin.sparse_route]
+    assert len(orderings) > 1
+    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(orderings) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +665,7 @@ def _slice(lin, start, stop):
 
 
 def test_hilbert_spectrum_real(et1d):
-    # a Euclidean state: the slice eigensolve of the Hermitian form returns
+    # a Euclidean state: the slice eigensolve on A - sigma returns
     # real eigenvalues
     lin = build_linearization(et1d, realize_rational(rational_m2(2)))
     window, count = _slice(lin, 2, 12)
