@@ -5,7 +5,7 @@ algebra: one banded LU per point for the Dirichlet operator, which gives the
 elliptic triple's gamma-field, Weyl function and resolvent, and one
 shift-invert Lanczos run on it for the lowest Dirichlet eigenvalue, sparse LU
 for the direct oracle and the compressed resolvent, one symmetric sparse
-factorization per eigenvalue count, one dense LU per point for the data of a
+factorization per eigenvalue count, one sparse LU per point for the data of a
 generic boundary triple, dense boundary-size algebra, and a sparse
 linearization, which for a constant boundary condition is the fixed
 selfadjoint extension in L^2, with one sparse route for A - lambda that its

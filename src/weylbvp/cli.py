@@ -325,20 +325,36 @@ def action_eigen(cfg, args, out_dir: Path) -> tuple[int, dict]:
     return (0 if corr["ok"] else 2), report
 
 
+def _realization_failures(ver: dict, tol: float) -> list[str]:
+    """Every check of a ``verify_realization`` report that fails: an
+    identity above ``tol``, the Weyl residual above 1e-9, the Green or A_0
+    selfadjointness residual above 1e-10, or a triple that is not ordinary."""
+    failures = [f"realization identity {name} residual {val:.3e}"
+                for name, val in ver["triple_identities"].items() if not val <= tol]
+    for key, limit in (("weyl_residual", 1e-9), ("green", 1e-10),
+                       ("a0_selfadjoint_residual", 1e-10)):
+        if not ver[key] <= limit:
+            failures.append(f"realization {key} {ver[key]:.3e}")
+    if not ver["ordinary"]:
+        failures.append("realized triple is not ordinary")
+    return failures
+
+
 def action_realize(cfg, args, out_dir: Path) -> tuple[int, dict]:
     tau = parse_tau(cfg.get("tau"), None)
     seed = _seed_from(cfg, args) or 0
     samples = default_samples(tau.boundary_dim, seed=seed, count=10)
     bt = realize(tau, samples=samples, seed=seed)
     ver = verify_realization(bt, tau, samples, seed=seed)
+    failures = _realization_failures(ver, args.tol if args.tol is not None else 1e-9)
     report = {
         "action": "realize",
         "triple": encode_triple(bt),
         "verification": ver,
         "state_signature": list(bt.state.signature()),
+        "failures": failures,
     }
-    ok = ver["weyl_residual"] <= 1e-9 and ver["green"] <= 1e-10
-    return (0 if ok else 2), report
+    return (0 if not failures else 2), report
 
 
 def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
@@ -410,8 +426,7 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
 
     ver = verify_realization(realized, tau, rsamples, seed=seed)
     suites["realization"] = ver
-    if ver["weyl_residual"] > 1e-9:
-        failures.append(f"realization Weyl residual {ver['weyl_residual']:.3e}")
+    failures += _realization_failures(ver, tol)
 
     if isinstance(tau, RationalNevanlinna):
         pts = [complex(rng.uniform(-2, 2), rng.uniform(0.3, 2)) for _ in range(4)]

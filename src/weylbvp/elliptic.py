@@ -22,7 +22,7 @@ from .errors import (
     RankDeficientCoupling,
     SpectrumPoint,
 )
-from .krein import check_condition
+from .krein import check_condition, sparse_lu
 from .triple import WeylData
 
 
@@ -402,49 +402,6 @@ def elliptic_triple(de: DiscreteElliptic, eta: float | None = None) -> EllipticT
     if eta is None:
         eta = de.default_eta()
     return EllipticTriple(de=de, eta=float(eta), extension=de.eta_extension(eta))
-
-
-def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, what: str,
-              symmetric: bool = False) -> scipy.sparse.linalg.SuperLU:
-    """Sparse LU of a square CSC matrix S, real or complex, under
-    SuperLU's column ``ordering`` (its ``permc_spec``), guarded: raises
-    ``SpectrumPoint`` when SuperLU finds S exactly singular or
-    ``check_condition`` refuses it.  The one guarded sparse factorization: a
-    ``SparseRoute`` calls it under a fill-reducing ordering once per
-    operator, and under the natural ordering of its pre-permuted matrix at
-    every later lambda.  A ``symmetric`` factorization pivots on the
-    diagonal alone (SuperLU's symmetric mode, pivot threshold 0), so that the
-    rows follow the column order and U = D L^H for a Hermitian S: it is read
-    for its inertia, which is defined wherever S is nonsingular, so it raises
-    at an exactly zero pivot and where a pivot leaves the diagonal, and takes
-    no condition estimate.
-    """
-    # imported on first use: the realize action builds no elliptic operator,
-    # and loading the package adds about 2 MB of resident memory
-    import scipy.sparse.linalg
-    pivoting = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}} if symmetric else {}
-    try:
-        # panels of one column and no relaxed supernodes: with SuperLU's
-        # defaults a count took 159 against 90 us at 1D n = 399 and 4.07
-        # against 4.00 ms at 2D 50x50 (one BLAS thread), and no route here
-        # factored faster with them
-        lu = scipy.sparse.linalg.splu(mat, permc_spec=ordering, panel_size=1, relax=1,
-                                      **pivoting)
-    except RuntimeError as exc:          # "Factor is exactly singular"
-        raise SpectrumPoint(f"{what} is singular") from exc
-    if symmetric:
-        if np.any(lu.perm_r != lu.perm_c):
-            raise SpectrumPoint(f"{what} has a zero pivot on its diagonal")
-        return lu
-    solve = lu.solve
-    if not np.iscomplexobj(mat.data):
-        def solve(b, trans="N"):
-            # b's real and imaginary parts as two columns of one real solve
-            x = lu.solve(np.column_stack([b.real, b.imag]), trans)
-            return x[:, 0] + 1j * x[:, 1]
-
-    check_condition(float(abs(mat).sum(axis=0).max()), solve, mat.shape[0], SpectrumPoint, what)
-    return lu
 
 
 class SparseRoute:

@@ -252,6 +252,5 @@ def verify_realization(bt: BoundaryTriple, tau, samples, seed: int = 0) -> dict:
                     / max(1.0, float(np.linalg.norm(t, 2))))
     report["weyl_residual"] = worst
     report["triple_identities"] = verify_triple_identities(bt, samples, seed=seed, data=data)
-    del data    # its LUs of K_lam would otherwise add to the peak memory of the A_0 check
     report["a0_selfadjoint_residual"] = bt.a0.selfadjointness_residual()
     return report

@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
-from .errors import DimensionMismatch, SpectrumPoint
-from .krein import DEFAULT_RTOL, KreinSpace, LinearRelation, _as_matrix, dense_lu, nullspace
+from .errors import DimensionMismatch
+from .krein import (DEFAULT_RTOL, KreinSpace, LinearRelation, _as_matrix, nullspace,
+                    sparse_lu)
 
 
 @dataclass(frozen=True)
@@ -102,30 +103,43 @@ class BoundaryTriple:
 
     # -- gamma-field and Weyl function ---------------------------------------
 
+    @cached_property
+    def _sparse_maps(self) -> tuple:
+        """[second; Gamma_0] and [first; 0], whose difference at lam is K_lam,
+        and the maps first and Gamma_1 that read its solutions, as CSC arrays:
+        a realized triple's maps are block-sparse."""
+        zero = np.zeros((self.boundary_dim, self.t_dim))
+        return tuple(scipy.sparse.csc_array(m) for m in (
+            np.vstack([self.second, self.g0]), np.vstack([self.first, zero]), self.first, self.g1))
+
     def weyl_data(self, lam: complex) -> WeylData:
-        """gamma(lam) and M(lam) from one guarded LU of the t x t matrix
-        K_lam = [second - lam first; Gamma_0].  K c = (0, x) puts c in
+        """gamma(lam) and M(lam) from one guarded sparse LU of the t x t
+        matrix K_lam = [second - lam first; Gamma_0].  K c = (0, x) puts c in
         ker(T - lam) with Gamma_0 c = x, so gamma(lam) = first K^{-1}[0; I]
-        and M(lam) = Gamma_1 K^{-1}[0; I]; K c = (h, 0) puts c in A_0 with
-        first c = (A_0 - lam)^{-1} h.  The data's ``resolvent`` forms the
-        state resolvent first K^{-1}[I; 0] and its Gamma_1 image from this
-        LU, one solve on n columns, and applies them to x by two products.
-        It keeps neither, so a point's data holds nothing of size n x n, and
-        a point read only for gamma (a conjugate point) forms neither.  A basis
-        of T has t = n + g columns (checked when the triple is built), so
-        K_lam is singular exactly when lam is an eigenvalue of A_0:
-        ``dense_lu`` raises ``SpectrumPoint`` there.
+        and M(lam) = Gamma_1 K^{-1}[0; I], one solve on g columns; K c = (h, 0)
+        puts c in A_0 with first c = (A_0 - lam)^{-1} h.  The data's
+        ``resolvent`` forms the state resolvent first K^{-1}[I; 0] and its
+        Gamma_1 image from this LU, one solve on n columns, and applies them
+        to x as sparse arrays of their nonzero entries (a realized triple's
+        A_0 is block-diagonal), not by dense n x n products.  It keeps
+        neither, so a point's data holds nothing of size n x n, and a point
+        read only for gamma (a conjugate point) forms neither.  A basis of T
+        has t = n + g columns (checked when the triple is built), so K_lam is
+        singular exactly when lam is an eigenvalue of A_0: ``sparse_lu``
+        raises ``SpectrumPoint`` there.
         """
         n, g = self.state.dim, self.boundary_dim
-        lu = dense_lu(np.vstack([self.second - lam * self.first, self.g0]), SpectrumPoint,
-                      f"K_lambda at the eigenvalue lambda={lam} of A_0")
-        coeff = scipy.linalg.lu_solve(lu, np.eye(n + g, g, -n, dtype=complex))
+        top, slope, first, g1 = self._sparse_maps
+        lu = sparse_lu(top - lam * slope, "MMD_AT_PLUS_A",
+                       f"K_lambda at the eigenvalue lambda={lam} of A_0")
+        coeff = lu.solve(np.eye(n + g, g, -n, dtype=complex))
 
         def resolvent(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            coords = scipy.linalg.lu_solve(lu, np.eye(n + g, n, dtype=complex))
-            return (self.first @ coords) @ x, (self.g1 @ coords) @ x
+            coords = lu.solve(np.eye(n + g, n, dtype=complex))
+            return (scipy.sparse.csr_array(first @ coords) @ x,
+                    scipy.sparse.csr_array(g1 @ coords) @ x)
 
-        return WeylData(lam, self.first @ coeff, self.g1 @ coeff, resolvent)
+        return WeylData(lam, first @ coeff, g1 @ coeff, resolvent)
 
 
 def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:

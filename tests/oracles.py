@@ -1,8 +1,9 @@
 """Reference computations shared by the test modules.
 
 The [[., .]]-adjoint of a relation by a full SVD and the subspace gaps built
-on it, the closed-form resolvent of the companion block, the dense Dirichlet
-block L_II, the closed-form gamma-field of the elliptic triple, that
+on it, a triple's Weyl data from a dense LU of K_lam, the closed-form
+resolvent of the companion block, the dense Dirichlet block L_II, the
+closed-form gamma-field of the elliptic triple, that
 triple as a dense generic ``BoundaryTriple``, the eigenvalue count of a
 constant boundary condition from dense eigensolves, and a linearization's
 A and full spectrum in dense form.  The package decides the same properties
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from weylbvp import BoundaryTriple, KreinSpace, LinearRelation, Subspace, nullspace
+from weylbvp import BoundaryTriple, KreinSpace, LinearRelation, Subspace, WeylData, nullspace
 
 
 def span_subspace(rel):
@@ -39,6 +40,20 @@ def symmetry_residual(rel):
     """How far the relation's span is from lying in its adjoint's: zero
     exactly when the relation is symmetric."""
     return span_subspace(adjoint(rel)).containment_residual(span_subspace(rel))
+
+
+def dense_weyl_data(bt, lam):
+    """A triple's ``WeylData`` at lam from one dense LU of the t x t matrix
+    K_lam = [second - lam first; Gamma_0]: gamma(lam) and M(lam) from
+    K^{-1}[0; I], and the resolvent from the dense state resolvent
+    first K^{-1}[I; 0] and its Gamma_1 image.  The package factors K_lam
+    sparse."""
+    n, g = bt.state.dim, bt.boundary_dim
+    lu = scipy.linalg.lu_factor(np.vstack([bt.second - lam * bt.first, bt.g0]))
+    coeff = scipy.linalg.lu_solve(lu, np.eye(n + g, g, -n, dtype=complex))
+    state = scipy.linalg.lu_solve(lu, np.eye(n + g, n, dtype=complex))
+    return WeylData(lam, bt.first @ coeff, bt.g1 @ coeff,
+                    lambda x: ((bt.first @ state) @ x, (bt.g1 @ state) @ x))
 
 
 def constant_state_resolvent(vartheta, lam, g):

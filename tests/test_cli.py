@@ -391,6 +391,39 @@ def test_realize_roundtrip(tmp_path):
     assert "triple" in report
 
 
+@pytest.mark.parametrize("action", ["verify", "realize"])
+def test_a_wrong_realized_gamma_fails_the_action(tmp_path, monkeypatch, action):
+    # the realized triple's gamma scaled by 1 + 1e-6 leaves its M, and so the
+    # Weyl residual, right and breaks the identities that read gamma
+    weyl_data = BoundaryTriple.weyl_data
+
+    def scaled(self, lam):
+        wd = weyl_data(self, lam)
+        return dataclasses.replace(wd, gamma_mat=(1 + 1e-6) * wd.gamma_mat)
+
+    monkeypatch.setattr(BoundaryTriple, "weyl_data", scaled)
+    code, out = run(tmp_path, write_cfg(tmp_path), action)
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    ver = report["suites"]["realization"] if action == "verify" else report["verification"]
+    assert ver["weyl_residual"] <= 1e-9 and ver["triple_identities"]["gambar"] > 1e-7
+    assert any(f.startswith("realization identity gambar") for f in report["failures"])
+
+
+def test_every_realization_residual_is_gated():
+    from weylbvp.cli import _realization_failures
+    good = {"weyl_residual": 1e-15, "green": 1e-15, "a0_selfadjoint_residual": 1e-15,
+            "ordinary": True, "triple_identities": dict.fromkeys(["id1", "gambar", "id2", "rep"],
+                                                                 1e-15)}
+    assert _realization_failures(good, 1e-9) == []
+    bad = [("weyl_residual", 2e-9), ("weyl_residual", math.nan), ("green", 2e-10),
+           ("a0_selfadjoint_residual", 2e-10), ("ordinary", False)]
+    bad += [("triple_identities", {**good["triple_identities"], name: 2e-9})
+            for name in good["triple_identities"]]
+    for key, value in bad:
+        assert len(_realization_failures({**good, key: value}, 1e-9)) == 1, key
+
+
 def test_demo_runs_all_cases(tmp_path):
     out = tmp_path / "demo"
     code = main(["--action", "demo", "--out", str(out)])

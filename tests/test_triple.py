@@ -6,24 +6,31 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import weylbvp.triple
 from weylbvp import (
     BoundaryTriple,
+    ConstantFunction,
     DimensionMismatch,
     KreinSpace,
     LinearRelation,
     RationalNevanlinna,
+    RepresentationForm,
     SpectrumPoint,
     build_1d,
     build_2d,
     column_space,
     elliptic_triple,
     nullspace,
+    realize,
     realize_constant,
     realize_rational,
+    realize_strict,
+    verify_realization,
     verify_triple_identities,
 )
 
-from oracles import elliptic_gamma, generic_elliptic_triple, symmetry_residual
+from oracles import (dense_weyl_data, elliptic_gamma, generic_elliptic_triple,
+                     symmetry_residual)
 
 
 def sample_points(seed=0, count=10):
@@ -91,7 +98,6 @@ def test_defect_subspace_dimension(elliptic_bt):
 def test_defect_at_a0_eigenvalue_inflates():
     # toy triple: A0 = diag(1, 2), one boundary channel attached to e1;
     # at lam = 2 the A0-eigenvector e2 joins the defect space
-    from weylbvp import RepresentationForm, realize_strict
 
     sp = KreinSpace(2)
     a0 = LinearRelation.from_graph(sp, np.diag([1.0, 2.0]))
@@ -110,17 +116,17 @@ def test_gamma_weyl_identities(elliptic_bt, rational_bt):
 
 
 def test_identities_one_resolvent_per_point(elliptic_bt, monkeypatch):
-    # one LU of K_lam per sample and per conjugate sample gives gamma and M
-    # there, (A_0 - lam)^{-1} on the columns the identities need, and the
-    # rho(A_0) check; K_lam[0, 0] = L_II[0, 0] - lam tells the points apart
+    # one sparse LU of K_lam per sample and per conjugate sample gives gamma
+    # and M there, (A_0 - lam)^{-1} on the columns the identities need, and
+    # the rho(A_0) check; K_lam[0, 0] = L_II[0, 0] - lam tells the points apart
     calls = []
-    lu_factor = scipy.linalg.lu_factor
+    sparse_lu = weylbvp.triple.sparse_lu
 
-    def counted(a, *args, **kwargs):
-        calls.append(complex(a[0, 0]))
-        return lu_factor(a, *args, **kwargs)
+    def counted(mat, *args):
+        calls.append(complex(mat[0, 0]))
+        return sparse_lu(mat, *args)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    monkeypatch.setattr(weylbvp.triple, "sparse_lu", counted)
     pts = sample_points(count=4)
     report = verify_triple_identities(elliptic_bt, pts)
     assert max(report.values()) <= 1e-9
@@ -170,6 +176,52 @@ def test_point_solve_resolvent_matches_a0(name):
             <= 1e-12 * max(1.0, np.linalg.norm(c))
         assert np.linalg.norm(bt.g0 @ c) <= 1e-12 * max(1.0, np.linalg.norm(c))
         assert np.linalg.norm(bt.g1 @ c - image) <= 1e-12 * max(1.0, np.linalg.norm(c))
+
+
+def _dense_oracle_triples():
+    rng = np.random.default_rng(7)
+    m, c, q = (rng.standard_normal((k, k)) for k in (4, 3, 3))
+    sp = KreinSpace(4)
+    a0 = LinearRelation.from_graph(sp, (m + m.T) / 2)
+    gamma = rng.standard_normal((4, 3))
+    strict = RepresentationForm(space=sp, a0=a0, gamma=gamma, lambda0=1j, c=(c + c.T) / 2)
+    # gamma with a kernel: realized as a strict and a constant part, coupled
+    nonstrict = RepresentationForm(space=sp, a0=a0, gamma=gamma @ np.diag([1.0, 1.0, 0.0]) @ q,
+                                   lambda0=1j, c=(c + c.T) / 2)
+    scalar = RationalNevanlinna(alpha=(np.zeros((3, 3)), -2 * np.eye(3)),
+                                beta=(np.eye(3), 0.5 * np.eye(3)))
+    triples = _point_solve_triples()
+    triples.update({"rational-scalar": realize_rational(scalar), "strict": realize_strict(strict),
+                    "coupled": realize(nonstrict)})
+    return triples
+
+
+@pytest.mark.parametrize("name", ["1d-25", "2d-6x6", "rational", "rational-scalar", "constant",
+                                  "strict", "coupled"])
+def test_weyl_data_matches_dense_oracle(name):
+    # gamma, M and both resolvent outputs from the sparse LU of K_lam against
+    # a dense LU of the same matrix
+    bt = _dense_oracle_triples()[name]
+    x = np.random.default_rng(8).standard_normal((bt.state.dim, 3)) + 0j
+    for lam in (0.3 + 0.8j, -1.2 - 0.4j, 2.0 + 3.0j):
+        mine, ref = bt.weyl_data(lam), dense_weyl_data(bt, lam)
+        pairs = [(mine.gamma_mat, ref.gamma_mat), (mine.m_mat, ref.m_mat),
+                 *zip(mine.resolvent(x), ref.resolvent(x))]
+        for a, b in pairs:
+            assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(b))
+
+
+def test_verify_realization_takes_no_dense_lu(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense LU on the realization check")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
+    tau = RationalNevanlinna(alpha=(np.zeros((3, 3)), -2 * np.eye(3)),
+                             beta=(np.eye(3), 0.5 * np.eye(3)))
+    constant = ConstantFunction(np.array([[2.0, 1.0], [1.0, -1.0]]))
+    for f in (tau, constant):
+        ver = verify_realization(realize(f, samples=sample_points()), f, sample_points())
+        assert ver["weyl_residual"] <= 1e-12 and max(ver["triple_identities"].values()) <= 1e-9
 
 
 @pytest.mark.parametrize("build", [lambda: build_1d(25), lambda: build_2d(6, 6)],
