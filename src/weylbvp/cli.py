@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, MathDomainError
-from .krein import LinearRelation
+from .krein import LinearRelation, relative_residual
 from .opfunc import (
     ConstantFunction,
     RationalNevanlinna,
@@ -33,6 +33,7 @@ from .elliptic import DiscreteElliptic, build_1d, build_2d, direct_solve, ellipt
 from .serialize import (decode_int, decode_matrix, decode_real, decode_scalar,
                         decode_space, encode_triple)
 from .solver import (
+    RESIDUAL_LIMIT,
     build_fixed_extension,
     build_linearization,
     compressed_resolvent,
@@ -266,18 +267,19 @@ def action_solve(cfg, args, out_dir: Path) -> tuple[int, dict]:
     g = make_rhs(cfg.get("rhs"), de, _seed_from(cfg, args))
     rep = krein_resolve(et, tau, lam, g)
     f_direct = direct_solve(et, tau, lam, g)
-    agree = float(np.linalg.norm(rep.f - f_direct)
-                  / max(1.0, np.linalg.norm(f_direct)))
+    agree = relative_residual(rep.f - f_direct, f_direct)
+    failures = [] if agree <= RESIDUAL_LIMIT else [f"oracle disagreement {agree:.3e}"]
     write_solution(out_dir, de, rep.f)
     report = {
         "action": "solve",
         "lambda": [lam.real, lam.imag],
-        "sigma_min": rep.sigma_min,
+        "condition_estimate": rep.condition_estimate,
         "residuals": {"pde": rep.pde_residual, "boundary": rep.bc_residual,
                       "oracle_agreement": agree},
         "solution_csv": "solution.csv",
+        "failures": failures,
     }
-    return 0, report
+    return (0 if not failures else 2), report
 
 
 def _eta_from(cfg):
@@ -393,8 +395,7 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
     for lam in sample_pts:
         m = data[lam].m_mat
         m_direct = et.boundary_block - data[lam].resolvent(l_ib)[1]
-        closed = max(closed, float(np.linalg.norm(m_direct - m, 2)
-                                   / max(1.0, np.linalg.norm(m, 2))))
+        closed = max(closed, relative_residual(m_direct - m, m))
     del data
     suites["weyl_closed_form_residual"] = closed
     if closed > tol:
@@ -418,10 +419,9 @@ def action_verify(cfg, args, out_dir: Path) -> tuple[int, dict]:
         f1 = krein_resolve(et, tau, lam, g).f
         f2 = direct_solve(et, tau, lam, g)
         f3 = compressed_resolvent(lin, lam, g)
-        scale = max(1.0, float(np.linalg.norm(f1)))
-        oracle = max(oracle, max(np.linalg.norm(f1 - f2), np.linalg.norm(f1 - f3)) / scale)
+        oracle = max(oracle, relative_residual(f1 - f2, f1), relative_residual(f1 - f3, f1))
     suites["oracle_agreement"] = float(oracle)
-    if oracle > 1e-10:
+    if oracle > RESIDUAL_LIMIT:
         failures.append(f"oracle disagreement {oracle:.3e}")
 
     ver = verify_realization(realized, tau, rsamples, seed=seed)

@@ -19,8 +19,8 @@ class DimensionMismatch(ConfigError):
 
 class SpectrumPoint(MathDomainError):
     """The requested point lies in a spectrum: of the operator or relation
-    factored there, outside the solvability set (M + tau singular), or at a
-    pole of tau."""
+    whose guarded LU refuses it (M + tau outside the solvability set), at a
+    pole of tau, or where a solution's residual exceeds the routes' tolerance."""
 
 
 class InsufficientSamples(ConfigError):

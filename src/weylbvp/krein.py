@@ -49,23 +49,32 @@ def _inverse_onenorm(solve: Callable[..., np.ndarray], n: int) -> float:
 
 
 def check_condition(norm: float, solve: Callable[..., np.ndarray], n: int,
-                    error: type, what: str, why: str = "") -> None:
-    """The package's condition guard, one estimate per factorization: raise
-    ``error`` where ||S||_1 est||S^{-1}||_1 (``norm`` = ||S||_1, ``solve`` the
-    LU's solve, as for ``_inverse_onenorm``) reaches ``COND_LIMIT``; ``why``,
-    if given, ends the message."""
+                    error: type, what: str, why: str = "") -> float:
+    """The package's condition guard, one estimate per factorization: the
+    estimate ||S||_1 est||S^{-1}||_1 (``norm`` = ||S||_1, ``solve`` the LU's
+    solve, as for ``_inverse_onenorm``); raises ``error`` where it reaches
+    ``COND_LIMIT``, and ``why``, if given, ends the message."""
     cond = norm * _inverse_onenorm(solve, n)
     if not cond < COND_LIMIT:
         raise error(f"{what} is numerically singular (1-norm condition estimate "
                     f"{cond:.3e})" + (f": {why}" if why else ""))
+    return cond
+
+
+def relative_residual(diff: np.ndarray, *refs: np.ndarray) -> float:
+    """The package's residual rule: ||D||_F / max(1, largest column norm of the
+    references), a vector being one column.  No SVD, and never below
+    ||D||_2 / max(1, ||R||_2) for any reference R: ||.||_F >= ||.||_2 >= a column norm."""
+    scale = max([1.0] + [float(np.max(np.linalg.norm(r, axis=0), initial=0.0)) for r in refs])
+    return float(np.linalg.norm(diff)) / scale
 
 
 def dense_lu(mat: np.ndarray, error: type, what: str, scale: float = 0.0) -> tuple:
     """LU of a square dense matrix S (``scipy.linalg.lu_factor``, which may
-    overwrite ``mat``), guarded: raises ``error`` at an exactly zero pivot or
-    where ``check_condition`` refuses S.  A ``scale`` above ||S||_1 takes its
-    place in the estimate: a sum S whose terms cancel is measured against
-    their size.  The dense counterpart of ``sparse_lu``.
+    overwrite ``mat``) and its condition estimate, guarded: raises ``error`` at
+    an exactly zero pivot or where ``check_condition`` refuses S.  A ``scale``
+    above ||S||_1 takes its place in the estimate: a sum S whose terms cancel
+    is measured against their size.  The dense counterpart of ``sparse_lu``.
     """
     norm = max(scale, float(np.abs(mat).sum(axis=0).max()))
     with warnings.catch_warnings():  # an exactly zero pivot is caught below
@@ -81,8 +90,7 @@ def dense_lu(mat: np.ndarray, error: type, what: str, scale: float = 0.0) -> tup
                                   trans=0 if trans == "N" else 2)
         return x[:, 0] + 1j * x[:, 1]
 
-    check_condition(norm, solve, mat.shape[0], error, what)
-    return lu
+    return lu, check_condition(norm, solve, mat.shape[0], error, what)
 
 
 def sparse_lu(mat: scipy.sparse.csc_array, ordering: str, what: str,
@@ -177,13 +185,13 @@ class Subspace:
         return self.basis @ (self.basis.conj().T @ v)
 
     def containment_residual(self, other: "Subspace") -> float:
-        """sup over unit vectors of other of the distance to self."""
+        """sup over unit vectors of other of the distance to self, by eigvalsh."""
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient dimensions differ")
         if other.dim == 0:
             return 0.0
         rest = other.basis - self.project(other.basis)
-        return float(np.linalg.norm(rest, 2))
+        return float(np.sqrt(max(np.linalg.eigvalsh(rest.conj().T @ rest)[-1], 0.0)))
 
     def gap(self, other: "Subspace") -> float:
         return max(self.containment_residual(other), other.containment_residual(self))
@@ -346,7 +354,7 @@ class LinearRelation:
         bordered = np.zeros((n + 1, n + 1), dtype=complex)
         bordered[:n, :n] = self.second - lam * self.first
         bordered[n, n] = 1.0 + abs(lam)
-        lu = dense_lu(bordered, SpectrumPoint, f"A - {lam}")
+        lu = dense_lu(bordered, SpectrumPoint, f"A - {lam}")[0]
         # X C = first as C^T X^T = first^T; the border's row of X is zero
         rhs = np.vstack([self.first.T, np.zeros((1, n))])
         return scipy.linalg.lu_solve(lu, rhs, trans=1)[:n].T

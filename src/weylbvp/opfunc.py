@@ -27,6 +27,7 @@ from .krein import (
     intersect,
     nullspace,
     orthonormal_columns,
+    relative_residual,
 )
 
 _HERM_TOL = 1e-12
@@ -36,18 +37,18 @@ def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square")
-    if np.linalg.norm(a - a.conj().T, 2) > _HERM_TOL * max(1.0, np.linalg.norm(a, 2)):
+    if relative_residual(a - a.conj().T, a) > _HERM_TOL:
         raise DimensionMismatch(f"{what} must be Hermitian")
     return a
 
 
-def psd_sqrt(b: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root; small negative eigenvalues clipped to 0."""
+def psd_eigh(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w ascending, V) of a Hermitian PSD matrix; small negative w clipped to 0."""
     w, v = np.linalg.eigh(b)
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     if w[0] < -1e-12 * scale:
         raise DimensionMismatch("matrix is not positive semidefinite")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return np.clip(w, 0.0, None), v
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,10 @@ class RationalNevanlinna:
 
     alpha: tuple
     beta: tuple
-    # beta_i^{1/2}, the pole terms (w_i, C_i) with alpha_i = V_i diag(w_i) V_i^H
-    # and C_i = beta_i^{1/2} V_i, and the sorted poles, computed once from the
-    # coefficients
+    # beta_1's eigenpairs, beta_i^{1/2}, the pole terms (w_i, C_i) with
+    # alpha_i = V_i diag(w_i) V_i^H and C_i = beta_i^{1/2} V_i, and the sorted
+    # poles, computed once from the coefficients
+    _beta_one: tuple = field(init=False, repr=False, compare=False)
     _roots: tuple = field(init=False, repr=False, compare=False)
     _pole_terms: tuple = field(init=False, repr=False, compare=False)
     _poles: np.ndarray = field(init=False, repr=False, compare=False)
@@ -97,14 +99,16 @@ class RationalNevanlinna:
             raise DimensionMismatch("alpha and beta lists must have equal length")
         if any(a.shape != (g, g) for a in alphas) or any(b.shape != (g, g) for b in betas):
             raise DimensionMismatch("all coefficient blocks must be g x g")
-        roots = tuple(psd_sqrt(b) for b in betas)  # validates PSD
+        beta_eigs = [psd_eigh(b) for b in betas]  # validates PSD
+        roots = tuple((v * np.sqrt(w)) @ v.conj().T for w, v in beta_eigs)
         eigs = [np.linalg.eigh(a) for a in alphas[1:]]
         terms = tuple((w, r @ v) for (w, v), r in zip(eigs, roots[1:]))
         poles = np.sort(np.concatenate([w for w, _ in terms])) if terms else np.zeros(0)
-        for arr in (*roots, *(a for term in terms for a in term), poles):
+        for arr in (*beta_eigs[0], *roots, *(a for term in terms for a in term), poles):
             arr.setflags(write=False)
         object.__setattr__(self, "alpha", alphas)
         object.__setattr__(self, "beta", betas)
+        object.__setattr__(self, "_beta_one", beta_eigs[0])
         object.__setattr__(self, "_roots", roots)
         object.__setattr__(self, "_pole_terms", terms)
         object.__setattr__(self, "_poles", poles)
@@ -122,6 +126,10 @@ class RationalNevanlinna:
 
     def beta_sqrts(self) -> list[np.ndarray]:
         return list(self._roots)
+
+    def beta_one_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (w, V) of beta_1, w ascending and clipped at 0."""
+        return self._beta_one
 
     def eval(self, lam: complex) -> np.ndarray:
         """alpha_1 + lam beta_1 + sum_i (C_i / (w_i - lam)) C_i^H, checked

@@ -18,7 +18,7 @@ from .errors import (
     NotStrict,
     RealTheta,
 )
-from .krein import KreinSpace, nullspace
+from .krein import KreinSpace, nullspace, relative_residual
 from .opfunc import (
     ConstantFunction,
     Decomposition,
@@ -103,8 +103,7 @@ def couple(t_strict: BoundaryTriple, t_const: BoundaryTriple,
     gs, gc = t_strict.boundary_dim, t_const.boundary_dim
     off1 = np.asarray(off1, dtype=complex).reshape(gs, gc)
     off2 = np.asarray(off2, dtype=complex).reshape(gc, gs)
-    scale = max(1.0, np.linalg.norm(off1))
-    if np.linalg.norm(off1.conj().T - off2) > 1e-10 * scale:
+    if relative_residual(off1.conj().T - off2, off1) > 1e-10:
         raise NonAdjointBlocks("cross blocks are not mutually adjoint")
     if gc == 0:
         return t_strict
@@ -211,10 +210,10 @@ def realize_rational(tau: RationalNevanlinna) -> BoundaryTriple:
     """
     g, m = tau.boundary_dim, tau.terms
     roots = tau.beta_sqrts()
-    w1 = np.linalg.eigvalsh(tau.beta[0])
+    w1, v1 = tau.beta_one_eigh()
     if w1[0] <= 1e-12 * max(1.0, w1[-1]):
         raise BetaOneSingular("leading coefficient must be positive definite")
-    b1_inv_sqrt = np.linalg.inv(roots[0])
+    b1_inv_sqrt = (v1 / np.sqrt(w1)) @ v1.conj().T
 
     n = m * g
     t = (m + 1) * g  # parameters (k_1..k_m, k_1')
@@ -246,10 +245,8 @@ def verify_realization(bt: BoundaryTriple, tau, samples, seed: int = 0) -> dict:
     data = {lam: bt.weyl_data(lam) for lam in samples}
     worst = 0.0
     for lam in samples:
-        m = data[lam].m_mat
         t = tau.eval(lam)
-        worst = max(worst, float(np.linalg.norm(m - t, 2))
-                    / max(1.0, float(np.linalg.norm(t, 2))))
+        worst = max(worst, relative_residual(data[lam].m_mat - t, t))
     report["weyl_residual"] = worst
     report["triple_identities"] = verify_triple_identities(bt, samples, seed=seed, data=data)
     report["a0_selfadjoint_residual"] = bt.a0.selfadjointness_residual()

@@ -1,6 +1,6 @@
 """Solution machinery for spectral-parameter-dependent boundary conditions:
-the perturbed-resolvent formula (whose guard is the only sigma_min of
-M + tau), the linearized block operator on the product space (with no state
+the perturbed-resolvent formula (one guarded LU of M + tau guards and
+solves), the linearized block operator on the product space (with no state
 for a constant tau: its selfadjoint extension in H), stored sparse with one
 route for A - lam that both the compressed resolvent and the eigensolve (a
 shift-invert Lanczos run per count-sized slice) factor, the eigenvalue count
@@ -19,13 +19,12 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import DimensionMismatch, RankDeficientCoupling, SpectrumPoint
-from .krein import dense_lu
+from .krein import dense_lu, relative_residual
 from .elliptic import DiscreteElliptic, EllipticTriple, SparseRoute, elliptic_triple
 from .opfunc import RationalNevanlinna
 from .realize import realize_rational
 from .triple import BoundaryTriple
 
-U_THRESHOLD = 1e-8
 # Largest residual (pde or boundary) that ``krein_resolve`` returns: the
 # tolerance to which the three routes must agree.
 RESIDUAL_LIMIT = 1e-10
@@ -33,10 +32,13 @@ RESIDUAL_LIMIT = 1e-10
 
 @dataclass(frozen=True)
 class SolveReport:
+    """``krein_resolve``'s solution f, its two residuals and the 1-norm
+    condition estimate of M(lam) + tau(lam) that its guard took."""
+
     f: np.ndarray = field(repr=False)
     pde_residual: float
     bc_residual: float
-    sigma_min: float
+    condition_estimate: float
 
 
 def _problem_residuals(et: EllipticTriple, tau_lam: np.ndarray, lam: complex,
@@ -57,11 +59,8 @@ def _problem_residuals(et: EllipticTriple, tau_lam: np.ndarray, lam: complex,
     rhs_top = g - (de.sparse_blocks[0] @ f - lam * f)
     rhs_bot = de.weight * de.apply_l_bi(f)
     y = rhs_top[de.channel_rows] / de.coupling
-    scale = max(1.0, float(np.linalg.norm(g)), float(np.linalg.norm(f)))
-    r1 = float(np.linalg.norm(de.sparse_blocks[1] @ y - rhs_top)) / scale
-    r2 = float(np.linalg.norm(bot @ y - rhs_bot)) / max(
-        1.0, float(np.linalg.norm(y)), float(np.linalg.norm(f)))
-    return r1, r2
+    return (relative_residual(de.sparse_blocks[1] @ y - rhs_top, g, f),
+            relative_residual(bot @ y - rhs_bot, y, f))
 
 
 def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> SolveReport:
@@ -69,9 +68,10 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     f = (T_D-lam)^{-1}g - gamma(lam)(M(lam)+tau(lam))^{-1} gamma(conj lam)^* g.
 
     Raises ``SpectrumPoint`` on the Dirichlet spectrum (the guard of
-    ``dirichlet_factor``), outside the solvability set, and where f's pde or
-    boundary residual exceeds ``RESIDUAL_LIMIT``: next to a Dirichlet
-    eigenvalue T_D - lam is so ill-conditioned that f misses the problem.
+    ``dirichlet_factor``), outside the solvability set (the guard of the one
+    ``dense_lu`` of M + tau that also solves), and where f's pde or boundary
+    residual exceeds ``RESIDUAL_LIMIT``: next to a Dirichlet eigenvalue
+    T_D - lam is so ill-conditioned that f misses the problem.
     """
     g = np.asarray(g, dtype=complex)
     # one factorization of T_D - lam gives gamma(lam), M(lam) and the base
@@ -79,18 +79,14 @@ def krein_resolve(et: EllipticTriple, tau, lam: complex, g: np.ndarray) -> Solve
     wd = et.weyl_data(lam)
     gam = wd.gamma_mat
     tau_lam = tau.eval(lam)
-    mt = wd.m_mat + tau_lam
-    s = np.linalg.svd(mt, compute_uv=False)
-    smin, scale = float(s[-1]), float(s[0])
-    if smin <= U_THRESHOLD * max(scale, 1e-300):
-        raise SpectrumPoint(f"lambda={lam} is outside the solvability set: "
-                            f"sigma_min(M+tau)={smin:.3e} (scale {scale:.3e})")
-    f = wd.resolvent(g)[0] - gam @ np.linalg.solve(mt, et.gamma_plus(gam.conj()) @ g)
+    lu, cond = dense_lu(wd.m_mat + tau_lam, SpectrumPoint,
+                        f"lambda={lam} is outside the solvability set: M + tau")
+    f = wd.resolvent(g)[0] - gam @ scipy.linalg.lu_solve(lu, et.gamma_plus(gam.conj()) @ g)
     r1, r2 = _problem_residuals(et, tau_lam, lam, f, g)
     if not max(r1, r2) <= RESIDUAL_LIMIT:
         raise SpectrumPoint(f"lambda={lam} is numerically in the spectrum: the perturbed "
                             f"resolvent leaves residual {max(r1, r2):.3e}")
-    return SolveReport(f=f, pde_residual=r1, bc_residual=r2, sigma_min=smin)
+    return SolveReport(f=f, pde_residual=r1, bc_residual=r2, condition_estimate=cond)
 
 
 @dataclass(frozen=True)
@@ -121,9 +117,8 @@ class Linearization:
         return self.size - self.state_gram.shape[0]
 
     def w_symmetry_residual(self) -> float:
-        """||WA - (WA)^H||_F / max(1, largest column norm of WA): no SVD, and
-        never below the 2-norm ratio (the Frobenius norm bounds the 2-norm
-        from above, a column norm bounds it from below)."""
+        """``relative_residual(WA - (WA)^H, WA)``, computed sparse: no SVD, and
+        never below the 2-norm ratio."""
         n, a = self.n_interior, self.matrix
         # W A: the interior rows scaled by h^d, the state rows multiplied by G
         # where G is not I
@@ -235,7 +230,7 @@ def _linearize(et: EllipticTriple, first, g0, g1, second, gram,
     # stored real so that the eigensolve runs in real arithmetic
     if not any(np.any(m.imag) for m in (coupling, g0, second, gram)):
         coupling, g0, second, gram = coupling.real, g0.real, second.real, gram.real
-    lu = dense_lu(coupling, RankDeficientCoupling, "the coupling matrix C", scale)
+    lu = dense_lu(coupling, RankDeficientCoupling, "the coupling matrix C", scale)[0]
     # X C = [Gamma_0; second] as C^T X^T = [Gamma_0; second]^T
     blocks = scipy.linalg.lu_solve(lu, np.vstack([g0, second]).T, trans=1).T
     g0p, g0q = blocks[:nb, :nk], blocks[:nb, nk:]

@@ -16,7 +16,7 @@ import scipy.sparse
 
 from .errors import DimensionMismatch
 from .krein import (DEFAULT_RTOL, KreinSpace, LinearRelation, _as_matrix, nullspace,
-                    sparse_lu)
+                    relative_residual, sparse_lu)
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,13 @@ class BoundaryTriple:
     # -- verification -------------------------------------------------------
 
     def green_residual(self) -> float:
-        """Relative residual of the abstract Green identity over a basis of T:
-        ||lhs - rhs||_F / max(1, largest column norm of lhs and rhs), no SVD,
-        and never below the 2-norm ratio (the Frobenius norm bounds the
-        2-norm from above, a column norm bounds it from below)."""
+        """Relative residual of the abstract Green identity over a basis of T,
+        by ``relative_residual`` against both sides."""
         f, fp = self.first, self.second
         g = self.state.gram
         lhs = f.conj().T @ g @ fp - fp.conj().T @ g @ f
         rhs = self.g0.conj().T @ self.g1 - self.g1.conj().T @ self.g0
-        scale = max(1.0, float(np.max(np.linalg.norm(lhs, axis=0))),
-                    float(np.max(np.linalg.norm(rhs, axis=0))))
-        return float(np.linalg.norm(lhs - rhs) / scale)
+        return relative_residual(lhs - rhs, lhs, rhs)
 
     def is_ordinary(self) -> bool:
         """True when the stacked boundary map (Gamma_0; Gamma_1) is surjective."""
@@ -142,14 +138,9 @@ class BoundaryTriple:
         return WeylData(lam, first @ coeff, g1 @ coeff, resolvent)
 
 
-def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:
-    scale = max([1.0] + [float(np.linalg.norm(r)) for r in refs])
-    return float(np.linalg.norm(diff)) / scale
-
-
 def verify_triple_identities(triple, samples, seed: int = 0,
                              data: dict[complex, WeylData] | None = None) -> dict[str, float]:
-    """Max scaled residuals of the gamma-field/Weyl identities at sample points.
+    """Max ``relative_residual`` of the gamma-field/Weyl identities at sample points.
 
     Checks, for all pairs (lam, mu) of samples in rho(A_0) and the first
     nonreal sample l0:
@@ -196,17 +187,18 @@ def verify_triple_identities(triple, samples, seed: int = 0,
         # gambar at the random vector h
         lhs = triple.gamma_plus(gamma_conj[lam]) @ h
         rhs = image[:, -1]
-        out["gambar"] = max(out["gambar"], _rel(lhs - rhs, lhs, rhs))
+        out["gambar"] = max(out["gambar"], relative_residual(lhs - rhs, lhs, rhs))
         # representation of M via the fixed lambda0
         op = (lam - lambda0.real) * wd0.gamma_mat \
             + (lam - lambda0) * (lam - np.conj(lambda0)) * res_gamma[lambda0]
         rep = re_m0 + gplus[lambda0] @ op
-        out["rep"] = max(out["rep"], _rel(wl.m_mat - rep, wl.m_mat, rep))
+        out["rep"] = max(out["rep"], relative_residual(wl.m_mat - rep, wl.m_mat, rep))
         for mu in samples:
             wm = data[mu]
             g_pred = wm.gamma_mat + (lam - mu) * res_gamma[mu]
-            out["id1"] = max(out["id1"], _rel(wl.gamma_mat - g_pred, wl.gamma_mat, g_pred))
+            out["id1"] = max(out["id1"],
+                             relative_residual(wl.gamma_mat - g_pred, wl.gamma_mat, g_pred))
             lhs2 = wl.m_mat - wm.m_mat.conj().T
             rhs2 = (lam - np.conj(mu)) * gplus[mu] @ wl.gamma_mat
-            out["id2"] = max(out["id2"], _rel(lhs2 - rhs2, lhs2, rhs2))
+            out["id2"] = max(out["id2"], relative_residual(lhs2 - rhs2, lhs2, rhs2))
     return out

@@ -72,7 +72,7 @@ def test_solve_reads_rhs_file(tmp_path, columns):
     assert [[float(r[1]), float(r[2])] for r in rows] == \
         [[float(v.real), float(v.imag)] for v in rep.f]
     report = json.loads((out / "report.json").read_text())
-    assert report["sigma_min"] == rep.sigma_min
+    assert report["condition_estimate"] == rep.condition_estimate
     assert report["residuals"]["pde"] == rep.pde_residual
 
 
@@ -93,6 +93,52 @@ def test_solve_outside_solvable_set_exits_2(tmp_path):
                                "lambda": [8.5, 0.0]})
     code, _ = run(tmp_path, cfg, "solve")
     assert code == 2
+
+
+def test_solve_gates_the_oracle_agreement(tmp_path, monkeypatch):
+    # a direct oracle 1e-6 off the perturbed resolvent is a failed check
+    import weylbvp.cli
+    direct_solve = weylbvp.cli.direct_solve
+    monkeypatch.setattr(weylbvp.cli, "direct_solve",
+                        lambda *args: direct_solve(*args) * (1 + 1e-6))
+    code, out = run(tmp_path, write_cfg(tmp_path), "solve")
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["residuals"]["oracle_agreement"] > 1e-10
+    assert report["failures"] and "oracle" in report["failures"][0]
+
+
+def svd_callers(monkeypatch):
+    """Record the function that calls numpy's or scipy's SVD, directly or
+    through a 2-norm (numpy's ``norm`` calls it from its own module)."""
+    import sys
+    import numpy as np
+    import scipy.linalg
+    callers = []
+    for owner in (np.linalg, np.linalg._linalg, scipy.linalg):
+        def recorded(*args, _svd=owner.svd, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _svd(*args, **kwargs)
+        monkeypatch.setattr(owner, "svd", recorded)
+    return callers
+
+
+def test_solve_takes_no_svd(tmp_path, monkeypatch):
+    callers = svd_callers(monkeypatch)
+    code, _ = run(tmp_path, write_cfg(tmp_path), "solve")
+    assert code == 0
+    assert callers == []
+
+
+def test_verify_takes_svds_only_in_rank_decisions(tmp_path, monkeypatch):
+    # 2D 15x15 with tau = 2I: every residual and the solvability guard go
+    # without an SVD; the three rank decisions of the realized triple keep one
+    cfg = write_cfg(tmp_path, {"problem": {"dim": 2, "nx": 15, "ny": 15},
+                               "tau": {"kind": "constant", "theta": 2.0}})
+    callers = svd_callers(monkeypatch)
+    code, _ = run(tmp_path, cfg, "verify")
+    assert code == 0
+    assert sorted(callers) == ["is_ordinary", "nullspace", "orthonormal_columns"]
 
 
 def test_solve_next_to_dirichlet_eigenvalue_exits_2(tmp_path, capsys):

@@ -16,7 +16,7 @@ from weylbvp import (
     intersect,
     nullspace,
 )
-from weylbvp.krein import dense_lu
+from weylbvp.krein import dense_lu, relative_residual
 
 from oracles import adjoint, adjoint_gap, span_subspace, symmetry_residual
 
@@ -172,8 +172,33 @@ def test_dense_lu_returns_the_factor_of_a_well_conditioned_matrix():
     rng = np.random.default_rng(5)
     mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 6 * np.eye(6)
     b = rng.standard_normal(6)
-    lu = dense_lu(mat.copy(), SpectrumPoint, "S")
+    lu, _ = dense_lu(mat.copy(), SpectrumPoint, "S")
     assert np.allclose(mat @ scipy.linalg.lu_solve(lu, b), b, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the residual rule
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=3),
+       st.floats(min_value=-6.0, max_value=6.0), st.floats(min_value=-6.0, max_value=6.0))
+def test_relative_residual_never_reads_below_the_two_norm_ratio(seed, rows, cols, nrefs,
+                                                                log_diff, log_ref):
+    """||D||_F / max(1, largest column norm of the references) is never
+    below ||D||_2 / max(1, ||R||_2) for any reference R, for matrices
+    (cols > 0) and for vectors (cols == 0), at scales around 1."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols) if cols else (rows,)
+
+    def sample(log_scale):
+        return 10.0 ** log_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    diff = sample(log_diff)
+    refs = [sample(log_ref + rng.uniform(-1, 1)) for _ in range(nrefs)]
+    ratio = np.linalg.norm(diff, 2) / max([1.0] + [np.linalg.norm(r, 2) for r in refs])
+    assert relative_residual(diff, *refs) >= ratio * (1 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -114,3 +114,45 @@ def test_every_error_class_is_raised_by_name():
                 and cls not in (weylbvp.errors.WeylbvpError, ConfigError, MathDomainError)}
     raised = {name for path in MODULES for name in raised_names(path)}
     assert not concrete - raised, f"error classes never raised: {sorted(concrete - raised)}"
+
+
+RANK_DECISIONS = {"is_ordinary", "orthonormal_columns", "nullspace"}
+
+
+def _is_two(node):
+    try:
+        return ast.literal_eval(node) in (2, -2)
+    except ValueError:
+        return False
+
+
+def svd_sites(tree):
+    """(enclosing function, line) of every ``svd`` name or attribute and
+    every ``norm`` call with ord 2 or -2 (an SVD inside) in one module's
+    tree; the enclosing function is the innermost one, None at module level."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else owner
+            named = getattr(child, "attr", None) or getattr(child, "id", None)
+            if isinstance(child, (ast.Attribute, ast.Name)) and named == "svd":
+                yield inner, child.lineno
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "norm" \
+                    and (len(child.args) > 1 and _is_two(child.args[1])
+                         or any(k.arg == "ord" and _is_two(k.value) for k in child.keywords)):
+                yield inner, child.lineno
+            yield from visit(child, inner)
+    return list(visit(tree, None))
+
+
+def test_svds_only_in_rank_decisions():
+    """In the package, an SVD, by ``svd`` or by a 2-norm, decides a rank
+    (``is_ordinary``, ``orthonormal_columns``, ``nullspace``) and nothing
+    else: a condition is ``check_condition``'s, a residual is
+    ``relative_residual``'s."""
+    sample = ast.parse("def f(a):\n    np.linalg.norm(a, 2)\n    np.linalg.norm(a, ord=-2)\n"
+                       "def nullspace(a):\n    return np.linalg.svd(a)\n")
+    assert svd_sites(sample) == [("f", 2), ("f", 3), ("nullspace", 5)]
+    misplaced = [f"{path.name}:{line} in {owner}" for path in MODULES
+                 for owner, line in svd_sites(ast.parse(path.read_text(encoding="utf-8")))
+                 if owner not in RANK_DECISIONS]
+    assert not misplaced, f"SVDs outside the rank decisions: {misplaced}"

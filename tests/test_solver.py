@@ -38,6 +38,7 @@ from weylbvp import (
 )
 from weylbvp import solver
 import weylbvp.elliptic
+import weylbvp.krein
 from weylbvp.elliptic import EllipticTriple, SparseRoute
 from weylbvp.solver import SLICE_COUNT, Linearization, eigenvalue_count
 
@@ -78,7 +79,8 @@ def hidden_pole_tau():
 
 def in_solvable_set(et, tau, lam):
     """Whether lam passes the guards of ``krein_resolve``: off the Dirichlet
-    spectrum and the poles, and sigma_min(M + tau) above its threshold."""
+    spectrum and the poles, M + tau refused by neither its LU nor the
+    condition estimate, and both residuals within RESIDUAL_LIMIT."""
     try:
         krein_resolve(et, tau, lam, np.zeros(et.de.n_interior))
     except SpectrumPoint:
@@ -134,6 +136,44 @@ def test_three_routes_agree_at_2d_50x50():
         scale = np.linalg.norm(f1)
         assert np.linalg.norm(direct_solve(et, tau, lam, g) - f1) <= 1e-10 * scale
         assert np.linalg.norm(compressed_resolvent(lin, lam, g) - f1) <= 1e-10 * scale
+
+
+def test_sweep_request_takes_no_svd(et2d, monkeypatch):
+    # a request solves by all three routes: M + tau is guarded and solved by
+    # one LU, and no route takes an SVD, directly or through a 2-norm
+    tau = rational_m2(et2d.de.n_boundary)
+    lin = lin_for(et2d, tau)
+    g = np.random.default_rng(4).standard_normal(et2d.de.n_interior) + 0.5j
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD on a sweep request")
+
+    for owner in (np.linalg, np.linalg._linalg, scipy.linalg):
+        monkeypatch.setattr(owner, "svd", forbidden)
+    f1 = krein_resolve(et2d, tau, 1.5 + 0.7j, g).f
+    f2 = direct_solve(et2d, tau, 1.5 + 0.7j, g)
+    f3 = compressed_resolvent(lin, 1.5 + 0.7j, g)
+    assert max(np.linalg.norm(f1 - f2), np.linalg.norm(f1 - f3)) <= 1e-10 * np.linalg.norm(f1)
+
+
+def test_condition_estimate_is_the_guards_own(et1d, monkeypatch):
+    # krein_resolve reports the one estimate that dense_lu's guard took of
+    # M + tau: one Hager run on an n_B-sized matrix, ||M + tau||_1 times it
+    tau, lam, nb = rational_m2(2), 1.0 + 0.5j, et1d.de.n_boundary
+    mt = et1d.weyl_data(lam).m_mat + tau.eval(lam)
+    runs = []
+    estimate = weylbvp.krein._inverse_onenorm
+
+    def recorded(solve, n):
+        runs.append((n, estimate(solve, n)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(weylbvp.krein, "_inverse_onenorm", recorded)
+    rep = krein_resolve(et1d, tau, lam, np.ones(et1d.de.n_interior))
+    boundary_runs = [est for n, est in runs if n == nb]
+    assert len(boundary_runs) == 1
+    assert rep.condition_estimate == pytest.approx(
+        np.abs(mt).sum(axis=0).max() * boundary_runs[0], rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,8 +287,9 @@ def test_dirichlet_guard_refuses_a_point_next_to_a_dirichlet_eigenvalue():
     # the guard of ``dirichlet_factor`` is its condition estimate: 5e-13
     # max|mu| above mu_1 it reads about 2.5e12, past COND_LIMIT, so the factor
     # and weyl_data refuse the point.  At 5e-12 max|mu| it reads about 2.5e11
-    # and the factor is taken, but the perturbed resolvent still refuses the
-    # point, which lies outside the solvability set
+    # and the factor is taken, and the 1-norm estimate of M + tau stays below
+    # COND_LIMIT, but the perturbed resolvent still refuses the point: its
+    # residual (about 8.5e-6) exceeds RESIDUAL_LIMIT
     et = elliptic_triple(build_1d(30))
     eigs = et.de.dirichlet_eigs
     tau = rational_m2(2)
@@ -258,7 +299,7 @@ def test_dirichlet_guard_refuses_a_point_next_to_a_dirichlet_eigenvalue():
     with pytest.raises(SpectrumPoint, match="Dirichlet spectrum"):
         et.weyl_data(near)
     x = float(eigs[0] + 5e-12 * np.max(np.abs(eigs)))
-    with pytest.raises(SpectrumPoint, match="outside the solvability set"):
+    with pytest.raises(SpectrumPoint, match="numerically in the spectrum"):
         krein_resolve(et, tau, x, np.ones(30))
 
 
@@ -464,7 +505,7 @@ def test_real_coupling_takes_real_solves(et2d, monkeypatch):
     # unguarded LU
     realized = realize_rational(rational_m2(et2d.de.n_boundary))
     lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
-    monkeypatch.setattr(solver, "dense_lu", lambda mat, *args: lu_factor(mat))
+    monkeypatch.setattr(solver, "dense_lu", lambda mat, *args: (lu_factor(mat), 1.0))
     unguarded = dense_matrix(build_linearization(et2d, realized))
     monkeypatch.undo()
     kinds = []
@@ -519,7 +560,7 @@ def test_outside_u_at_scan_root(et1d):
     scan = homogeneous_scan(et1d, tau, (0.2, 9.0), lin_for(et1d, tau))
     assert scan.roots, "expected at least one homogeneous eigenvalue"
     root = scan.roots[0]
-    with pytest.raises(SpectrumPoint, match="outside the solvability set: sigma_min"):
+    with pytest.raises(SpectrumPoint, match="outside the solvability set: M \\+ tau"):
         krein_resolve(et1d, tau, root, np.ones(40))
     # the two singularity notions agree: the trace operator M + tau is
     # numerically singular exactly where the assembled system is
